@@ -11,9 +11,6 @@ Examples::
     python -m repro path nobel.npz "adv+" --source Thorne
     python -m repro verify nobel.npz
     python -m repro stats nobel.npz
-    python -m repro bench --quick -o BENCH_kernels.json
-    python -m repro bench --parallel --quick -o BENCH_parallel.json
-    python -m repro bench --adaptive --quick -o BENCH_adaptive.json
     python -m repro serve store/ --create --n-nodes 1000 --n-predicates 16
     python -m repro recover store/
 
@@ -290,47 +287,6 @@ def cmd_verify(args) -> None:
     if report.get("wal_tail"):
         print(f"  note: {report['wal_tail']}")
     print("index integrity: OK")
-
-
-def cmd_bench(args) -> None:
-    # Imported lazily: pulls in the graph generators and bench runner,
-    # which the serving commands never need.
-    if args.scale:
-        from repro.perf.scalebench import (
-            format_report, full_report, write_report,
-        )
-
-        report = full_report(quick=args.quick, seed=args.seed)
-    elif args.adaptive:
-        from repro.perf.adaptivebench import (
-            format_report, full_report, write_report,
-        )
-
-        report = full_report(quick=args.quick, seed=args.seed)
-    elif args.cache:
-        from repro.perf.cachebench import (
-            format_report, full_report, write_report,
-        )
-
-        report = full_report(quick=args.quick, seed=args.seed)
-    elif args.parallel:
-        from repro.perf.parallelbench import (
-            format_report, full_report, write_report,
-        )
-
-        report = full_report(
-            quick=args.quick, seed=args.seed, workers=args.workers or None
-        )
-    else:
-        from repro.perf.kernelbench import (
-            format_report, full_report, write_report,
-        )
-
-        report = full_report(quick=args.quick, seed=args.seed)
-    print(format_report(report))
-    if args.output:
-        write_report(report, args.output)
-        print(f"\nwrote {args.output}")
 
 
 def _coerce_query(text: str, graph: Graph):
@@ -819,34 +775,6 @@ def main(argv=None) -> None:
     p.add_argument("--checkpoint", action="store_true",
                    help="fold the replayed tail into a fresh checkpoint")
     p.set_defaults(func=cmd_recover)
-
-    p = sub.add_parser(
-        "bench",
-        help="scalar-vs-batch kernel microbenchmarks + end-to-end LTJ",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="smaller sizes (CI smoke mode)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallel", action="store_true",
-                   help="benchmark the shared-memory worker pool against "
-                        "the serial engine (BENCH_parallel.json)")
-    p.add_argument("--cache", action="store_true",
-                   help="benchmark the serving cache on a repeated "
-                        "workload (BENCH_cache.json)")
-    p.add_argument("--adaptive", action="store_true",
-                   help="benchmark the adaptive planning policies: skewed "
-                        "speedup, uniform regression, serving identity "
-                        "(BENCH_adaptive.json)")
-    p.add_argument("--scale", action="store_true",
-                   help="out-of-core scale benchmark: streaming build "
-                        "under a peak-RSS cap + mmap-vs-RAM query "
-                        "overhead and identity gates (BENCH_scale.json)")
-    p.add_argument("--workers", type=int, nargs="*", default=None,
-                   help="worker counts to measure with --parallel "
-                        "(default: 2 in quick mode, 2 and 4 otherwise)")
-    p.add_argument("-o", "--output", default=None,
-                   help="also write the report as JSON (BENCH_kernels.json)")
-    p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
     try:

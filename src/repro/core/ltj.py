@@ -63,6 +63,7 @@ estimator degrades the rest of the query to the static order
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.core.interface import PatternIterator, QueryCancelled, QueryTimeout
@@ -173,6 +174,9 @@ class LeapfrogTrieJoin:
                 f"unknown policy {policy!r}; expected one of {POLICIES}"
             )
         self._factory = iterator_factory
+        #: The running query's ``stats`` dict.  Always ``None`` on the
+        #: engine an index owns: :meth:`evaluate` sets it on a per-call
+        #: copy, so interleaved evaluations keep separate telemetry.
         self._stats: Optional[dict] = None
         self._n = max(n_triples, 1)
         self._use_lonely = use_lonely
@@ -228,14 +232,18 @@ class LeapfrogTrieJoin:
         policy enumeration.  An explicit ``var_order`` pins the whole
         order and therefore disables per-depth re-ranking.
         """
-        self._stats = stats if stats is not None else None
+        # One engine serves every evaluation of its index, generators
+        # interleave and broker threads overlap: search on a shallow
+        # copy that owns its ``_stats`` (config and stats_cache shared).
+        run = copy.copy(self)
+        run._stats = stats
         if stats is not None:
             stats.setdefault("leaps", 0)
             stats.setdefault("binds", 0)
             stats.setdefault("bulk_rows", 0)
             stats.setdefault("policy", self._policy)
         deadline = ResourceBudget.coerce(timeout)
-        analysed = self._analyse(bgp, var_order)
+        analysed = run._analyse(bgp, var_order)
         if analysed is None:  # some pattern is unsatisfiable
             return
         live, by_var, order, lonely_by_iter = analysed
@@ -258,19 +266,19 @@ class LeapfrogTrieJoin:
             if first_var is None:
                 raise ValueError("first_var must be a shared join variable")
         if not dynamic:
-            yield from self._search(
+            yield from run._search(
                 order, 0, by_var, lonely_by_iter, {}, deadline, first_range
             )
             return
 
-        state = self._policy_state(order, by_var)
+        state = run._policy_state(order, by_var)
         if stats is not None:
             stats.setdefault("reranks", 0)
             stats.setdefault("rerank_divergence", 0)
             stats.setdefault("rerank_fallbacks", 0)
             stats.setdefault("estimate_misses", 0)
             stats.setdefault("decision_log", [])
-        yield from self._search_adaptive(
+        yield from run._search_adaptive(
             list(order), by_var, lonely_by_iter, {}, deadline, state,
             first_range, first_var,
         )
@@ -527,10 +535,11 @@ class LeapfrogTrieJoin:
         """
         if not order:
             return None
-        self._stats = stats if stats is not None else None
         if self._policy == "static" or len(order) == 1:
             return order[0]
-        state = self._policy_state(order, by_var)
+        run = copy.copy(self)  # owns its _stats, as in evaluate()
+        run._stats = stats
+        state = run._policy_state(order, by_var)
         try:
             var, _estimate = rank_candidates(
                 self._policy, list(order), by_var,

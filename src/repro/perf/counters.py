@@ -11,8 +11,9 @@ implementation reports three numbers per call when measurement is on:
 - ``seconds`` — wall-clock time inside the kernel.
 
 ``ops / calls`` is therefore the vectorisation factor actually achieved
-on a workload, and ``ops / seconds`` the kernel throughput — the two
-figures ``python -m repro bench`` reports.
+on a workload (``benchmarks/e2e`` reports it as
+``sequences.wavelet_matrix.batch_ops_per_call``), and ``ops / seconds``
+the kernel throughput.
 
 Measurement is **off by default** and costs one attribute check per
 kernel call when off.  Turn it on around a region with

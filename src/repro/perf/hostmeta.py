@@ -1,18 +1,10 @@
-"""Uniform host metadata for every ``BENCH_*.json`` payload.
-
-Benchmark trajectory files are compared across sessions and machines;
-a number without its host is noise.  Every emitter embeds the same
-``host`` block so downstream tooling can group or normalise runs
-without guessing from ad-hoc per-file keys.
-"""
+"""Process peak-RSS reading for the out-of-core builder's telemetry."""
 
 from __future__ import annotations
 
-import os
-import platform
 import sys
 
-__all__ = ["host_metadata", "peak_rss_bytes"]
+__all__ = ["peak_rss_bytes"]
 
 
 def peak_rss_bytes() -> int | None:
@@ -27,8 +19,7 @@ def peak_rss_bytes() -> int | None:
     the forking parent's (``ru_maxrss`` survives fork+exec and would
     report the parent's high-water mark as the child's floor).
     Elsewhere we fall back to ``getrusage`` — kilobytes on Linux, bytes
-    on macOS, normalised to bytes so every BENCH emitter reports one
-    unit.
+    on macOS, normalised to bytes so every caller reports one unit.
     """
     try:
         with open("/proc/self/status", "r", encoding="ascii") as fh:
@@ -46,21 +37,3 @@ def peak_rss_bytes() -> int | None:
         return int(peak)
     return int(peak) * 1024
 
-
-def host_metadata() -> dict:
-    """The ``host`` block shared by all benchmark reports."""
-    try:
-        import numpy as np
-
-        numpy_version = np.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dep in practice
-        numpy_version = None
-    return {
-        "python": sys.version.split()[0],
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
-        "peak_rss_bytes": peak_rss_bytes(),
-    }

@@ -1,32 +1,13 @@
-"""The uniform ``host`` block every BENCH_*.json payload embeds."""
+"""``peak_rss_bytes``: the high-water mark build workers report."""
 
-import json
-import os
-import sys
-
-from repro.perf.hostmeta import host_metadata, peak_rss_bytes
-
-
-def test_host_metadata_fields():
-    meta = host_metadata()
-    assert meta["python"] == sys.version.split()[0]
-    assert meta["cpu_count"] == os.cpu_count()
-    assert meta["machine"]
-    assert meta["platform"]
-    assert meta["implementation"]
-    assert meta["numpy"] is not None
-
-
-def test_host_metadata_is_json_serialisable():
-    meta = host_metadata()
-    assert json.loads(json.dumps(meta)) == meta
+from repro.perf.hostmeta import peak_rss_bytes
 
 
 def test_peak_rss_reported():
-    # ru_maxrss is a high-water mark: positive, in bytes, and monotone
-    # (a later reading can only be >= an earlier one).
+    # A high-water mark: positive, in bytes, and monotone (a later
+    # reading can only be >= an earlier one).
     first = peak_rss_bytes()
     assert first is not None and first > 0
     # Well above any plausible page size, i.e. actually bytes not KB.
     assert first > 10 * 1024 * 1024
-    assert host_metadata()["peak_rss_bytes"] >= first
+    assert peak_rss_bytes() >= first

@@ -272,6 +272,33 @@ class TestEngineOptions:
             no_order.evaluate(bgp)
         )
 
+    def test_stats_are_per_evaluation(self):
+        # A RingIndex owns one engine and broker threads share it: a
+        # second evaluation started mid-drain must not steal (or drop)
+        # the first caller's telemetry.
+        g = wikidata_like(300, seed=10)
+        index = RingIndex(g, policy="adaptive")
+        engine = index._engine
+        bgp = BasicGraphPattern(
+            [TriplePattern(X, 0, Y), TriplePattern(Y, 1, Z), TriplePattern(X, 2, Z)]
+        )
+        solo: dict = {}
+        rows = list(engine.evaluate(bgp, stats=solo))
+        assert solo["leaps"] > 2 and solo["reranks"] > 0
+
+        first: dict = {}
+        second: dict = {}
+        g1 = engine.evaluate(bgp, stats=first)
+        head = next(g1)
+        g2 = engine.evaluate(bgp)  # stats=None used to silence g1's
+        next(g2)
+        g3 = engine.evaluate(bgp, stats=second)
+        next(g3)
+        assert [head, *g1] == rows
+        assert [*g3] == rows[1:]
+        assert first == solo
+        assert second == solo
+
     def test_count_helper(self, nobel):
         assert nobel.count("?x nom ?y") == 5
 

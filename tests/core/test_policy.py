@@ -4,11 +4,14 @@ Covers the policy surface end to end: validation, the per-query
 decision-log stats, the explicit estimate-miss fallback, the counted
 degradation to static order when the ranking itself breaks (chaos site
 ``plan.rerank``), the ``first_var`` pinning contract of the parallel
-driver, and the multiset/byte-identity guarantees across policies.
+driver, the multiset/byte-identity guarantees across policies, and the
+adaptive-planning gates as exact leap counts (Veldhuizen's cost unit,
+arXiv 1210.0481) — deterministic where a wall-clock ratio is not.
 """
 
 import pytest
 
+from repro.bench.wgpb import generate_wgpb_queries
 from repro.core import RingIndex
 from repro.core.dynamic import DynamicRingIndex
 from repro.core.ltj import DECISION_LOG_CAP, POLICIES, rank_candidates
@@ -78,6 +81,46 @@ def test_adaptive_diverges_and_logs_decisions(graph):
         assert isinstance(depth, int) and depth >= 0
         assert name in {"s", "a", "b"}
         assert isinstance(estimate, int) and estimate >= 0
+
+
+def _leaps(graph, queries, policy, limit=None):
+    """Total ``stats["leaps"]`` and the canonical rows per query."""
+    index = RingIndex(graph, policy=policy)
+    total, rows = 0, []
+    for bgp in queries:
+        stats: dict = {}
+        rows.append(canon(index.evaluate(bgp, limit=limit, stats=stats)))
+        assert stats.get("rerank_fallbacks", 0) == 0
+        assert stats.get("estimate_misses", 0) == 0
+        total += stats["leaps"]
+    return total, rows
+
+
+def test_adaptive_halves_leaps_on_skewed_hubs():
+    # Half the hubs want ?a eliminated before ?b and half the reverse,
+    # so every static order pays the wide wing on half of them
+    # (4 543 leaps static vs 636 adaptive when this gate was written).
+    graph = skewed_graph(n_hubs=64, fan=32, noise=500, seed=0)
+    static, static_rows = _leaps(graph, [TWO_WING], "static")
+    adaptive, adaptive_rows = _leaps(graph, [TWO_WING], "adaptive")
+    assert adaptive_rows == static_rows and static_rows[0]
+    assert adaptive <= 0.5 * static, (adaptive, static)
+
+
+def test_adaptive_leaps_bounded_on_uniform_mix():
+    # Where the static order is already near-optimal re-ranking may not
+    # cost more than 10% extra leaps over the 17 WGPB shapes
+    # (35 085 adaptive vs 66 842 static over these 34 instances).
+    graph = wikidata_like(4000, seed=0)
+    by_shape = generate_wgpb_queries(graph, queries_per_shape=2, seed=0)
+    queries = [bgp for instances in by_shape.values() for bgp in instances]
+    static, static_rows = _leaps(graph, queries, "static", limit=1000)
+    adaptive, adaptive_rows = _leaps(graph, queries, "adaptive", limit=1000)
+    for expected, got in zip(static_rows, adaptive_rows):
+        assert len(got) == len(expected)
+        if len(expected) < 1000:  # a truncated prefix is order-dependent
+            assert got == expected
+    assert adaptive <= 1.10 * static, (adaptive, static)
 
 
 def test_static_policy_keeps_plain_stats(graph):
