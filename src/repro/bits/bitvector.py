@@ -13,6 +13,13 @@ the paper cites for its ``o(n)``-bit rank/select support:
 one popcount.  ``select`` binary-searches the superblock counters and then
 scans at most ``WORDS_PER_SUPERBLOCK`` words.
 
+The scalar operations read the three arrays through zero-copy
+``memoryview``s (:attr:`BitVector._views`): indexing one yields a plain
+Python ``int`` — no numpy scalar, no ``int()`` — and works unchanged over
+RAM arrays, shared-memory views and the read-only ``np.memmap`` of a
+frozen pack.  :class:`~repro.sequences.wavelet_matrix.WaveletMatrix`
+borrows the same views for its fused level loops.
+
 Besides the scalar operations the class exposes the **batch kernels**
 ``rank1_many`` / ``rank0_many`` / ``select1_many`` / ``access_many``,
 which answer a whole numpy array of queries in O(1) Python calls — the
@@ -29,6 +36,7 @@ Indexing conventions (used consistently across the library):
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from typing import Iterable, Optional
 
 import numpy as np
@@ -36,7 +44,9 @@ import numpy as np
 from repro.perf.counters import KERNEL_COUNTERS as _perf
 
 WORDS_PER_SUPERBLOCK = 8
+_SUPER_SHIFT = 3  # log2(WORDS_PER_SUPERBLOCK)
 _LOW6 = 63
+_MASK64 = (1 << 64) - 1
 _ONE = np.uint64(1)
 
 
@@ -61,10 +71,9 @@ else:  # 16-bit-chunk lookup table fallback (numpy 1.x)
 
     def _popcount_words(words: np.ndarray) -> np.ndarray:
         """Vectorised popcount of an array of uint64 words."""
-        if words.size == 0:
-            return np.zeros(0, dtype=np.uint64)
         halves = np.ascontiguousarray(words).view(np.uint16).reshape(-1, 4)
-        return _POPCOUNT16[halves].sum(axis=1, dtype=np.uint64)
+        counts = _POPCOUNT16[halves].sum(axis=1, dtype=np.uint64)
+        return counts.reshape(words.shape)
 
     def _popcount_bytes(bytes_: np.ndarray) -> np.ndarray:
         """Vectorised popcount of a uint8 array (any shape)."""
@@ -84,6 +93,7 @@ def _build_select_in_byte() -> np.ndarray:
 
 
 _SELECT_IN_BYTE = _build_select_in_byte()
+_SELECT_IN_BYTE_ROWS = tuple(map(tuple, _SELECT_IN_BYTE.tolist()))
 
 
 class BitVector:
@@ -99,7 +109,9 @@ class BitVector:
         common construction paths.
     """
 
-    __slots__ = ("_n", "_words", "_super", "_rel", "_ones", "_word_prefix")
+    __slots__ = (
+        "_n", "_words", "_super", "_rel", "_ones", "_word_prefix", "_views"
+    )
 
     def __init__(self, bits: Iterable[int]) -> None:
         if isinstance(bits, np.ndarray):
@@ -163,26 +175,28 @@ class BitVector:
         bv._n = int(n)
         nwords = -(-max(bv._n, 1) // 64)
         nsuper = -(-nwords // WORDS_PER_SUPERBLOCK)
-        if words.dtype != np.uint64 or len(words) != nwords:
-            raise ValueError(
-                f"words buffer must be {nwords} uint64, got "
-                f"{len(words)} {words.dtype}"
-            )
-        if super_.dtype != np.uint64 or len(super_) != nsuper + 1:
-            raise ValueError(
-                f"super buffer must be {nsuper + 1} uint64, got "
-                f"{len(super_)} {super_.dtype}"
-            )
-        if rel.dtype != np.uint16 or len(rel) != nwords:
-            raise ValueError(
-                f"rel buffer must be {nwords} uint16, got "
-                f"{len(rel)} {rel.dtype}"
-            )
+        for name, buf, dtype, length in (
+            ("words", words, np.uint64, nwords),
+            ("super", super_, np.uint64, nsuper + 1),
+            ("rel", rel, np.uint16, nwords),
+        ):
+            # ``dtype !=`` also rejects a wrong-endian buffer; the
+            # scalar views need plain C-contiguous native words.
+            if (
+                buf.dtype != dtype
+                or buf.shape != (length,)
+                or not buf.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"{name} buffer must be {length} contiguous "
+                    f"{np.dtype(dtype).name}, got {buf.shape} {buf.dtype}"
+                )
         bv._words = words
         bv._super = super_
         bv._rel = rel
         bv._ones = int(ones)
         bv._word_prefix = None
+        bv._adopt_views()
         return bv
 
     @classmethod
@@ -224,6 +238,17 @@ class BitVector:
         rel_shifted[:, 1:] = rel[:, :-1]
         self._rel = rel_shifted.reshape(-1)[:nwords].astype(np.uint16)
         self._ones = int(self._super[-1])
+        self._adopt_views()
+
+    def _adopt_views(self) -> None:
+        """``(words, super, rel)`` as memoryviews: what every scalar
+        operation indexes.  Zero-copy and page-free — safe at adoption
+        of a cold memory-mapped pack."""
+        self._views = (
+            memoryview(self._words),
+            memoryview(self._super),
+            memoryview(self._rel),
+        )
 
     def _word_prefix_counts(self) -> np.ndarray:
         """``out[w]`` = ones strictly before word ``w`` (lazy, cached).
@@ -258,57 +283,37 @@ class BitVector:
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self._n:
             raise IndexError(f"bit index {i} out of range [0, {self._n})")
-        return (int(self._words[i >> 6]) >> (i & _LOW6)) & 1
+        return (self._views[0][i >> 6] >> (i & _LOW6)) & 1
 
     def rank1(self, i: int) -> int:
         """Number of ones in positions ``[0, i)``; ``0 <= i <= len``."""
-        if i <= 0:
-            return 0
-        if i >= self._n:
-            return self._ones
-        w = i >> 6
-        base = int(self._super[w // WORDS_PER_SUPERBLOCK]) + int(self._rel[w])
-        rem = i & _LOW6
-        if rem == 0:
-            return base
-        word = int(self._words[w]) & ((1 << rem) - 1)
-        return base + word.bit_count()
+        if 0 < i < self._n:
+            words, sup, rel = self._views
+            w = i >> 6
+            return (
+                sup[w >> _SUPER_SHIFT]
+                + rel[w]
+                + (words[w] & ((1 << (i & _LOW6)) - 1)).bit_count()
+            )
+        return self._ones if i > 0 else 0
 
     def rank0(self, i: int) -> int:
         """Number of zeros in positions ``[0, i)``."""
-        i = min(max(i, 0), self._n)
-        return i - self.rank1(i)
+        if 0 < i < self._n:
+            return i - self.rank1(i)
+        return self._n - self._ones if i > 0 else 0
 
     def select1(self, k: int) -> int:
         """Position of the k-th one (``1 <= k <= ones``)."""
         if not 1 <= k <= self._ones:
             raise ValueError(f"select1({k}) out of range [1, {self._ones}]")
-        # Superblock whose prefix count is still < k, then one vectorised
-        # popcount over its <= WORDS_PER_SUPERBLOCK words.
-        sb = int(np.searchsorted(self._super, k, side="left")) - 1
-        count = int(self._super[sb])
-        w0 = sb * WORDS_PER_SUPERBLOCK
-        last = min(w0 + WORDS_PER_SUPERBLOCK, len(self._words))
-        cum = count + np.cumsum(_popcount_words(self._words[w0:last]))
-        wi = int(np.searchsorted(cum, k, side="left"))
-        if wi >= len(cum):
-            raise AssertionError("select1 internal inconsistency")
-        prev = count if wi == 0 else int(cum[wi - 1])
-        word = int(self._words[w0 + wi])
-        return ((w0 + wi) << 6) + _select_in_word(word, k - prev)
+        return select1_in(*self._views, k)
 
     def select0(self, k: int) -> int:
         """Position of the k-th zero (``1 <= k <= zeros``)."""
         if not 1 <= k <= self.zeros:
             raise ValueError(f"select0({k}) out of range [1, {self.zeros}]")
-        lo, hi = 0, self._n  # invariant: rank0(lo) < k <= rank0(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.rank0(mid) < k:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return select0_in(*self._views, k)
 
     def next_one(self, i: int) -> Optional[int]:
         """Smallest position ``>= i`` holding a one, or ``None``."""
@@ -329,29 +334,8 @@ class BitVector:
         Out-of-range positions clamp exactly like the scalar version
         (``<= 0`` → 0, ``>= n`` → :attr:`ones`).  Returns ``int64``.
         """
-        started = time.perf_counter() if _perf.enabled else 0.0
         pos = np.asarray(positions, dtype=np.int64)
-        out = np.empty(pos.shape, dtype=np.int64)
-        if pos.size:
-            below = pos <= 0
-            above = pos >= self._n
-            out[below] = 0
-            out[above] = self._ones
-            mid = ~(below | above)
-            if mid.any():
-                p = pos[mid]
-                w = p >> 6
-                base = self._super[w // WORDS_PER_SUPERBLOCK] + self._rel[
-                    w
-                ].astype(np.uint64)
-                rem = (p & _LOW6).astype(np.uint64)
-                masked = self._words[w] & ((_ONE << rem) - _ONE)
-                out[mid] = (base + _popcount_words(masked)).astype(np.int64)
-        if _perf.enabled:
-            _perf.record(
-                "bits.rank1_many", pos.size, time.perf_counter() - started
-            )
-        return out
+        return self.step_many(np.clip(pos, 0, self._n))[0]
 
     def rank0_many(self, positions) -> np.ndarray:
         """``rank0`` over a whole array of positions (``int64``)."""
@@ -408,6 +392,40 @@ class BitVector:
             )
         return out
 
+    def step_many(
+        self, positions: np.ndarray, want_bits: bool = False
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The wavelet matrix's fused batch step: ``(ones before each
+        position, bit at each position or None)`` as ``int64``.
+
+        One gather of ``words[pos >> 6]`` serves both answers.  Callers
+        pass ``int64`` positions that are in range by construction —
+        ``[0, n]``, or ``[0, n)`` with ``want_bits`` — so nothing is
+        clamped; only ``pos == n`` with ``n % 64 == 0``, one word past
+        the end, is redirected.
+        """
+        started = time.perf_counter() if _perf.enabled else 0.0
+        w = positions >> 6
+        past_end = None
+        if not self._n & _LOW6 and not want_bits:
+            past_end = positions == self._n
+            w = w - past_end  # any valid word; the count is patched below
+        word = self._words[w]
+        off = (positions & _LOW6).astype(np.uint64)
+        ones = (
+            self._super[w >> _SUPER_SHIFT]
+            + self._rel[w]
+            + _popcount_words(word & ((_ONE << off) - _ONE))
+        ).astype(np.int64)
+        if past_end is not None:
+            ones[past_end] = self._ones
+        bits = ((word >> off) & _ONE).astype(np.int64) if want_bits else None
+        if _perf.enabled:
+            _perf.record(
+                "bits.step_many", positions.size, time.perf_counter() - started
+            )
+        return ones, bits
+
     # -- bulk access -------------------------------------------------------
 
     def to_bool_array(self) -> np.ndarray:
@@ -432,8 +450,44 @@ class BitVector:
         return f"BitVector(n={self._n}, ones={self._ones})"
 
 
+def select1_in(words, sup, rel, k: int) -> int:
+    """Position of the k-th one over a ``(words, super, rel)`` view
+    triple (``1 <= k <= ones``, unchecked): ``bisect`` on the superblock
+    counters, then a scan of at most ``WORDS_PER_SUPERBLOCK`` relative
+    counters."""
+    sb = bisect_left(sup, k) - 1  # sup[sb] < k <= sup[sb + 1]
+    k -= sup[sb]
+    w = sb << _SUPER_SHIFT
+    last = min(w + WORDS_PER_SUPERBLOCK, len(words)) - 1
+    while w < last and rel[w + 1] < k:
+        w += 1
+    return (w << 6) + _select_in_word(words[w], k - rel[w])
+
+
+def select0_in(words, sup, rel, k: int) -> int:
+    """Position of the k-th zero — :func:`select1_in` on the complement,
+    whose counters are ``bits before - ones before``.  The padding past
+    ``n`` reads as zeros, all of them after the real ones asked for."""
+    sb = bisect_left(
+        range(len(sup)), k, key=lambda s: (s << (6 + _SUPER_SHIFT)) - sup[s]
+    ) - 1
+    k -= (sb << (6 + _SUPER_SHIFT)) - sup[sb]
+    w = first = sb << _SUPER_SHIFT
+    last = min(w + WORDS_PER_SUPERBLOCK, len(words)) - 1
+    while w < last and ((w + 1 - first) << 6) - rel[w + 1] < k:
+        w += 1
+    k -= ((w - first) << 6) - rel[w]
+    return (w << 6) + _select_in_word(~words[w] & _MASK64, k)
+
+
 def _select_in_word(word: int, k: int) -> int:
-    """Position (0-based) of the k-th set bit of ``word`` (``k >= 1``)."""
-    for _ in range(k - 1):
-        word &= word - 1
-    return (word & -word).bit_length() - 1
+    """Position (0-based) of the k-th set bit of ``word`` (``k >= 1``):
+    halve by popcount down to a byte, then one table lookup."""
+    pos = 0
+    for width in (32, 16, 8):
+        below = (word & ((1 << width) - 1)).bit_count()
+        if k > below:
+            k -= below
+            word >>= width
+            pos += width
+    return pos + _SELECT_IN_BYTE_ROWS[word & 0xFF][k - 1]

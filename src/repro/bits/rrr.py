@@ -311,6 +311,12 @@ class RRRBitVector:
             (self[int(i)] for i in pos), dtype=np.uint8, count=pos.size
         ).reshape(pos.shape)
 
+    def step_many(self, positions, want_bits: bool = False):
+        """``(rank1_many, access_many or None)`` — the per-level step the
+        wavelet matrix's batch kernels take (scalar loops inside)."""
+        bits = self.access_many(positions).astype(np.int64) if want_bits else None
+        return self.rank1_many(positions), bits
+
     def to_bool_array(self) -> np.ndarray:
         out = np.zeros(self._n, dtype=bool)
         for b in range(len(self._classes)):

@@ -20,6 +20,7 @@ Operations (all the ring needs):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Protocol
 
 import numpy as np
@@ -58,10 +59,11 @@ def counts_from_column(column: np.ndarray, sigma: int) -> np.ndarray:
 class PackedCounts:
     """Plain layout.
 
-    Queries run on a 64-bit numpy mirror (vectorised binary search);
-    the accounted size is the ``ceil(log2(n+1))``-bit packed width the
-    array information-theoretically occupies — the mirror is a
-    reconstructible acceleration structure, consistent with how the
+    Queries run on a 64-bit numpy mirror — scalar ones through a
+    zero-copy ``memoryview`` of it (plain ints, ``bisect``), batch ones
+    vectorised; the accounted size is the ``ceil(log2(n+1))``-bit packed
+    width the array information-theoretically occupies — the mirror is
+    a reconstructible acceleration structure, consistent with how the
     paper counts its plain ``C`` arrays.
     """
 
@@ -69,7 +71,8 @@ class PackedCounts:
         self._c = np.asarray(cumulative, dtype=np.int64)
         if len(self._c) == 0 or (np.diff(self._c) < 0).any():
             raise ValueError("cumulative counts must be non-decreasing")
-        self._n = int(self._c[-1])
+        self._view = memoryview(self._c)
+        self._n = self._view[-1]
 
     @classmethod
     def from_raw(
@@ -87,14 +90,15 @@ class PackedCounts:
         pc._c = np.asarray(cumulative, dtype=np.int64)
         if len(pc._c) == 0:
             raise ValueError("cumulative counts must be non-empty")
-        pc._n = int(pc._c[-1])
+        pc._view = memoryview(pc._c)
+        pc._n = pc._view[-1]
         return pc
 
     def __len__(self) -> int:
         return len(self._c)
 
     def access(self, v: int) -> int:
-        return int(self._c[v])
+        return self._view[v]
 
     def access_many(self, vs) -> np.ndarray:
         """``C[v]`` over an array of values (one fancy-index call)."""
@@ -102,15 +106,15 @@ class PackedCounts:
 
     def bucket_of(self, q: int) -> int:
         """Largest ``v`` with ``C[v] <= q`` (the row's value bucket)."""
-        return int(np.searchsorted(self._c, q, side="right")) - 1
+        return bisect_right(self._view, q) - 1
 
     def next_nonempty(self, c: int) -> int | None:
         if c >= len(self._c) - 1:
             return None
-        base = int(self._c[max(c, 0)])
+        base = self._view[max(c, 0)]
         if base >= self._n:
             return None
-        v = int(np.searchsorted(self._c, base, side="right")) - 1
+        v = bisect_right(self._view, base) - 1
         return v if v < len(self._c) - 1 else None
 
     def raw(self) -> np.ndarray:

@@ -242,7 +242,7 @@ class DynamicSnapshot:
         """Materialise the snapshot's triples as plain tuples."""
         live: set[Triple] = set(self.buffer)
         for ring in self.rings:
-            live.update(ring.triple(i) for i in range(ring.n))
+            live.update(map(tuple, ring.triples().tolist()))
         live -= self.tombstones
         return live
 
@@ -522,14 +522,9 @@ class DynamicRingIndex(BaseLTJSystem):
             self._buffer.clear()
             self._buffer_orders = None
         if full:
-            merged = set()
-            for ring in self._rings:
-                merged.update(ring.triple(i) for i in range(ring.n))
-            merged -= self._tombstones
+            merged, _ = self._merge_rows(self._rings)
             self._tombstones.clear()
-            self._rings = (
-                [Ring(self._graph_of(sorted(merged)))] if merged else []
-            )
+            self._rings = [Ring(self._graph_of(merged))] if len(merged) else []
             self._epoch += 1
             return
         # Geometric merging: keep sizes growing by at least 2x.
@@ -539,12 +534,10 @@ class DynamicRingIndex(BaseLTJSystem):
         ):
             a = self._rings.pop()
             b = self._rings.pop()
-            triples = {a.triple(i) for i in range(a.n)}
-            triples.update(b.triple(i) for i in range(b.n))
-            survivors = triples - self._tombstones
-            self._tombstones -= triples
-            if survivors:
-                self._rings.append(Ring(self._graph_of(sorted(survivors))))
+            survivors, applied = self._merge_rows([a, b])
+            self._tombstones -= applied
+            if len(survivors):
+                self._rings.append(Ring(self._graph_of(survivors)))
             self._rings.sort(key=lambda r: r.n)
         # Retire memoised leaps on the retained rings.  Component rings
         # are immutable, so their memos could never serve a *wrong*
@@ -556,6 +549,26 @@ class DynamicRingIndex(BaseLTJSystem):
         for ring in self._rings:
             ring.invalidate_leap_memo()
         self._epoch += 1
+
+    def _merge_rows(self, rings) -> tuple[np.ndarray, set[Triple]]:
+        """Bulk-decode ``rings`` into one ``(n, 3)`` array without the
+        tombstoned rows; also returns the tombstones that applied."""
+        rows = np.concatenate(
+            [np.empty((0, 3), dtype=np.int64)] + [r.triples() for r in rings]
+        )
+        if not self._tombstones or not len(rows):
+            return rows, set()
+        dead = np.array(list(self._tombstones), dtype=np.int64)
+        # Row identity as one integer per distinct row of the union.
+        ids = np.unique(
+            np.concatenate([dead, rows]), axis=0, return_inverse=True
+        )[1].ravel()
+        dead_ids, row_ids = ids[: len(dead)], ids[len(dead):]
+        applied = dead[np.isin(dead_ids, row_ids)]
+        return (
+            rows[~np.isin(row_ids, dead_ids)],
+            set(map(tuple, applied.tolist())),
+        )
 
     def _graph_of(self, triples) -> Graph:
         arr = np.array(triples, dtype=np.int64).reshape(-1, 3)

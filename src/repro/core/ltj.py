@@ -870,10 +870,10 @@ class LeapfrogTrieJoin:
                     deadline.tick_many(n_rows)
                     if self._stats is not None:
                         self._stats["bulk_rows"] += n_rows
-                    cols = [(var, columns[var]) for var in remaining]
+                    cols = [(var, columns[var].tolist()) for var in remaining]
                     for row in range(n_rows):
                         for var, column in cols:
-                            binding[var] = int(column[row])
+                            binding[var] = column[row]
                         yield from self._emit_lonely(
                             lonely_by_iter, idx + 1, binding, deadline
                         )

@@ -196,7 +196,8 @@ class Ring:
         target = prev_attr(zone)
         wm = self._seq[zone]
         base = self._c[target].access(symbol)
-        return (target, base + wm.rank(symbol, lo), base + wm.rank(symbol, hi))
+        below, upto = wm.rank_pair(symbol, lo, hi)
+        return (target, base + below, base + upto)
 
     def attribute_range(self, attr: int, value: int) -> ZoneState:
         """Range of rotations starting with ``value`` at attribute ``attr``."""
@@ -321,12 +322,13 @@ class Ring:
         target = next_attr(attr)
         if c < 0:
             c = 0
-        if c >= self._sigma[target]:
+        if c >= self._sigma[target] or not 0 <= d < self._sigma[attr]:
             return None
         wm = self._seq[target]
         start = self._c[target].access(c)
         before = wm.rank(d, start)
-        if before >= wm.rank(d, self._n):
+        # d occurs in the zone once per triple holding it: C, not a descent.
+        if before >= self._c[attr].access(d + 1) - self._c[attr].access(d):
             return None
         q = wm.select(d, before + 1)
         value = self._c[target].bucket_of(q)
@@ -348,6 +350,13 @@ class Ring:
         k = self._c[P].access(p) + self._seq[O].rank(p, j)
         s = self._seq[P][k]
         return (s, p, o)
+
+    def triples(self) -> np.ndarray:
+        """Every triple as an ``(n, 3)`` int64 array in ``(s, p, o)``
+        order: row ``i`` equals :meth:`triple` of ``i``, decoded in bulk
+        (one batched descent per attribute, not one per cell)."""
+        columns = self.decode_range(S, 0, self._n, 3)
+        return np.stack([columns[S], columns[P], columns[O]], axis=1)
 
     def contains(self, s: int, p: int, o: int) -> bool:
         """Membership test via Lemma 3.6."""

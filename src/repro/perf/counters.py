@@ -1,7 +1,7 @@
 """Per-kernel operation/time counters for the succinct hot paths.
 
 A *kernel* is one named primitive of the succinct stack — e.g.
-``bits.rank1_many`` or ``wavelet.distinct_in_range`` — and every batch
+``bits.step_many`` or ``wavelet.extract_at`` — and every batch
 implementation reports three numbers per call when measurement is on:
 
 - ``calls``   — Python-level invocations (what the interpreter paid);

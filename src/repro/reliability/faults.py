@@ -62,7 +62,7 @@ SITES: dict[str, tuple[object, str]] = {
     "bitvector.select": (BitVector, "select1"),
     # Batch kernels (the vectorised fast path must degrade like the
     # scalar one under faults — see scripts/chaos_check.py).
-    "bitvector.rank_many": (BitVector, "rank1_many"),
+    "bitvector.rank_many": (BitVector, "step_many"),  # rank1_many's body too
     "bitvector.select_many": (BitVector, "select1_many"),
     "bitvector.access_many": (BitVector, "access_many"),
     "wavelet.rank_many": (WaveletMatrix, "rank_many"),

@@ -344,6 +344,8 @@ class CheckpointState:
 
 def _ring_graph(ring: Ring, n_nodes: int, n_predicates: int) -> Graph:
     """Materialise a ring's triples back into a Graph (§3.1.2 decode)."""
+    # Per-triple on purpose for now: switching to ``ring.triples()`` is
+    # held back for a PR of its own (ROADMAP item 2(b) says why).
     triples = np.array(
         [ring.triple(i) for i in range(ring.n)], dtype=np.int64
     ).reshape(-1, 3)
@@ -1094,7 +1096,7 @@ def verify_dynamic_dir(directory, samples: int = 32) -> dict:
         if rep.generation == state.wal_generation:
             skip_below = state.wal_offset
         for ring in state.rings:
-            live.update(ring.triple(i) for i in range(ring.n))
+            live.update(map(tuple, ring.triples().tolist()))
         live |= state.buffer
         live -= state.tombstones
         if len(live) != base:

@@ -19,16 +19,21 @@ Supported operations (all ``O(levels)`` bitvector operations):
   optimisation (§4.2), in ``O(k log(σ/k))`` node visits;
 - ``count`` — number of occurrences of a symbol in a range.
 
-On top of the scalar operations the matrix exposes **batch kernels**
-(``rank_many`` / ``count_many`` / ``extract_at`` / ``bucket_starts``)
-that run one query per element of a numpy array with O(levels) Python
-calls total, by delegating to the bitvector batch kernels level by
-level; ``next_in_range`` and ``distinct_in_range`` are iterative
-(explicit stack), so deep alphabets neither recurse nor pay Python
-frame setup per node.  See ``docs/INTERNALS.md``, "The kernel layer".
+The matrix **owns its level loop**: every scalar operation is one loop
+over ``_loop`` — per level the bitvector's ``(words, super, rel)``
+memoryviews plus ``zeros, ones, shift`` — with the rank arithmetic
+``super[p >> 9] + rel[p >> 6] + popcount(words[p >> 6] & mask)``
+inlined, so over plain levels a leap enters no per-level object and
+makes no Python call per level.  The **batch kernels** (``rank_many`` /
+``count_many`` / ``extract_at`` / ``bucket_starts`` /
+``distinct_estimate``) share one fused per-level numpy step
+(``step_many`` of the level's bitvector).  See ``docs/INTERNALS.md``,
+"The kernel layer".
 
 The bitvector backend is pluggable: plain (:class:`BitVector`) for the
-Ring, RRR-compressed for the C-Ring.
+Ring, RRR-compressed for the C-Ring.  An RRR level has no flat words to
+view; its ``_loop`` entry carries the level object instead and the same
+loops ask it for ``rank1``/``select`` at that level.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.bits.bitvector import BitVector
+from repro.bits.bitvector import BitVector, select0_in, select1_in
 from repro.bits.rrr import RRRBitVector
 from repro.perf.counters import KERNEL_COUNTERS as _perf
 
@@ -59,7 +64,7 @@ class WaveletMatrix:
         mapped as ``b=16 → 15``, ``b=64 → 63``).
     """
 
-    __slots__ = ("_n", "_sigma", "_levels", "_bits", "_zeros")
+    __slots__ = ("_n", "_sigma", "_levels", "_bits", "_zeros", "_loop")
 
     def __init__(
         self,
@@ -96,6 +101,7 @@ class WaveletMatrix:
             self._bits.append(bv)
             self._zeros.append(int(len(bits) - bits.sum()))
             current = np.concatenate([current[~bits], current[bits]])
+        self._adopt_levels()
 
     # -- constructors -------------------------------------------------------
 
@@ -132,7 +138,20 @@ class WaveletMatrix:
                 )
         wm._bits = list(levels)
         wm._zeros = [int(z) for z in zeros]
+        wm._adopt_levels()
         return wm
+
+    def _adopt_levels(self) -> None:
+        """``_loop``: per level ``(words, super, rel, zeros, ones, shift,
+        bv)`` — a plain level lends its three memoryviews (touching no
+        page) and ``bv`` is ``None``; an RRR level has no words and is
+        asked through ``bv``."""
+        self._loop = tuple(
+            (*bv._views, z, bv.ones, self._levels - 1 - level, None)
+            if type(bv) is BitVector
+            else (None, None, None, z, bv.ones, self._levels - 1 - level, bv)
+            for level, (bv, z) in enumerate(zip(self._bits, self._zeros))
+        )
 
     # -- basics -------------------------------------------------------------
 
@@ -149,18 +168,29 @@ class WaveletMatrix:
         """Number of bit levels (``ceil(log2 sigma)``, at least 1)."""
         return self._levels
 
+    # In a plain level position ``p`` lives in word ``p >> 6`` at bit
+    # ``p & 63`` of superblock ``p >> 9`` (64-bit words, 8 per
+    # superblock).  Positions are level boundaries in ``[0, n]``; ``n``
+    # itself has no word when ``n % 64 == 0``, hence the ``>= n`` guards
+    # (a range's ``lo`` is below its ``hi <= n`` and needs none).
+
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self._n:
             raise IndexError(f"index {i} out of range [0, {self._n})")
         value = 0
-        for level in range(self._levels):
-            bv = self._bits[level]
-            bit = bv[i]
-            value = (value << 1) | bit
-            if bit:
-                i = self._zeros[level] + bv.rank1(i)
+        for words, sup, rel, z, _ones, _shift, bv in self._loop:
+            if bv is None:
+                word = words[i >> 6]
+                off = i & 63
+                bit = (word >> off) & 1
+                before = (
+                    sup[i >> 9] + rel[i >> 6]
+                    + (word & ((1 << off) - 1)).bit_count()
+                )
             else:
-                i = bv.rank0(i)
+                bit, before = bv[i], bv.rank1(i)
+            value = (value << 1) | bit
+            i = z + before if bit else i - before
         return value
 
     def __iter__(self) -> Iterator[int]:
@@ -169,53 +199,79 @@ class WaveletMatrix:
 
     # -- rank / select -------------------------------------------------------
 
+    def _descend(self, symbol: int, a: int, b: int, c: int):
+        """Map three boundaries in ``[0, n]`` down ``symbol``'s path in
+        one descent; position 0 ends at the symbol's bucket start."""
+        n = self._n
+        for words, sup, rel, z, ones, shift, bv in self._loop:
+            if bv is None:
+                a1 = ones if a >= n else (
+                    sup[a >> 9] + rel[a >> 6]
+                    + (words[a >> 6] & ((1 << (a & 63)) - 1)).bit_count()
+                )
+                b1 = ones if b >= n else (
+                    sup[b >> 9] + rel[b >> 6]
+                    + (words[b >> 6] & ((1 << (b & 63)) - 1)).bit_count()
+                )
+                c1 = b1 if c == b else ones if c >= n else (
+                    sup[c >> 9] + rel[c >> 6]
+                    + (words[c >> 6] & ((1 << (c & 63)) - 1)).bit_count()
+                )
+            else:
+                a1, b1, c1 = bv.rank1(a), bv.rank1(b), bv.rank1(c)
+            if (symbol >> shift) & 1:
+                a = z + a1
+                b = z + b1
+                c = z + c1
+            else:
+                a -= a1
+                b -= b1
+                c -= c1
+        return a, b, c
+
     def rank(self, symbol: int, i: int) -> int:
         """Occurrences of ``symbol`` in the prefix ``[0, i)``."""
-        if symbol >= self._sigma or symbol < 0:
+        if not 0 <= symbol < self._sigma or i <= 0:
             return 0
-        i = min(max(i, 0), self._n)
-        lo, hi = 0, i
-        for level in range(self._levels):
-            bv = self._bits[level]
-            if (symbol >> (self._levels - 1 - level)) & 1:
-                z = self._zeros[level]
-                lo = z + bv.rank1(lo)
-                hi = z + bv.rank1(hi)
-            else:
-                lo = bv.rank0(lo)
-                hi = bv.rank0(hi)
-            if lo >= hi:
-                return 0
-        return hi - lo
+        i = min(i, self._n)
+        start, end, _ = self._descend(symbol, 0, i, i)
+        return end - start
+
+    def rank_pair(self, symbol: int, lo: int, hi: int) -> tuple[int, int]:
+        """``(rank(symbol, lo), rank(symbol, hi))`` in one descent — the
+        LF step of a range (Eq. 2) maps both ends along the same path."""
+        if not 0 <= symbol < self._sigma:
+            return (0, 0)
+        n = self._n
+        start, lo, hi = self._descend(
+            symbol, 0, min(max(lo, 0), n), min(max(hi, 0), n)
+        )
+        return (lo - start, hi - start)
 
     def count(self, symbol: int, lo: int, hi: int) -> int:
         """Occurrences of ``symbol`` in ``[lo, hi)``."""
-        return self.rank(symbol, hi) - self.rank(symbol, lo)
+        below, upto = self.rank_pair(symbol, lo, hi)
+        return upto - below
 
     def rank_many(self, symbol: int, positions) -> np.ndarray:
         """``rank(symbol, ·)`` over a whole array of prefix ends.
 
-        One descent serves every position: the single-coordinate ``lo``
-        boundary (which starts at 0, hence follows the symbol's path
-        deterministically) stays scalar while the array of ends is mapped
-        with the bitvector batch kernels — O(levels) Python calls total.
+        One descent serves every position: position 0 rides along as
+        one more array element (it ends at the symbol's bucket start),
+        so each level is a single fused step — O(levels) Python calls.
         """
         started = time.perf_counter() if _perf.enabled else 0.0
         pos = np.asarray(positions, dtype=np.int64)
-        ends = np.clip(pos, 0, self._n)
         if symbol < 0 or symbol >= self._sigma:
             return np.zeros(pos.shape, dtype=np.int64)
-        lo = 0
+        ends = np.append(np.clip(pos, 0, self._n), 0)
         for level in range(self._levels):
-            bv = self._bits[level]
+            ones, _ = self._bits[level].step_many(ends)
             if (symbol >> (self._levels - 1 - level)) & 1:
-                z = self._zeros[level]
-                lo = z + bv.rank1(lo)
-                ends = z + bv.rank1_many(ends)
+                ends = self._zeros[level] + ones
             else:
-                lo = bv.rank0(lo)
-                ends = ends - bv.rank1_many(ends)
-        out = ends - lo
+                ends -= ones
+        out = (ends[:-1] - ends[-1]).reshape(pos.shape)
         if _perf.enabled:
             _perf.record(
                 "wavelet.rank_many", pos.size, time.perf_counter() - started
@@ -243,25 +299,21 @@ class WaveletMatrix:
         """Position of the k-th occurrence of ``symbol`` (``k >= 1``)."""
         if not 0 <= symbol < self._sigma:
             raise ValueError(f"symbol {symbol} outside alphabet")
-        total = self.rank(symbol, self._n)
-        if not 1 <= k <= total:
-            raise ValueError(f"select({symbol}, {k}): only {total} occurrences")
-        # Descend along the symbol's path mapping the bucket start.
-        start = 0
-        for level in range(self._levels):
-            bv = self._bits[level]
-            if (symbol >> (self._levels - 1 - level)) & 1:
-                start = self._zeros[level] + bv.rank1(start)
-            else:
-                start = bv.rank0(start)
+        # One descent maps the whole sequence [0, n) to the symbol's
+        # bucket [start, end): validates k and seeds the walk back up.
+        start, end, _ = self._descend(symbol, 0, self._n, self._n)
+        if not 1 <= k <= end - start:
+            raise ValueError(
+                f"select({symbol}, {k}): only {end - start} occurrences"
+            )
         pos = start + k - 1
-        # Walk back up.
-        for level in range(self._levels - 1, -1, -1):
-            bv = self._bits[level]
-            if (symbol >> (self._levels - 1 - level)) & 1:
-                pos = bv.select1(pos - self._zeros[level] + 1)
+        for words, sup, rel, z, _ones, shift, bv in reversed(self._loop):
+            if (symbol >> shift) & 1:
+                j = pos - z + 1
+                pos = select1_in(words, sup, rel, j) if bv is None else bv.select1(j)
             else:
-                pos = bv.select0(pos + 1)
+                j = pos + 1
+                pos = select0_in(words, sup, rel, j) if bv is None else bv.select0(j)
         return pos
 
     # -- range operations ------------------------------------------------------
@@ -271,34 +323,67 @@ class WaveletMatrix:
 
         This is the *range-next-value* operation used by the backward leap
         (§2.3.4 / Lemma 3.7).  Returns ``None`` if no such symbol exists.
-        Iterative (explicit DFS stack): no recursion depth bound, no per-
-        node Python frame setup on the query hot path.
+        Descends ``c``'s own path remembering the deepest non-empty right
+        sibling — every symbol under it exceeds ``c``, and the deepest
+        such subtree holds the smallest — then, unless ``c`` itself
+        occurs, takes the leftmost path down from that sibling.
         """
         lo = max(lo, 0)
-        hi = min(hi, self._n)
+        n = self._n
+        hi = min(hi, n)
         if lo >= hi or c >= self._sigma:
             return None
         c = max(c, 0)
-        levels = self._levels
-        # Entries are (level, lo, hi, a, b): the node covers symbols [a, b].
-        stack = [(0, lo, hi, 0, (1 << levels) - 1)]
-        while stack:
-            level, lo, hi, a, b = stack.pop()
-            if lo >= hi or b < c:
-                continue
-            if level == levels:
-                if a < self._sigma:
-                    return a
-                continue
-            mid = (a + b) >> 1
-            bv = self._bits[level]
-            z = self._zeros[level]
-            lo0, hi0 = bv.rank0(lo), bv.rank0(hi)
-            # Right child below the left one so the left pops first.
-            stack.append((level + 1, z + (lo - lo0), z + (hi - hi0), mid + 1, b))
-            if c <= mid:
-                stack.append((level + 1, lo0, hi0, a, mid))
-        return None
+        loop = self._loop
+        sibling = None  # (first level below it, lo, hi, symbol prefix)
+        for level, (words, sup, rel, z, ones, shift, bv) in enumerate(loop, 1):
+            if bv is None:
+                l1 = (
+                    sup[lo >> 9] + rel[lo >> 6]
+                    + (words[lo >> 6] & ((1 << (lo & 63)) - 1)).bit_count()
+                )
+                h1 = ones if hi >= n else (
+                    sup[hi >> 9] + rel[hi >> 6]
+                    + (words[hi >> 6] & ((1 << (hi & 63)) - 1)).bit_count()
+                )
+            else:
+                l1, h1 = bv.rank1(lo), bv.rank1(hi)
+            if (c >> shift) & 1:
+                lo = z + l1
+                hi = z + h1
+            else:
+                if l1 < h1:
+                    sibling = (level, z + l1, z + h1, (c >> shift) | 1)
+                lo -= l1
+                hi -= h1
+            if lo >= hi:
+                break
+        else:
+            return c
+        if sibling is None:
+            return None
+        level, lo, hi, value = sibling
+        for words, sup, rel, z, ones, _shift, bv in loop[level:]:
+            if bv is None:
+                l1 = (
+                    sup[lo >> 9] + rel[lo >> 6]
+                    + (words[lo >> 6] & ((1 << (lo & 63)) - 1)).bit_count()
+                )
+                h1 = ones if hi >= n else (
+                    sup[hi >> 9] + rel[hi >> 6]
+                    + (words[hi >> 6] & ((1 << (hi & 63)) - 1)).bit_count()
+                )
+            else:
+                l1, h1 = bv.rank1(lo), bv.rank1(hi)
+            if lo - l1 < hi - h1:  # a zero in range: the smaller half
+                lo -= l1
+                hi -= h1
+                value <<= 1
+            else:
+                lo = z + l1
+                hi = z + h1
+                value = (value << 1) | 1
+        return value
 
     def distinct_in_range(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """Yield ``(symbol, multiplicity)`` for each distinct symbol in
@@ -306,30 +391,49 @@ class WaveletMatrix:
 
         Cost is ``O(k log(σ/k))`` node visits for ``k`` distinct symbols —
         the §2.3.4 bound that makes the lonely-variables optimisation pay.
-        Iterative (explicit DFS stack), like :meth:`next_in_range`.
+        Depth-first, left before right; only non-empty right siblings
+        wait on the stack.
         """
         lo = max(lo, 0)
-        hi = min(hi, self._n)
+        n = self._n
+        hi = min(hi, n)
         if lo >= hi:
             return
+        loop = self._loop
         levels = self._levels
-        stack = [(0, lo, hi, 0)]
-        while stack:
-            level, lo, hi, prefix = stack.pop()
-            if lo >= hi:
-                continue
-            if level == levels:
-                if prefix < self._sigma:
-                    yield prefix, hi - lo
-                continue
-            bv = self._bits[level]
-            z = self._zeros[level]
-            lo0, hi0 = bv.rank0(lo), bv.rank0(hi)
-            # Right child below the left one so symbols come out increasing.
-            stack.append(
-                (level + 1, z + (lo - lo0), z + (hi - hi0), (prefix << 1) | 1)
-            )
-            stack.append((level + 1, lo0, hi0, prefix << 1))
+        level = prefix = 0
+        pending = []
+        while True:
+            while level < levels:
+                words, sup, rel, z, ones, _shift, bv = loop[level]
+                if bv is None:
+                    l1 = (
+                        sup[lo >> 9] + rel[lo >> 6]
+                        + (words[lo >> 6] & ((1 << (lo & 63)) - 1)).bit_count()
+                    )
+                    h1 = ones if hi >= n else (
+                        sup[hi >> 9] + rel[hi >> 6]
+                        + (words[hi >> 6] & ((1 << (hi & 63)) - 1)).bit_count()
+                    )
+                else:
+                    l1, h1 = bv.rank1(lo), bv.rank1(hi)
+                level += 1
+                if lo - l1 < hi - h1:
+                    if l1 < h1:
+                        pending.append(
+                            (level, z + l1, z + h1, (prefix << 1) | 1)
+                        )
+                    lo -= l1
+                    hi -= h1
+                    prefix <<= 1
+                else:
+                    lo = z + l1
+                    hi = z + h1
+                    prefix = (prefix << 1) | 1
+            yield prefix, hi - lo
+            if not pending:
+                return
+            level, lo, hi, prefix = pending.pop()
 
     def count_distinct(self, lo: int, hi: int) -> int:
         """Number of distinct symbols in ``[lo, hi)``."""
@@ -339,7 +443,7 @@ class WaveletMatrix:
         """Cheap lower bound on the distinct symbols in ``[lo, hi)``.
 
         Descends level by level keeping the whole frontier of non-empty
-        nodes in numpy arrays (one batched rank per level — the same
+        nodes in numpy arrays (one fused batch step per level — the same
         machinery as :meth:`count_many`), and stops as soon as the
         frontier exceeds ``max_nodes``.  The frontier size at any level
         is a lower bound on the number of distinct symbols below it, and
@@ -359,9 +463,7 @@ class WaveletMatrix:
         his = np.array([hi], dtype=np.int64)
         prefixes = np.array([0], dtype=np.int64)
         for level in range(self._levels):
-            bv = self._bits[level]
-            bounds = np.concatenate([los, his])
-            ones = bv.rank1_many(bounds)
+            ones, _ = self._bits[level].step_many(np.concatenate([los, his]))
             lo1, hi1 = ones[: los.size], ones[los.size:]
             lo0, hi0 = los - lo1, his - hi1
             z = self._zeros[level]
@@ -400,12 +502,10 @@ class WaveletMatrix:
         if pos.size and (int(pos.min()) < 0 or int(pos.max()) >= self._n):
             raise IndexError(f"position out of range [0, {self._n})")
         values = np.zeros(pos.shape, dtype=np.int64)
-        cur = pos.copy()
+        cur = pos
         for level in range(self._levels):
-            bv = self._bits[level]
-            bits = bv.access_many(cur).astype(bool)
+            ones, bits = self._bits[level].step_many(cur, want_bits=True)
             values = (values << 1) | bits
-            ones = bv.rank1_many(cur)
             cur = np.where(bits, self._zeros[level] + ones, cur - ones)
         if _perf.enabled:
             _perf.record(
@@ -426,10 +526,9 @@ class WaveletMatrix:
         syms = np.asarray(symbols, dtype=np.int64)
         starts = np.zeros(syms.shape, dtype=np.int64)
         for level in range(self._levels):
-            bv = self._bits[level]
             bit = (syms >> (self._levels - 1 - level)) & 1
-            ones = bv.rank1_many(starts)
-            starts = np.where(bit == 1, self._zeros[level] + ones, starts - ones)
+            ones, _ = self._bits[level].step_many(starts)
+            starts = np.where(bit, self._zeros[level] + ones, starts - ones)
         return starts
 
     def extract(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:

@@ -100,6 +100,30 @@ class TestBasics:
         with pytest.raises(ValueError):
             BitVector.from_positions(4, [4])
 
+    def test_from_components_rejects_unviewable_buffers(self):
+        # The scalar kernels index zero-copy views of the three buffers:
+        # strided or wrong-endian ones must fail typed at adoption, not
+        # later inside a query.
+        src = BitVector.from_bool_array(np.arange(1300) % 3 == 0)
+        parts = {"words": src._words, "super_": src._super, "rel": src._rel}
+
+        def adopt(**swap):
+            return BitVector.from_components(
+                **{**parts, **swap}, n=len(src), ones=src.ones
+            )
+
+        assert adopt().rank1(700) == src.rank1(700)
+        strided = np.repeat(src._words, 2)[::2]
+        assert (strided == src._words).all() and not strided.flags.c_contiguous
+        for swap in (
+            {"words": strided},
+            {"words": src._words.astype(">u8")},
+            {"rel": src._rel.astype(">u2")},
+            {"super_": src._super[:-1]},
+        ):
+            with pytest.raises(ValueError, match="buffer must be"):
+                adopt(**swap)
+
     def test_word_boundaries(self):
         # Ones exactly at multiples of 64 exercise the partial-word path.
         n = 64 * 5

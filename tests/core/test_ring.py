@@ -65,6 +65,7 @@ class TestConstruction:
         ring = Ring(Graph(np.zeros((0, 3))))
         assert ring.n == 0
         assert ring.pattern_range({S: 0}) is None or ring.n == 0
+        assert ring.triples().shape == (0, 3)
 
     def test_c_arrays_are_cumulative(self, nobel_ring):
         for attr in (S, P, O):
@@ -80,6 +81,9 @@ class TestTripleRetrieval:
         ring = Ring(g)
         recovered = [ring.triple(i) for i in range(ring.n)]
         assert recovered == [tuple(t) for t in g.triples]
+        bulk = ring.triples()  # the same rows, decoded in bulk
+        assert bulk.dtype == np.int64 and bulk.shape == (ring.n, 3)
+        assert bulk.tolist() == g.triples.tolist()
 
     def test_recovers_compressed(self):
         g = wikidata_like(200, seed=4)
@@ -87,6 +91,7 @@ class TestTripleRetrieval:
         assert [ring.triple(i) for i in range(ring.n)] == [
             tuple(t) for t in g.triples
         ]
+        assert ring.triples().tolist() == g.triples.tolist()
 
     def test_out_of_range(self, nobel_ring):
         with pytest.raises(IndexError):
