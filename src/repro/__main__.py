@@ -186,11 +186,21 @@ def cmd_query(args) -> None:
         print(f"-- {len(solutions)} solution(s){suffix}")
 
 
+def _report_empty(plan: dict) -> None:
+    """Say *why* a plan is empty: an unsatisfiable pattern, or (no
+    cardinalities at all) a constant the dictionary does not hold."""
+    empty = [p for p, n in plan["pattern_cardinalities"].items() if n == 0]
+    if empty:
+        print(f"pattern {empty[0]} matches no triple: 0 solutions")
+    else:
+        print("query references constants absent from the graph: 0 solutions")
+
+
 def cmd_explain(args) -> None:
     index = RingIndex.load(args.index)
     plan = index.explain(args.query)
     if plan.get("empty"):
-        print("query references constants absent from the graph: 0 solutions")
+        _report_empty(plan)
         return
     order = " -> ".join(v.name for v in plan["variable_order"]) or "(none)"
     lonely = ", ".join(v.name for v in plan["lonely_variables"]) or "(none)"
@@ -227,7 +237,7 @@ def cmd_plan(args) -> None:
         print(f"stats cache       : {args.stats_cache} "
               f"({memo['entries']} entries, {memo['hits']} hits this run)")
     if plan.get("empty"):
-        print("query references constants absent from the graph: 0 solutions")
+        _report_empty(plan)
         return
     scores = plan.get("variable_scores", {})
     order = plan["variable_order"]
@@ -248,11 +258,7 @@ def cmd_plan(args) -> None:
         print("parallel plan     : (no shared variable; runs serially)")
         return
     encoded = index.graph.encode_bgp(bgp)
-    iters = [index.iterator(t) for t in encoded]
-    if any(it.count() == 0 for it in iters):
-        print("parallel plan     : (an empty pattern; 0 solutions)")
-        return
-    live = [it for it in iters if not it.pattern.is_fully_bound()]
+    live = index._engine._analyse(encoded)[0]
     slice_plan = plan_slices(live, encoded, order, args.slices)
     if slice_plan is None or not slice_plan.viable:
         print("parallel plan     : (domain too small to partition; "

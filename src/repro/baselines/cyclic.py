@@ -86,13 +86,8 @@ class CyclicUnidirectionalIndex(BaseLTJSystem):
 
     name = "Cyclic-2R"
 
-    def __init__(
-        self,
-        graph: Graph,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
-    ) -> None:
-        super().__init__(graph, use_lonely=use_lonely, use_ordering=use_ordering)
+    def __init__(self, graph: Graph, **engine_options) -> None:
+        super().__init__(graph, **engine_options)
         self._ring1 = Ring(graph)
         self._ring2 = Ring(_reversed_graph(graph))
 

@@ -22,13 +22,8 @@ class FlatTrieIndex(BaseLTJSystem):
 
     name = "FlatTrie"
 
-    def __init__(
-        self,
-        graph: Graph,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
-    ) -> None:
-        super().__init__(graph, use_lonely=use_lonely, use_ordering=use_ordering)
+    def __init__(self, graph: Graph, **engine_options) -> None:
+        super().__init__(graph, **engine_options)
         self._orders = OrderSet(graph, ALL_ORDERS)
 
     def iterator(self, pattern: TriplePattern) -> OrderSetIterator:

@@ -97,13 +97,9 @@ class JenaLTJIndex(BaseLTJSystem):
     name = "Jena-LTJ"
 
     def __init__(
-        self,
-        graph: Graph,
-        fanout: int = 64,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
+        self, graph: Graph, fanout: int = 64, **engine_options
     ) -> None:
-        super().__init__(graph, use_lonely=use_lonely, use_ordering=use_ordering)
+        super().__init__(graph, **engine_options)
         self._orders = OrderSet(
             graph,
             ALL_ORDERS,

@@ -118,7 +118,6 @@ class CachedQuerySystem:
                 index.name,
                 engine._use_lonely,
                 engine._use_ordering,
-                engine._use_batch,
                 getattr(engine, "_policy", "static"),
             )
             self._plan_signature = engine.plan_signature

@@ -275,17 +275,10 @@ class DynamicRingIndex(BaseLTJSystem):
         self,
         graph: Graph,
         buffer_threshold: int = DEFAULT_BUFFER_THRESHOLD,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
         auto_compact: bool = True,
-        policy: str = "static",
+        **engine_options,
     ) -> None:
-        super().__init__(
-            graph,
-            use_lonely=use_lonely,
-            use_ordering=use_ordering,
-            policy=policy,
-        )
+        super().__init__(graph, **engine_options)
         self._n_nodes = graph.n_nodes
         self._n_predicates = graph.n_predicates
         self._threshold = max(buffer_threshold, 8)

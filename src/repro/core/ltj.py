@@ -17,8 +17,8 @@ engineering refinements:
   patterns), enumerating backwards so the wavelet matrices' ``distinct``
   operation applies.
 
-On top of those the engine has a **batch-leap path** (``use_batch``,
-on by default) that leans on the vectorised succinct kernels:
+On top of those the engine leans on the vectorised succinct kernels
+wherever an iterator offers them:
 
 - when a variable is covered by a *single* iterator, the seek sequence
   ``seek(0), seek(v+1), …`` degenerates to that iterator's ordered value
@@ -26,16 +26,17 @@ on by default) that leans on the vectorised succinct kernels:
   sweep instead of one wavelet descent per value;
 - lonely patterns whose iterator offers ``solutions_bulk`` have their
   whole Lemma 3.6 range bulk-decoded into row-aligned numpy columns
-  (chunked), replacing the per-triple bind/leap walk;
+  (chunked), replacing the per-triple bind/leap walk; iterators without
+  it (every baseline) take the scalar walk;
 - repeated seeks hit the ring's LRU leap memo (see
   :meth:`repro.core.ring.Ring.backward_leap`).
 
 Batch work charges the shared :class:`ResourceBudget` through
 ``tick_many`` — one op per logical row/leap, identical to the scalar
-path — so op caps, timeouts and cancellation behave the same either way.
+walk — so op caps, timeouts and cancellation behave the same either way.
 
-All refinements can be disabled (``use_lonely`` / ``use_ordering`` /
-``use_batch``) for the ablation benchmarks.
+The two paper refinements can be disabled (``use_lonely`` /
+``use_ordering``) for the ablation benchmarks.
 
 **Adaptive intra-query planning** (``policy``): the §4.3 order is
 computed once before the first leap, so one skewed join (power-law
@@ -64,6 +65,7 @@ estimator degrades the rest of the query to the static order
 from __future__ import annotations
 
 import copy
+import sys
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.core.interface import PatternIterator, QueryCancelled, QueryTimeout
@@ -75,6 +77,9 @@ IteratorFactory = Callable[[TriplePattern], PatternIterator]
 
 #: The variable-selection policies of the per-depth planner.
 POLICIES = ("static", "rowcount", "distinct", "adaptive")
+
+#: Upper end of an unrestricted search slice ``[0, ∞)``: above any id.
+_UNBOUNDED = sys.maxsize
 
 #: Per-query cap on the recorded (depth, variable, estimate) decisions:
 #: re-ranking fires at every search-tree node, so the log is a bounded
@@ -149,10 +154,6 @@ class LeapfrogTrieJoin:
         Graph size, used to normalise the §4.3 statistics.
     use_lonely / use_ordering:
         The §4.2 / §4.3 optimisations (ablation switches).
-    use_batch:
-        The vectorised batch-leap path (bulk range decoding, single-
-        iterator value sweeps); disable to force the scalar per-triple
-        walk everywhere (ablation/benchmark switch).
     policy:
         Variable-selection policy, one of :data:`POLICIES`.  ``static``
         (default) keeps the precomputed §4.3 order; the dynamic
@@ -166,7 +167,6 @@ class LeapfrogTrieJoin:
         n_triples: int,
         use_lonely: bool = True,
         use_ordering: bool = True,
-        use_batch: bool = True,
         policy: str = "static",
     ) -> None:
         if policy not in POLICIES:
@@ -181,7 +181,6 @@ class LeapfrogTrieJoin:
         self._n = max(n_triples, 1)
         self._use_lonely = use_lonely
         self._use_ordering = use_ordering
-        self._use_batch = use_batch
         self._policy = policy
         #: Optional :class:`~repro.cache.stats_cache.PlanStatsCache`
         #: (duck-typed: anything with ``count(it)`` / ``distinct(it,
@@ -238,9 +237,8 @@ class LeapfrogTrieJoin:
         run = copy.copy(self)
         run._stats = stats
         if stats is not None:
-            stats.setdefault("leaps", 0)
-            stats.setdefault("binds", 0)
-            stats.setdefault("bulk_rows", 0)
+            for key in ("leaps", "binds", "bulk_rows"):
+                stats.setdefault(key, 0)
             stats.setdefault("policy", self._policy)
         deadline = ResourceBudget.coerce(timeout)
         analysed = run._analyse(bgp, var_order)
@@ -265,22 +263,18 @@ class LeapfrogTrieJoin:
             first_var = next((v for v in order if v == first_var), None)
             if first_var is None:
                 raise ValueError("first_var must be a shared join variable")
-        if not dynamic:
-            yield from run._search(
-                order, 0, by_var, lonely_by_iter, {}, deadline, first_range
-            )
-            return
-
-        state = run._policy_state(order, by_var)
-        if stats is not None:
-            stats.setdefault("reranks", 0)
-            stats.setdefault("rerank_divergence", 0)
-            stats.setdefault("rerank_fallbacks", 0)
-            stats.setdefault("estimate_misses", 0)
-            stats.setdefault("decision_log", [])
-        yield from run._search_adaptive(
-            list(order), by_var, lonely_by_iter, {}, deadline, state,
-            first_range, first_var,
+        state = None
+        if dynamic:
+            state = run._policy_state(order, by_var)
+            if stats is not None:
+                stats.setdefault("reranks", 0)
+                stats.setdefault("rerank_divergence", 0)
+                stats.setdefault("rerank_fallbacks", 0)
+                stats.setdefault("estimate_misses", 0)
+                stats.setdefault("decision_log", [])
+        lo, hi = first_range if first_range is not None else (0, _UNBOUNDED)
+        yield from run._search(
+            order, by_var, lonely_by_iter, {}, deadline, state, lo, hi, first_var
         )
 
     def _analyse(
@@ -288,12 +282,12 @@ class LeapfrogTrieJoin:
         bgp: BasicGraphPattern,
         var_order: Optional[Sequence[Var]] = None,
     ) -> Optional[tuple]:
-        """The evaluation preamble shared by :meth:`evaluate` and
-        :meth:`plan_signature`: build the iterators, drop satisfied
-        fully-bound filters, compute the elimination order and the §4.2
-        lonely-pattern list.  Returns ``None`` when some pattern is
-        empty (zero solutions), otherwise ``(live, by_var, order,
-        lonely_by_iter)``.
+        """The one evaluation preamble (:meth:`evaluate`,
+        :meth:`plan_signature`, :meth:`plan`, the parallel driver):
+        build the iterators, drop satisfied fully-bound filters, compute
+        the elimination order and the §4.2 lonely-pattern list.  Returns
+        ``None`` when some pattern is empty (zero solutions), otherwise
+        ``(live, by_var, order, lonely_by_iter)``.
         """
         iters = [self._factory(t) for t in bgp]
 
@@ -366,27 +360,27 @@ class LeapfrogTrieJoin:
 
         Returns the §4.3 elimination order, the §4.2 lonely variables,
         and the per-pattern cardinalities (exact, read off the index in
-        O(log U) each) that drive the ordering.
+        O(log U) each) that drive the ordering.  When some pattern
+        matches nothing the answer is empty and there is no order to
+        report: the result is ``"empty": True`` plus the cardinalities.
         """
-        iters = [self._factory(t) for t in bgp]
-        cardinalities = {repr(it.pattern): it.count() for it in iters}
-        by_var: dict[Var, list[PatternIterator]] = {}
-        for it in iters:
-            for var in it.pattern.variables():
-                by_var.setdefault(var, []).append(it)
-        lonely = (
-            {v for v, its in by_var.items() if len(its) == 1}
-            if self._use_lonely
-            else set()
-        )
-        shared = [v for v in by_var if v not in lonely]
-        order = self._variable_order(shared, by_var)
-        scores, _cmin = self._variable_scores(shared, by_var)
+        cardinalities = {repr(t): self._factory(t).count() for t in bgp}
+        analysed = self._analyse(bgp)
+        if analysed is None:  # the zero in the cardinalities says which
+            return {
+                "variable_order": [],
+                "lonely_variables": [],
+                "pattern_cardinalities": cardinalities,
+                "empty": True,
+            }
+        _live, by_var, order, lonely_by_iter = analysed
+        lonely = [v for _it, mine in lonely_by_iter for v in mine]
+        scores, _cmin = self._variable_scores(order, by_var)
         return {
             "variable_order": order,
             "lonely_variables": sorted(lonely, key=lambda v: v.name),
             "pattern_cardinalities": cardinalities,
-            "variable_scores": {v.name: scores[v] for v in shared},
+            "variable_scores": {v.name: scores[v] for v in order},
             "uses_lonely_optimisation": self._use_lonely,
             "uses_cardinality_ordering": self._use_ordering,
             "policy": self._policy,
@@ -412,39 +406,32 @@ class LeapfrogTrieJoin:
         only proxies: a pattern with a huge range but few distinct
         subjects is cheap to eliminate on the subject.
         """
+        # With a stats_cache these are the same numbers, looked up by
+        # renaming-invariant pattern shape in a generation-scoped memo
+        # (repro.cache.stats_cache) instead of recomputed per query.
         cache = self.stats_cache
-        if cache is not None:
-            # Generation-scoped memo (repro.cache.stats_cache): the same
-            # numbers, looked up by renaming-invariant pattern shape
-            # instead of recomputed via wavelet scans per query.
-            cmin = {
-                v: min(cache.count(it) for it in by_var[v]) / self._n
-                for v in shared
-            }
-            scores = {}
-            for v in shared:
-                best = None
-                for it in by_var[v]:
-                    value = cache.distinct(
-                        it, v, self._estimator_or_miss(it)
-                    )
-                    best = value if best is None else min(best, value)
-                scores[v] = best if best is not None else 0
-            return scores, cmin
         cmin = {
-            v: min(it.count() for it in by_var[v]) / self._n for v in shared
+            v: min(
+                cache.count(it) if cache is not None else it.count()
+                for it in by_var[v]
+            ) / self._n
+            for v in shared
         }
-        scores: dict[Var, int] = {}
-        for v in shared:
-            best: Optional[int] = None
-            for it in by_var[v]:
-                estimator = self._estimator_or_miss(it)
-                # Explicit fallback: the pattern's range width stands in
-                # for the distinct estimate (counted, never silent).
-                value = estimator(v) if estimator is not None else it.count()
-                best = value if best is None else min(best, value)
-            scores[v] = best if best is not None else 0
+        scores = {
+            v: min((self._distinct(it, v) for it in by_var[v]), default=0)
+            for v in shared
+        }
         return scores, cmin
+
+    def _distinct(self, it: PatternIterator, var: Var) -> int:
+        """Distinct admissible values of ``var`` in ``it`` at the root:
+        memoized by the ``stats_cache`` when one is installed, else the
+        iterator's wavelet estimator, else — explicitly, counted by
+        :meth:`_estimator_or_miss`, never silent — its range width."""
+        estimator = self._estimator_or_miss(it)
+        if self.stats_cache is not None:
+            return self.stats_cache.distinct(it, var, estimator)
+        return estimator(var) if estimator is not None else it.count()
 
     def _estimator_or_miss(self, it: PatternIterator):
         """``it.distinct_estimate`` or ``None``, *counting* the miss.
@@ -506,17 +493,9 @@ class LeapfrogTrieJoin:
         static_rank = {v: i for i, v in enumerate(order)}
         root_distinct: dict[tuple[int, Var], int] = {}
         if self._policy in ("distinct", "adaptive"):
-            cache = self.stats_cache
             for v in order:
                 for it in by_var[v]:
-                    estimator = self._estimator_or_miss(it)
-                    if cache is not None:
-                        value = cache.distinct(it, v, estimator)
-                    elif estimator is not None:
-                        value = estimator(v)
-                    else:
-                        value = it.count()
-                    root_distinct[(id(it), v)] = value
+                    root_distinct[(id(it), v)] = self._distinct(it, v)
         return _PolicyState(self._policy, static_rank, root_distinct)
 
     def first_variable(
@@ -566,9 +545,7 @@ class LeapfrogTrieJoin:
         estimator costs plan quality for the rest of this query, never
         correctness.
         """
-        if len(remaining) == 1:
-            return remaining[0]
-        if state.static_rest:
+        if len(remaining) == 1 or state.static_rest:
             return remaining[0]
         try:
             var, estimate = rank_candidates(
@@ -604,192 +581,81 @@ class LeapfrogTrieJoin:
 
     # -- the search tree ---------------------------------------------------------
 
-    def _search_adaptive(
+    def _search(
         self,
         remaining: list[Var],
         by_var: dict[Var, list[PatternIterator]],
         lonely_by_iter: Sequence[tuple[PatternIterator, list[Var]]],
         binding: dict[Var, int],
         deadline: ResourceBudget,
-        state: _PolicyState,
-        first_range: Optional[tuple[int, int]] = None,
+        state: Optional[_PolicyState],
+        lo: int = 0,
+        hi: int = _UNBOUNDED,
         first_var: Optional[Var] = None,
     ) -> Iterator[dict[Var, int]]:
-        """:meth:`_search` with the next variable re-ranked per depth.
+        """Algorithm 1: eliminate one variable, recurse on the rest.
 
-        ``remaining`` stays in static §4.3 order (the fallback and
-        tie-break baseline); the three enumeration shapes — slice mode,
-        the single-iterator batch sweep, the Algorithm 1 seek loop —
-        are byte-identical to the static search once the variable is
-        chosen, so a policy's output differs from ``static`` only in
-        row *order*, never in the solution multiset.
+        ``remaining`` stays in static §4.3 order.  The variable is
+        ``first_var`` when given (parallel slice mode: depth 0 is pinned
+        to the slicing variable, the parent's own policy choice), else
+        the head of ``remaining`` when ``state`` is ``None`` (``static``,
+        or a pinned ``var_order``), else the policy's per-depth choice —
+        so a policy's output differs from ``static`` only in row
+        *order*, never in the solution multiset.
+
+        Only values in ``[lo, hi)`` are enumerated; deeper levels run
+        unrestricted.  The parallel driver passes a proper slice at
+        depth 0, and the seek loop lands on the first admissible value
+        ``>= lo`` with one leap instead of sweeping from 0, so a K-way
+        partition costs K extra leaps total, not K extra scans.
         """
         if not remaining:
             yield from self._emit_lonely(lonely_by_iter, 0, binding, deadline)
             return
         if first_var is not None:
-            # Parallel slice mode: depth 0 is pinned to the slicing
-            # variable (the parent's own policy choice).
             var = first_var
+        elif state is None:
+            var = remaining[0]
         else:
             var = self._choose_variable(remaining, by_var, state)
-        rest = [v for v in remaining if v is not var]
+        if var is remaining[0]:
+            rest = remaining[1:]
+        else:
+            rest = [v for v in remaining if v is not var]
         iters = by_var[var]
-        if first_range is not None:
-            a, b = first_range
-            if self._use_batch and len(iters) == 1:
-                it = iters[0]
-                for value in it.values(var):
-                    if value >= b:
-                        break
-                    deadline.tick()
-                    if value < a:
-                        continue
-                    if self._stats is not None:
-                        self._stats["leaps"] += 1
-                        self._stats["binds"] += 1
-                    it.bind(var, value)
-                    binding[var] = value
-                    yield from self._search_adaptive(
-                        rest, by_var, lonely_by_iter, binding, deadline, state
-                    )
-                    del binding[var]
-                    it.unbind(var)
-                return
-            value = self._seek(iters, var, a, deadline)
-            while value is not None and value < b:
-                if self._stats is not None:
-                    self._stats["binds"] += 1
-                for it in iters:
-                    it.bind(var, value)
-                binding[var] = value
-                yield from self._search_adaptive(
-                    rest, by_var, lonely_by_iter, binding, deadline, state
-                )
-                del binding[var]
-                for it in iters:
-                    it.unbind(var)
-                value = self._seek(iters, var, value + 1, deadline)
-            return
-        if self._use_batch and len(iters) == 1:
+        if len(iters) == 1:
+            # With one iterator the seek sequence seek(0), seek(v+1), …
+            # is exactly the iterator's ordered value enumeration, which
+            # the ring serves with a single distinct_in_range DFS
+            # (O(k log σ/k)) instead of one wavelet descent per value;
+            # values outside the slice are skipped/stopped without one.
             it = iters[0]
             for value in it.values(var):
+                if value >= hi:
+                    break
                 deadline.tick()
-                if self._stats is not None:
-                    self._stats["leaps"] += 1
-                    self._stats["binds"] += 1
-                it.bind(var, value)
-                binding[var] = value
-                yield from self._search_adaptive(
-                    rest, by_var, lonely_by_iter, binding, deadline, state
-                )
-                del binding[var]
-                it.unbind(var)
-            return
-        value = self._seek(iters, var, 0, deadline)
-        while value is not None:
-            if self._stats is not None:
-                self._stats["binds"] += 1
-            for it in iters:
-                it.bind(var, value)
-            binding[var] = value
-            yield from self._search_adaptive(
-                rest, by_var, lonely_by_iter, binding, deadline, state
-            )
-            del binding[var]
-            for it in iters:
-                it.unbind(var)
-            value = self._seek(iters, var, value + 1, deadline)
-
-    def _search(
-        self,
-        order: Sequence[Var],
-        depth: int,
-        by_var: dict[Var, list[PatternIterator]],
-        lonely_by_iter: Sequence[tuple[PatternIterator, list[Var]]],
-        binding: dict[Var, int],
-        deadline: ResourceBudget,
-        first_range: Optional[tuple[int, int]] = None,
-    ) -> Iterator[dict[Var, int]]:
-        if depth == len(order):
-            yield from self._emit_lonely(lonely_by_iter, 0, binding, deadline)
-            return
-        var = order[depth]
-        iters = by_var[var]
-        if first_range is not None:
-            # Slice mode (parallel driver): enumerate only values in
-            # [a, b).  The seek path lands on the first admissible value
-            # >= a with one leap instead of sweeping from 0, so a K-way
-            # partition costs K extra leaps total, not K extra scans.
-            a, b = first_range
-            if self._use_batch and len(iters) == 1:
-                # Same single-iterator batch sweep as below, clipped to
-                # the slice: one distinct_in_range DFS serves the whole
-                # ordered enumeration, and values outside [a, b) are
-                # skipped/stopped without paying a wavelet descent each.
-                it = iters[0]
-                for value in it.values(var):
-                    if value >= b:
-                        break
-                    deadline.tick()
-                    if value < a:
-                        continue
-                    if self._stats is not None:
-                        self._stats["leaps"] += 1
-                        self._stats["binds"] += 1
-                    it.bind(var, value)
-                    binding[var] = value
-                    yield from self._search(
-                        order, depth + 1, by_var, lonely_by_iter, binding,
-                        deadline,
-                    )
-                    del binding[var]
-                    it.unbind(var)
-                return
-            value = self._seek(iters, var, a, deadline)
-            while value is not None and value < b:
-                if self._stats is not None:
-                    self._stats["binds"] += 1
-                for it in iters:
-                    it.bind(var, value)
-                binding[var] = value
-                yield from self._search(
-                    order, depth + 1, by_var, lonely_by_iter, binding, deadline
-                )
-                del binding[var]
-                for it in iters:
-                    it.unbind(var)
-                value = self._seek(iters, var, value + 1, deadline)
-            return
-        if self._use_batch and len(iters) == 1:
-            # Batch sweep: with one iterator the seek sequence seek(0),
-            # seek(v+1), … is exactly the iterator's ordered value
-            # enumeration, which the ring serves with a single
-            # distinct_in_range DFS (O(k log σ/k)) instead of one wavelet
-            # descent per value.
-            it = iters[0]
-            for value in it.values(var):
-                deadline.tick()
+                if value < lo:
+                    continue
                 if self._stats is not None:
                     self._stats["leaps"] += 1
                     self._stats["binds"] += 1
                 it.bind(var, value)
                 binding[var] = value
                 yield from self._search(
-                    order, depth + 1, by_var, lonely_by_iter, binding, deadline
+                    rest, by_var, lonely_by_iter, binding, deadline, state
                 )
                 del binding[var]
                 it.unbind(var)
             return
-        value = self._seek(iters, var, 0, deadline)
-        while value is not None:
+        value = self._seek(iters, var, lo, deadline)
+        while value is not None and value < hi:
             if self._stats is not None:
                 self._stats["binds"] += 1
             for it in iters:
                 it.bind(var, value)
             binding[var] = value
             yield from self._search(
-                order, depth + 1, by_var, lonely_by_iter, binding, deadline
+                rest, by_var, lonely_by_iter, binding, deadline, state
             )
             del binding[var]
             for it in iters:
@@ -857,29 +723,28 @@ class LeapfrogTrieJoin:
         if not remaining:
             yield from self._emit_lonely(lonely_by_iter, idx + 1, binding, deadline)
             return
-        if self._use_batch:
-            bulk = getattr(it, "solutions_bulk", None)
-            chunks = bulk(remaining) if bulk is not None else None
-            if chunks is not None:
-                # Bulk-decode the pattern's whole Lemma 3.6 range into
-                # row-aligned columns (chunked): one batched wavelet
-                # descent per attribute per chunk replaces the per-triple
-                # bind/leap walk, and each row charges the budget as one
-                # op exactly like a scalar emission.
-                for columns, n_rows in chunks:
-                    deadline.tick_many(n_rows)
-                    if self._stats is not None:
-                        self._stats["bulk_rows"] += n_rows
-                    cols = [(var, columns[var].tolist()) for var in remaining]
-                    for row in range(n_rows):
-                        for var, column in cols:
-                            binding[var] = column[row]
-                        yield from self._emit_lonely(
-                            lonely_by_iter, idx + 1, binding, deadline
-                        )
-                    for var, _ in cols:
-                        binding.pop(var, None)
-                return
+        bulk = getattr(it, "solutions_bulk", None)
+        chunks = bulk(remaining) if bulk is not None else None
+        if chunks is not None:
+            # Bulk-decode the pattern's whole Lemma 3.6 range into
+            # row-aligned columns (chunked): one batched wavelet descent
+            # per attribute per chunk replaces the per-triple bind/leap
+            # walk, and each row charges the budget as one op exactly
+            # like a scalar emission.
+            for columns, n_rows in chunks:
+                deadline.tick_many(n_rows)
+                if self._stats is not None:
+                    self._stats["bulk_rows"] += n_rows
+                cols = [(var, columns[var].tolist()) for var in remaining]
+                for row in range(n_rows):
+                    for var, column in cols:
+                        binding[var] = column[row]
+                    yield from self._emit_lonely(
+                        lonely_by_iter, idx + 1, binding, deadline
+                    )
+                for var, _ in cols:
+                    binding.pop(var, None)
+            return
         var = it.preferred_lonely(remaining)
         rest = [v for v in remaining if v != var]
         for value in it.values(var):

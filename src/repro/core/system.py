@@ -235,24 +235,17 @@ class BaseQuerySystem:
 
 
 class BaseLTJSystem(BaseQuerySystem):
-    """A system whose engine is Leapfrog TrieJoin over its iterators."""
+    """A system whose engine is Leapfrog TrieJoin over its iterators.
 
-    def __init__(
-        self,
-        graph: Graph,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
-        use_batch: bool = True,
-        policy: str = "static",
-    ) -> None:
+    ``engine_options`` (``use_lonely``, ``use_ordering``, ``policy``) are
+    declared once, on :class:`~repro.core.ltj.LeapfrogTrieJoin`; every
+    subclass forwards them here untouched.
+    """
+
+    def __init__(self, graph: Graph, **engine_options) -> None:
         super().__init__(graph)
         self._engine = LeapfrogTrieJoin(
-            self.iterator,
-            graph.n_triples,
-            use_lonely=use_lonely,
-            use_ordering=use_ordering,
-            use_batch=use_batch,
-            policy=policy,
+            self.iterator, graph.n_triples, **engine_options
         )
 
     @property
@@ -301,19 +294,10 @@ class RingIndex(BaseLTJSystem):
         compressed: bool = False,
         block_size: int = 15,
         succinct_counts: bool = False,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
-        use_batch: bool = True,
         leap_memo_size: int = 1 << 16,
-        policy: str = "static",
+        **engine_options,
     ) -> None:
-        super().__init__(
-            graph,
-            use_lonely=use_lonely,
-            use_ordering=use_ordering,
-            use_batch=use_batch,
-            policy=policy,
-        )
+        super().__init__(graph, **engine_options)
         self._ring = Ring(
             graph,
             compressed=compressed,
@@ -324,26 +308,12 @@ class RingIndex(BaseLTJSystem):
 
     @classmethod
     def from_ring(
-        cls,
-        ring: Ring,
-        graph: Graph,
-        *,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
-        use_batch: bool = True,
-        policy: str = "static",
+        cls, ring: Ring, graph: Graph, **engine_options
     ) -> "RingIndex":
         """Wrap a prebuilt ring (memmapped, shm-attached or streamed)
         without re-running index construction."""
         index = cls.__new__(cls)
-        BaseLTJSystem.__init__(
-            index,
-            graph,
-            use_lonely=use_lonely,
-            use_ordering=use_ordering,
-            use_batch=use_batch,
-            policy=policy,
-        )
+        BaseLTJSystem.__init__(index, graph, **engine_options)
         index._ring = ring
         return index
 
@@ -542,22 +512,10 @@ class CompressedRingIndex(RingIndex):
     name = "C-Ring"
 
     def __init__(
-        self,
-        graph: Graph,
-        block_size: int = 15,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
-        use_batch: bool = True,
-        policy: str = "static",
+        self, graph: Graph, block_size: int = 15, **engine_options
     ) -> None:
         super().__init__(
-            graph,
-            compressed=True,
-            block_size=block_size,
-            use_lonely=use_lonely,
-            use_ordering=use_ordering,
-            use_batch=use_batch,
-            policy=policy,
+            graph, compressed=True, block_size=block_size, **engine_options
         )
 
 

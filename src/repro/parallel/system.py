@@ -25,11 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.core.interface import (
-    PatternIterator,
-    QueryCancelled,
-    QueryTimeout,
-)
+from repro.core.interface import QueryCancelled, QueryTimeout
 from repro.core.system import RingIndex
 from repro.graph.dataset import Graph
 from repro.graph.model import BasicGraphPattern, Var
@@ -68,39 +64,16 @@ class ParallelRingIndex(RingIndex):
         workers: int = 2,
         num_slices: Optional[int] = None,
         start_method: Optional[str] = None,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
-        use_batch: bool = True,
         leap_memo_size: int = 1 << 16,
-        policy: str = "static",
+        **engine_options,
     ) -> None:
         super().__init__(
-            graph,
-            compressed=False,
-            use_lonely=use_lonely,
-            use_ordering=use_ordering,
-            use_batch=use_batch,
-            leap_memo_size=leap_memo_size,
-            policy=policy,
+            graph, compressed=False, leap_memo_size=leap_memo_size, **engine_options
         )
-        self._use_lonely = use_lonely
-        self._workers = max(1, int(workers))
-        self._num_slices = int(num_slices) if num_slices else 2 * self._workers
         self._shared = export_ring(self._ring)
-        try:
-            self._pool: Optional[WorkerPool] = WorkerPool(
-                self._shared.handle,
-                workers=self._workers,
-                engine_opts={
-                    "use_lonely": use_lonely,
-                    "use_ordering": use_ordering,
-                    "use_batch": use_batch,
-                    "policy": policy,
-                },
-                start_method=start_method,
-            )
-        except PoolUnavailable:
-            self._pool = None  # degraded: every query runs serially
+        self._start_pool(
+            self._shared.handle, workers, num_slices, start_method, engine_options
+        )
 
     @classmethod
     def from_ring(
@@ -111,10 +84,7 @@ class ParallelRingIndex(RingIndex):
         workers: int = 2,
         num_slices: Optional[int] = None,
         start_method: Optional[str] = None,
-        use_lonely: bool = True,
-        use_ordering: bool = True,
-        use_batch: bool = True,
-        policy: str = "static",
+        **engine_options,
     ) -> "ParallelRingIndex":
         """Parallel driver over a prebuilt ring (no index construction).
 
@@ -125,20 +95,7 @@ class ParallelRingIndex(RingIndex):
         out across workers in O(working set) RAM.  Rings without a pack
         behind them (shm-attached, hand-built) export as usual.
         """
-        index = RingIndex.from_ring.__func__(
-            cls,
-            ring,
-            graph,
-            use_lonely=use_lonely,
-            use_ordering=use_ordering,
-            use_batch=use_batch,
-            policy=policy,
-        )
-        index._use_lonely = use_lonely
-        index._workers = max(1, int(workers))
-        index._num_slices = (
-            int(num_slices) if num_slices else 2 * index._workers
-        )
+        index = RingIndex.from_ring.__func__(cls, ring, graph, **engine_options)
         pack_path = getattr(ring, "_pack_path", None)
         if pack_path is not None and getattr(ring, "_pack_mmap", False):
             from repro.parallel.shm import PackHandle
@@ -148,21 +105,28 @@ class ParallelRingIndex(RingIndex):
         else:
             index._shared = export_ring(ring)
             handle = index._shared.handle
+        index._start_pool(
+            handle, workers, num_slices, start_method, engine_options
+        )
+        return index
+
+    def _start_pool(
+        self, handle, workers, num_slices, start_method, engine_options
+    ) -> None:
+        """Spawn the workers over ``handle``, each running the parent's
+        engine configuration; a pool that cannot start leaves the index
+        degraded (every query runs serially)."""
+        self._workers = max(1, int(workers))
+        self._num_slices = int(num_slices) if num_slices else 2 * self._workers
         try:
-            index._pool = WorkerPool(
+            self._pool: Optional[WorkerPool] = WorkerPool(
                 handle,
-                workers=index._workers,
-                engine_opts={
-                    "use_lonely": use_lonely,
-                    "use_ordering": use_ordering,
-                    "use_batch": use_batch,
-                    "policy": policy,
-                },
+                workers=self._workers,
+                engine_opts=engine_options,
                 start_method=start_method,
             )
         except PoolUnavailable:
-            index._pool = None
-        return index
+            self._pool = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -218,31 +182,12 @@ class ParallelRingIndex(RingIndex):
             )
             return
 
-        # Replicate the engine's preamble so the parent, the planner and
+        # The engine's own preamble, so the parent, the planner and
         # every worker agree on the same live iterators and order.
-        iters = [self.iterator(t) for t in bgp]
-        live: list[PatternIterator] = []
-        for it in iters:
-            if it.count() == 0:
-                return  # some pattern is unsatisfiable
-            if not it.pattern.is_fully_bound():
-                live.append(it)
-        by_var: dict[Var, list[PatternIterator]] = {}
-        for it in live:
-            for var in it.pattern.variables():
-                by_var.setdefault(var, []).append(it)
-        lonely = (
-            {v for v, its in by_var.items() if len(its) == 1}
-            if self._use_lonely
-            else set()
-        )
-        shared = [v for v in by_var if v not in lonely]
-        if var_order is not None:
-            order = [v for v in var_order if v in by_var and v not in lonely]
-            if set(order) != set(shared):
-                raise ValueError("var_order must cover every non-lonely variable")
-        else:
-            order = self._engine._variable_order(shared, by_var)
+        analysed = self._engine._analyse(bgp, var_order)
+        if analysed is None:
+            return  # some pattern is unsatisfiable
+        live, by_var, order, _lonely_by_iter = analysed
 
         # Dynamic policies: the sliced (and per-worker pinned) first
         # variable is the policy's own depth-0 choice, so workers only

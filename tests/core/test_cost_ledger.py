@@ -5,7 +5,9 @@ rows, result rows — of the 17 WGPB shapes under every planning policy on
 one seeded graph.  A change that only makes a leap *cheaper* (the fused
 wavelet level loops) must leave every number here untouched; a change
 that alters how many leaps are made shows up as a diff of this table,
-reviewed like code, before any timing run.
+reviewed like code, before any timing run.  ``SLICED`` pins the
+``first_range`` clip the same way: leaps + binds summed over a fixed
+4-way split of the first variable's domain.
 
 Regenerate (after an intended algorithmic change) with::
 
@@ -13,6 +15,8 @@ Regenerate (after an intended algorithmic change) with::
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -133,6 +137,27 @@ LEDGER: dict[str, dict[str, tuple[int, int, int, int]]] = {
     },
 }
 
+#: shape -> policy -> leaps + binds over the 4 slices of ``_quarters``.
+SLICED: dict[str, dict[str, int]] = {
+    'P2': {'static': 132, 'rowcount': 132, 'distinct': 132, 'adaptive': 132},
+    'P3': {'static': 494, 'rowcount': 494, 'distinct': 494, 'adaptive': 494},
+    'P4': {'static': 343, 'rowcount': 343, 'distinct': 5248, 'adaptive': 343},
+    'T2': {'static': 1086, 'rowcount': 1086, 'distinct': 1086, 'adaptive': 1086},
+    'T3': {'static': 587, 'rowcount': 587, 'distinct': 587, 'adaptive': 587},
+    'T4': {'static': 711, 'rowcount': 711, 'distinct': 711, 'adaptive': 711},
+    'Ti2': {'static': 1233, 'rowcount': 1233, 'distinct': 1233, 'adaptive': 1233},
+    'Ti3': {'static': 629, 'rowcount': 629, 'distinct': 629, 'adaptive': 629},
+    'Ti4': {'static': 870, 'rowcount': 870, 'distinct': 870, 'adaptive': 870},
+    'J3': {'static': 374, 'rowcount': 374, 'distinct': 374, 'adaptive': 374},
+    'J4': {'static': 208, 'rowcount': 208, 'distinct': 208, 'adaptive': 208},
+    'Tr1': {'static': 1596, 'rowcount': 1146, 'distinct': 1596, 'adaptive': 1146},
+    'Tr2': {'static': 1295, 'rowcount': 1100, 'distinct': 1295, 'adaptive': 1116},
+    'S1': {'static': 5500, 'rowcount': 3573, 'distinct': 5500, 'adaptive': 3573},
+    'S2': {'static': 6517, 'rowcount': 2451, 'distinct': 6517, 'adaptive': 2451},
+    'S3': {'static': 1662, 'rowcount': 1645, 'distinct': 1662, 'adaptive': 1645},
+    'S4': {'static': 7794, 'rowcount': 4868, 'distinct': 355846, 'adaptive': 4280},
+}
+
 
 def _workload():
     graph = wikidata_like(4000, seed=0)
@@ -156,6 +181,38 @@ def measure() -> dict[str, dict[str, tuple[int, int, int, int]]]:
     return ledger
 
 
+def _quarters(universe: int) -> list[tuple[int, int]]:
+    bounds = [i * universe // 4 for i in range(5)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def measure_sliced() -> dict[str, dict[str, int]]:
+    """The first instance of each shape, run as four ``first_range``
+    slices (``LIMIT // 4`` rows each) with the first variable pinned
+    the way the parallel driver pins it."""
+    graph, by_shape = _workload()
+    cuts = _quarters(max(graph.n_nodes, graph.n_predicates))
+    sliced: dict[str, dict[str, int]] = {}
+    for policy in POLICIES:
+        engine = RingIndex(graph, policy=policy)._engine
+        for shape, instances in by_shape.items():
+            bgp = instances[0]
+            _live, by_var, order, _lonely = engine._analyse(bgp)
+            if policy == "static":
+                pin = {"var_order": order}
+            else:
+                pin = {"first_var": engine.first_variable(order, by_var)}
+            total = 0
+            for cut in cuts:
+                stats: dict = {}
+                rows = engine.evaluate(bgp, stats=stats, first_range=cut, **pin)
+                for _ in islice(rows, LIMIT // 4):
+                    pass
+                total += stats["leaps"] + stats["binds"]
+            sliced.setdefault(shape, {})[policy] = total
+    return sliced
+
+
 @pytest.fixture(scope="module")
 def measured():
     return measure()
@@ -172,6 +229,10 @@ def test_counts_match_the_ledger(measured, policy):
     got = {shape: measured[shape][policy] for shape in LEDGER}
     want = {shape: LEDGER[shape][policy] for shape in LEDGER}
     assert got == want
+
+
+def test_sliced_counts_match_the_ledger():
+    assert measure_sliced() == SLICED
 
 
 #: The public BitVector callables the benchmark's tracer wraps.
@@ -224,4 +285,8 @@ if __name__ == "__main__":
         for policy, counts in by_policy.items():
             print(f"        {policy!r}: {counts},")
         print("    },")
+    print("}")
+    print("SLICED = {")
+    for shape, by_policy in measure_sliced().items():
+        print(f"    {shape!r}: {by_policy},")
     print("}")

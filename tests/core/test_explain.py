@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import RingIndex
-from repro.graph import Var
+from repro.graph import Var, parse_bgp
 from repro.graph.generators import nobel_graph
 
 
@@ -45,6 +45,20 @@ class TestExplain:
     def test_unknown_constant(self, nobel):
         plan = nobel.explain("?x madeup ?y")
         assert plan.get("empty")
+
+    def test_empty_pattern_agrees_with_evaluate(self, nobel):
+        # Every constant encodes, but Bohr never won anything: evaluate
+        # and plan_signature say "no solutions", and so must the plan —
+        # with the zero cardinality visible instead of an order.
+        query = "Bohr win ?y . ?y adv ?z . ?z adv ?x"
+        assert nobel.evaluate(query) == []
+        encoded = nobel.graph.encode_bgp(parse_bgp(query))
+        assert nobel._engine.plan_signature(encoded) is None
+        plan = nobel.explain(query)
+        assert plan["empty"]
+        assert plan["variable_order"] == []
+        assert plan.get("first_variable") is None
+        assert sorted(plan["pattern_cardinalities"].values()) == [0, 4, 4]
 
     def test_ordering_flag_off(self):
         index = RingIndex(nobel_graph(), use_ordering=False)

@@ -1,12 +1,16 @@
 """End-to-end LTJ tests over the ring, cross-checked against brute force."""
 
+from itertools import chain, islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.wgpb import generate_wgpb_queries
 from repro.core import CompressedRingIndex, QueryTimeout, RingIndex
 from repro.core.iterators import RingIterator
+from repro.core.ltj import POLICIES
 from repro.core.ring import Ring
 from repro.graph import BasicGraphPattern, TriplePattern, Var, parse_bgp
 from repro.graph.dataset import Graph
@@ -304,6 +308,83 @@ class TestEngineOptions:
 
     def test_bytes_per_triple_positive(self, nobel):
         assert nobel.bytes_per_triple() > 0
+
+
+SLICE_ROWS = 500
+
+
+def _cuts(values, universe, k):
+    """``k`` ascending ``[lo, hi)`` ranges covering ``[0, universe)``.
+
+    Inner boundaries alternate between a solution value and one past it
+    (on and between values), and the last one repeats (an empty range).
+    """
+    if k == 1:
+        return [(0, universe)]
+    inner = sorted(
+        values[i * len(values) // (k - 1)] + i % 2 for i in range(1, k - 1)
+    )
+    bounds = [0, *inner, inner[-1], universe]
+    return list(zip(bounds, bounds[1:]))
+
+
+class TestSliceContract:
+    """``first_range`` slices concatenate to the unrestricted rows.
+
+    The parallel driver's contract, asserted on the engine itself: for
+    every WGPB shape and policy the ascending concatenation of disjoint
+    slices of the first variable's domain is list-equal to the one
+    unrestricted enumeration — through the seek loop (a shared first
+    variable) and, with the lonely pass off and a single-pattern
+    variable first, through the single-iterator sweep.
+    """
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        graph = wikidata_like(400, seed=5)
+        return graph, generate_wgpb_queries(graph, queries_per_shape=1, seed=1)
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["seek", "sweep"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_slices_concatenate_to_the_whole(self, workload, policy, sweep):
+        graph, by_shape = workload
+        engine = RingIndex(graph, policy=policy, use_lonely=not sweep)._engine
+        universe = max(graph.n_nodes, graph.n_predicates)
+        swept = 0
+        for shape, (bgp,) in by_shape.items():
+            _live, by_var, order, _lonely = engine._analyse(bgp)
+            first = order[0] if policy == "static" else engine.first_variable(
+                order, by_var
+            )
+            if sweep:
+                first = next((v for v in order if len(by_var[v]) == 1), first)
+            swept += len(by_var[first]) == 1
+            if policy == "static":
+                pin = {"var_order": [first] + [v for v in order if v != first]}
+            else:
+                pin = {"first_var": first}
+            whole = list(islice(engine.evaluate(bgp, **pin), SLICE_ROWS))
+            assert whole, shape
+            values = sorted({mu[first] for mu in whole})
+            for k in (1, 3, 8):
+                cuts = _cuts(values, universe, k)
+                assert len(cuts) == k
+                pieces = chain.from_iterable(
+                    engine.evaluate(bgp, first_range=cut, **pin) for cut in cuts
+                )
+                assert list(islice(pieces, SLICE_ROWS)) == whole, (shape, k)
+        assert (swept > 0) == sweep
+
+    def test_first_range_needs_a_shared_variable(self, nobel):
+        bgp = encoded(nobel.graph, "?x adv ?y")  # both variables lonely
+        with pytest.raises(ValueError, match="shared join variable"):
+            list(nobel._engine.evaluate(bgp, first_range=(0, 5)))
+
+    def test_first_var_needs_a_dynamic_policy(self, nobel):
+        bgp = encoded(nobel.graph, "?x nom ?y . ?x win ?z")
+        assert nobel.policy == "static"
+        with pytest.raises(ValueError, match="dynamic policy"):
+            list(nobel._engine.evaluate(bgp, first_var=X))
 
 
 @st.composite

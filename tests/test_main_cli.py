@@ -92,6 +92,16 @@ class TestExplainPathStats:
         main(["explain", index_path, "?x nope ?y"])
         assert "0 solutions" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["explain", "plan"])
+    def test_empty_pattern_is_named(self, index_path, capsys, command):
+        # All constants exist, yet Thomson won nothing: no order and no
+        # "constants absent" line, but the pattern that matches nothing.
+        main([command, index_path, "Thomson win ?y . ?y adv ?z"])
+        out = capsys.readouterr().out
+        assert "matches no triple: 0 solutions" in out
+        assert "absent from the graph" not in out
+        assert "elimination order" not in out
+
     def test_path(self, index_path, capsys):
         main(["path", index_path, "adv+", "--source", "Bohr"])
         out = capsys.readouterr().out
