@@ -238,7 +238,10 @@ def write_pack_manifest(
     dictionary: Optional[Dictionary] = None,
 ) -> dict:
     """Write the frozen sidecar; shared by :func:`write_frozen_ring` and
-    the streaming builder so both produce byte-identical manifests."""
+    the streaming builder so both produce byte-identical manifests.
+
+    The sidecar is fsync'd: its array table is required to open the
+    pack, so it must be as durable as the pack itself."""
     payload: dict = {
         "format_version": FROZEN_FORMAT_VERSION,
         "kind": FROZEN_KIND,
@@ -274,6 +277,8 @@ def write_pack_manifest(
         }
     with open(manifest_path(path), "w") as f:
         json.dump(payload, f)
+        f.flush()
+        os.fsync(f.fileno())
     return payload
 
 

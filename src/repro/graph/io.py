@@ -1,12 +1,15 @@
 """Persistence for graphs and indexes.
 
 Graphs serialise to a single ``.npz`` (triple array + universes +
-optional dictionary labels).  Index classes persist their *source graph
-and configuration* and rebuild on load: ring construction is linear-ish
-and fast (§4.4 reports 6.4 M triples/minute for the C++ version; our
-numpy construction path keeps the same shape), so rebuilding is cheaper
-than shipping the wavelet internals and keeps the on-disk format
-trivially stable.
+optional dictionary labels).  The static ``RingIndex.save`` persists
+its *source graph and configuration* this way and rebuilds on load:
+ring construction is linear-ish and fast (§4.4 reports 6.4 M
+triples/minute for the C++ version; our numpy construction path keeps
+the same shape), and it is the only form a compressed C-Ring has.
+Durable-store checkpoints do not: they hold each ring as its frozen
+pack (:mod:`repro.core.frozen`) and open it without a rebuild; only
+their ``universe.npz`` (universes + dictionary, no triples) is written
+here.
 """
 
 from __future__ import annotations

@@ -13,16 +13,18 @@ already follows becomes production-viable:
   CRC no longer matches) rather than deserialising garbage — a torn
   record was by construction never acknowledged;
 - **checkpoints** (:func:`write_checkpoint` / :func:`load_checkpoint`)
-  — the frozen static rings persist through the existing
-  integrity-manifest machinery (``graph_io.save_graph`` + SHA-256
-  sidecars, exactly like ``Ring.save``), the buffer and tombstone sets
-  ride in the checkpoint ``MANIFEST.json``.  A checkpoint is written
+  — each static ring persists once, as its frozen pack
+  (:mod:`repro.core.frozen`: the ring's own arrays plus a SHA-256
+  sidecar — the ring is the data, no triple is decoded or rebuilt),
+  the buffer and tombstone sets ride in the checkpoint
+  ``MANIFEST.json``.  A checkpoint is written
   to a fresh ``checkpoint-<epoch>`` directory and becomes current only
   when the one-line ``CURRENT`` pointer file is atomically replaced —
   a crash mid-checkpoint leaves the previous checkpoint (plus the full
   WAL) authoritative;
-- **recovery** (:meth:`DurableDynamicRing.recover`) — load the current
-  checkpoint (payload checksums + the PR-1 structural self-checks),
+- **recovery** (:meth:`DurableDynamicRing.recover`) — open the current
+  checkpoint's packs, eagerly or memory-mapped (pack checksums + the
+  PR-1 structural self-checks),
   replay the WAL tail on top, reopen the log for appending.  Replay
   skips records the checkpoint already contains (same WAL generation,
   offset below the checkpoint's high-water mark) and re-applies the
@@ -35,7 +37,10 @@ Layout of an index directory::
     <dir>/wal.log                      header + CRC-framed records
     <dir>/CURRENT                      name of the live checkpoint dir
     <dir>/checkpoint-<epoch>/MANIFEST.json
-    <dir>/checkpoint-<epoch>/ring-000.npz[.config.json] ...
+    <dir>/checkpoint-<epoch>/ring-000.ring[.config.json] ...
+
+A store the sharded bulk builder installs
+(:func:`install_frozen_checkpoint`) has exactly this shape.
 
 Fault-injection sites ``wal.append``, ``wal.fsync`` and
 ``checkpoint.write`` (see :mod:`repro.reliability.faults`) hook the
@@ -64,6 +69,7 @@ from repro.graph.dataset import Graph
 from repro.reliability.integrity import (
     IndexIntegrityError,
     checked_load_graph,
+    manifest_path,
     read_manifest,
     verify_file,
     verify_ring_structure,
@@ -342,16 +348,6 @@ class CheckpointState:
     checks: list[str] = field(default_factory=list)
 
 
-def _ring_graph(ring: Ring, n_nodes: int, n_predicates: int) -> Graph:
-    """Materialise a ring's triples back into a Graph (§3.1.2 decode)."""
-    # Per-triple on purpose for now: switching to ``ring.triples()`` is
-    # held back for a PR of its own (ROADMAP item 2(b) says why).
-    triples = np.array(
-        [ring.triple(i) for i in range(ring.n)], dtype=np.int64
-    ).reshape(-1, 3)
-    return Graph(triples, n_nodes=n_nodes, n_predicates=n_predicates)
-
-
 def current_checkpoint_dir(directory) -> Optional[str]:
     """Resolve the ``CURRENT`` pointer, or ``None`` before any checkpoint."""
     pointer = os.path.join(str(directory), CURRENT_POINTER)
@@ -369,6 +365,76 @@ def current_checkpoint_dir(directory) -> Optional[str]:
     return target
 
 
+def _checkpoint_path(directory: str, epoch: int) -> str:
+    return os.path.join(directory, f"{CHECKPOINT_PREFIX}{epoch:010d}")
+
+
+def _fresh_checkpoint_tmp(directory: str, epoch: int) -> str:
+    """An empty ``checkpoint-<epoch>.tmp`` (stale leftovers removed)."""
+    final_dir = _checkpoint_path(directory, epoch)
+    tmp_dir = final_dir + ".tmp"
+    for stale in (tmp_dir, final_dir):
+        if os.path.exists(stale):
+            shutil.rmtree(stale)
+    os.makedirs(tmp_dir)
+    return tmp_dir
+
+
+def _publish_checkpoint(
+    directory: str,
+    *,
+    epoch: int,
+    n_nodes: int,
+    n_predicates: int,
+    rings: list[dict],
+    buffer: Iterable[Triple] = (),
+    tombstones: Iterable[Triple] = (),
+    wal_generation: int,
+    wal_offset: int,
+) -> str:
+    """Make the fully written ``checkpoint-<epoch>.tmp`` the live checkpoint.
+
+    The one publish path: every pack and its sidecar (whose array table
+    is required to open the pack) are fsync'd, then ``MANIFEST.json``,
+    then the directory is renamed into place and the ``CURRENT`` pointer
+    atomically replaced, each rename followed by a directory fsync.  A
+    crash before the pointer swap leaves the previous checkpoint live.
+    """
+    final_dir = _checkpoint_path(directory, epoch)
+    tmp_dir = final_dir + ".tmp"
+    for entry in rings:
+        ppath = os.path.join(tmp_dir, entry["pack"])
+        for path in (ppath, manifest_path(ppath)):
+            with open(path, "rb") as f:
+                _fsync(f)
+    manifest = {
+        "format_version": CHECKPOINT_VERSION,
+        "epoch": int(epoch),
+        "n_nodes": int(n_nodes),
+        "n_predicates": int(n_predicates),
+        "rings": rings,
+        "buffer": sorted([int(s), int(p), int(o)] for s, p, o in buffer),
+        "tombstones": sorted([int(s), int(p), int(o)] for s, p, o in tombstones),
+        "wal_generation": int(wal_generation),
+        "wal_offset": int(wal_offset),
+    }
+    with open(os.path.join(tmp_dir, CHECKPOINT_MANIFEST), "w") as f:
+        json.dump(manifest, f)
+        _fsync(f)
+    _fsync_dir(tmp_dir)
+
+    os.replace(tmp_dir, final_dir)
+    _fsync_dir(directory)
+
+    pointer_tmp = os.path.join(directory, CURRENT_POINTER + ".tmp")
+    with open(pointer_tmp, "w") as f:
+        f.write(os.path.basename(final_dir))
+        _fsync(f)
+    os.replace(pointer_tmp, os.path.join(directory, CURRENT_POINTER))
+    _fsync_dir(directory)
+    return final_dir
+
+
 def write_checkpoint(
     directory,
     *,
@@ -383,76 +449,38 @@ def write_checkpoint(
 ) -> str:
     """Persist one consistent component set; atomic via pointer swap.
 
-    The checkpoint directory is fully written (ring payloads with
-    SHA-256 sidecar manifests, then the JSON manifest, each fsync'd)
-    *before* the ``CURRENT`` pointer is atomically replaced.  A crash
-    at any byte of this function leaves the previous checkpoint — and
-    therefore the previous recovery outcome — untouched.
+    Each ring is written once, as its frozen pack — the ring *is* the
+    data, no triple is decoded.  The checkpoint directory is fully
+    written and fsync'd *before* the ``CURRENT`` pointer is atomically
+    replaced (:func:`_publish_checkpoint`).  A crash at any byte of
+    this function leaves the previous checkpoint — and therefore the
+    previous recovery outcome — untouched.
     """
+    from repro.core.frozen import write_frozen_ring
+
     directory = str(directory)
-    name = f"{CHECKPOINT_PREFIX}{epoch:010d}"
-    final_dir = os.path.join(directory, name)
-    tmp_dir = final_dir + ".tmp"
-    for stale in (tmp_dir, final_dir):
-        if os.path.exists(stale):
-            shutil.rmtree(stale)
-    os.makedirs(tmp_dir)
-
-    from repro.core.frozen import RingLayoutError, write_frozen_ring
-
-    ring_entries = []
+    tmp_dir = _fresh_checkpoint_tmp(directory, epoch)
+    entries = []
     for i, ring in enumerate(rings):
-        g = _ring_graph(ring, n_nodes, n_predicates)
-        fname = f"ring-{i:03d}.npz"
-        fpath = os.path.join(tmp_dir, fname)
-        graph_io.save_graph(g, fpath)
-        write_manifest(fpath, compressed=False, graph=g)
-        with open(fpath, "rb") as f:
-            _fsync(f)
-        entry = {"file": fname, "n_triples": int(g.n_triples)}
-        # Also persist the ring as a frozen pack so recovery can open it
-        # memory-mapped (recover(mmap=True)) instead of rebuilding the
-        # succinct structures from the .npz.  Compressed rings have no
-        # flat form; they simply fall back to the rebuild path.
-        try:
-            pack_name = f"ring-{i:03d}.ring"
-            write_frozen_ring(
-                ring,
-                os.path.join(tmp_dir, pack_name),
-                n_nodes=n_nodes,
-                n_predicates=n_predicates,
-            )
-            entry["pack"] = pack_name
-        except RingLayoutError:
-            pass
-        ring_entries.append(entry)
-
-    manifest = {
-        "format_version": CHECKPOINT_VERSION,
-        "epoch": int(epoch),
-        "n_nodes": int(n_nodes),
-        "n_predicates": int(n_predicates),
-        "rings": ring_entries,
-        "buffer": sorted([int(s), int(p), int(o)] for s, p, o in buffer),
-        "tombstones": sorted([int(s), int(p), int(o)] for s, p, o in tombstones),
-        "wal_generation": int(wal_generation),
-        "wal_offset": int(wal_offset),
-    }
-    mpath = os.path.join(tmp_dir, CHECKPOINT_MANIFEST)
-    with open(mpath, "w") as f:
-        json.dump(manifest, f)
-        _fsync(f)
-
-    os.replace(tmp_dir, final_dir)
-    _fsync_dir(directory)
-
-    pointer_tmp = os.path.join(directory, CURRENT_POINTER + ".tmp")
-    with open(pointer_tmp, "w") as f:
-        f.write(name)
-        _fsync(f)
-    os.replace(pointer_tmp, os.path.join(directory, CURRENT_POINTER))
-    _fsync_dir(directory)
-    return final_dir
+        pack_name = f"ring-{i:03d}.ring"
+        write_frozen_ring(
+            ring,
+            os.path.join(tmp_dir, pack_name),
+            n_nodes=n_nodes,
+            n_predicates=n_predicates,
+        )
+        entries.append({"pack": pack_name, "n_triples": int(ring.n)})
+    return _publish_checkpoint(
+        directory,
+        epoch=epoch,
+        n_nodes=n_nodes,
+        n_predicates=n_predicates,
+        rings=entries,
+        buffer=buffer,
+        tombstones=tombstones,
+        wal_generation=wal_generation,
+        wal_offset=wal_offset,
+    )
 
 
 def install_frozen_checkpoint(
@@ -467,23 +495,16 @@ def install_frozen_checkpoint(
     """Adopt a bulk-built frozen pack as a durable store's first checkpoint.
 
     The sharded bulk builder (:func:`repro.graph.bulkload.bulk_build_sharded`)
-    writes each shard's pack once and must not pay a second pass to
-    materialise the ``.npz`` ring payload ``write_checkpoint`` produces —
-    so this installs a *pack-only* checkpoint: the pack (and its sidecar
-    manifest) is moved into ``checkpoint-<epoch>/`` as the single ring
-    entry, a fresh generation-0 WAL is created, and the ``CURRENT``
-    pointer is published with the same fsync discipline as
-    :func:`write_checkpoint`.  ``load_checkpoint`` opens such entries
-    through the pack in both eager and mmap modes, so
-    ``DurableDynamicRing.recover(mmap=True)`` serves the shard with
-    zero extra passes over the data.
+    writes each shard's pack once; this moves it (and its sidecar) into
+    ``checkpoint-<epoch>/`` as the single ring entry, creates a fresh
+    generation-0 WAL, and publishes through the same tail as
+    :func:`write_checkpoint` — the resulting directory is
+    indistinguishable from one a :class:`DurableDynamicRing` wrote.
 
     The caller must already have placed ``universe.npz`` (plus its
     sidecar) in ``directory``; refuses to touch a directory that
     already holds a WAL.
     """
-    from repro.reliability.integrity import manifest_path
-
     directory = str(directory)
     pack_path = str(pack_path)
     wal_path = os.path.join(directory, WAL_FILE)
@@ -493,47 +514,20 @@ def install_frozen_checkpoint(
     wal_offset = wal.tell()
     wal.close()
 
-    name = f"{CHECKPOINT_PREFIX}{epoch:010d}"
-    final_dir = os.path.join(directory, name)
-    tmp_dir = final_dir + ".tmp"
-    for stale in (tmp_dir, final_dir):
-        if os.path.exists(stale):
-            shutil.rmtree(stale)
-    os.makedirs(tmp_dir)
-
+    tmp_dir = _fresh_checkpoint_tmp(directory, epoch)
     pack_name = "ring-000.ring"
     dest = os.path.join(tmp_dir, pack_name)
     shutil.move(pack_path, dest)
     shutil.move(manifest_path(pack_path), manifest_path(dest))
-    with open(dest, "rb") as f:
-        _fsync(f)
-
-    manifest = {
-        "format_version": CHECKPOINT_VERSION,
-        "epoch": int(epoch),
-        "n_nodes": int(n_nodes),
-        "n_predicates": int(n_predicates),
-        "rings": [{"pack": pack_name, "n_triples": int(n_triples)}],
-        "buffer": [],
-        "tombstones": [],
-        "wal_generation": 0,
-        "wal_offset": int(wal_offset),
-    }
-    mpath = os.path.join(tmp_dir, CHECKPOINT_MANIFEST)
-    with open(mpath, "w") as f:
-        json.dump(manifest, f)
-        _fsync(f)
-
-    os.replace(tmp_dir, final_dir)
-    _fsync_dir(directory)
-
-    pointer_tmp = os.path.join(directory, CURRENT_POINTER + ".tmp")
-    with open(pointer_tmp, "w") as f:
-        f.write(name)
-        _fsync(f)
-    os.replace(pointer_tmp, os.path.join(directory, CURRENT_POINTER))
-    _fsync_dir(directory)
-    return final_dir
+    return _publish_checkpoint(
+        directory,
+        epoch=epoch,
+        n_nodes=n_nodes,
+        n_predicates=n_predicates,
+        rings=[{"pack": pack_name, "n_triples": int(n_triples)}],
+        wal_generation=0,
+        wal_offset=wal_offset,
+    )
 
 
 def load_checkpoint(
@@ -541,16 +535,15 @@ def load_checkpoint(
 ) -> Optional[CheckpointState]:
     """Load the current checkpoint; ``None`` when none was ever taken.
 
-    With ``verify=True`` every ring payload's SHA-256 is compared
-    against its sidecar and the rebuilt ring runs the full structural
-    self-check battery from :mod:`repro.reliability.integrity`.
-
-    ``mmap=True`` opens each ring's frozen pack memory-mapped instead
-    of rebuilding from the ``.npz`` — recovery RSS then grows with the
-    pages queries touch, not with checkpoint size.  Verification
-    downgrades to the O(1) layout check plus structural spot-checks
-    (full checksums would read every page, defeating the cold map);
-    checkpoints written before packs existed fall back per ring.
+    Every ring opens one way, through its frozen pack: eagerly (one
+    sequential read) or, with ``mmap=True``, memory-mapped — recovery
+    RSS then grows with the pages queries touch, not with checkpoint
+    size.  With ``verify=True`` an eager open streams each pack's
+    SHA-256 against its sidecar on top of the layout check; a mapped
+    open keeps to the O(1) layout check (full checksums would read
+    every page, defeating the cold map).  Both then cross-check
+    ``n_triples`` against the manifest and run the structural
+    self-checks from :mod:`repro.reliability.integrity`.
     """
     cpdir = current_checkpoint_dir(directory)
     if cpdir is None:
@@ -583,53 +576,37 @@ def load_checkpoint(
         wal_generation=int(manifest.get("wal_generation", 0)),
         wal_offset=int(manifest.get("wal_offset", HEADER_SIZE)),
     )
-    from repro.core.frozen import open_frozen_ring, verify_frozen_layout
+    from repro.core.frozen import open_frozen_ring
 
+    deep = verify and not mmap
     for entry in manifest.get("rings", []):
         pack = entry.get("pack")
-        fname = entry.get("file")
-        # Pack-backed rings serve the mmap path; pack-*only* entries
-        # (bulk-built shard checkpoints, which never materialise a
-        # .npz — see install_frozen_checkpoint) open through the pack
-        # in either mode, eagerly when mmap is off.
-        if pack is not None and (mmap or fname is None):
-            ppath = os.path.join(cpdir, pack)
-            if verify:
-                verify_frozen_layout(ppath)
-            ring, _ = open_frozen_ring(ppath, mmap=mmap, verify=verify)
-            if ring.n != int(entry["n_triples"]):
-                raise IndexIntegrityError(
-                    ppath,
-                    f"checkpoint pack has {ring.n} triples, "
-                    f"manifest says {entry['n_triples']}",
-                )
-            if verify:
-                state.checks.extend(
-                    verify_ring_structure(
-                        ring, expected_n=ring.n, path=ppath
-                    )
-                )
-            state.rings.append(ring)
-            continue
-        fpath = os.path.join(cpdir, fname)
-        if verify:
-            verify_file(fpath, read_manifest(fpath))
-        graph = checked_load_graph(fpath)
-        if graph.n_triples != int(entry["n_triples"]):
+        if pack is None:
             raise IndexIntegrityError(
-                fpath,
-                f"checkpoint ring has {graph.n_triples} triples, "
+                mpath,
+                f"ring entry {entry.get('file')!r} has no frozen pack, the "
+                "only form a checkpointed ring is opened from; run 'repro "
+                "recover <dir> --checkpoint' with the release that wrote "
+                "the store (it adds the pack), or re-create the store "
+                "from its source graph",
+            )
+        ppath = os.path.join(cpdir, pack)
+        ring, _ = open_frozen_ring(
+            ppath, mmap=mmap, verify=verify, deep_verify=deep
+        )
+        if ring.n != int(entry["n_triples"]):
+            raise IndexIntegrityError(
+                ppath,
+                f"checkpoint pack has {ring.n} triples, "
                 f"manifest says {entry['n_triples']}",
             )
-        ring = Ring(graph)
         if verify:
+            state.checks.append(
+                f"frozen pack {pack}: layout"
+                + (" + sha256 checksum" if deep else " (memmapped)")
+            )
             state.checks.extend(
-                verify_ring_structure(
-                    ring,
-                    graph=graph,
-                    expected_n=graph.n_triples,
-                    path=fpath,
-                )
+                verify_ring_structure(ring, expected_n=ring.n, path=ppath)
             )
         state.rings.append(ring)
     state.checks.append(
@@ -783,9 +760,10 @@ class DurableDynamicRing:
         checkpoint → WAL-tail replay → structural verification; a torn
         WAL tail is truncated (those operations were never
         acknowledged), a corrupt checkpoint or unreadable WAL header
-        raises :class:`IndexIntegrityError` loudly.  ``mmap=True``
-        serves the checkpointed rings straight off their frozen packs
-        (see :func:`load_checkpoint`).
+        raises :class:`IndexIntegrityError` loudly.  The checkpointed
+        rings open from their frozen packs — read whole and SHA-256
+        checked by default, memory-mapped with ``mmap=True`` (see
+        :func:`load_checkpoint`).
         """
         directory = str(directory)
         upath = os.path.join(directory, UNIVERSE_FILE)
@@ -1033,7 +1011,7 @@ def verify_dynamic_dir(directory, samples: int = 32) -> dict:
     """Non-destructive integrity battery over a durable index directory.
 
     Checks the universe payload, the current checkpoint (manifest
-    cross-consistency, per-ring SHA-256 + structural self-checks) and
+    cross-consistency, per-pack SHA-256 + structural self-checks) and
     every WAL frame's CRC; a torn WAL tail is *reported* (it is exactly
     what recovery would truncate), while checksum or manifest damage
     raises :class:`IndexIntegrityError`.
@@ -1058,20 +1036,6 @@ def verify_dynamic_dir(directory, samples: int = 32) -> dict:
         base = sum(r.n for r in state.rings) + len(state.buffer) - len(
             state.tombstones
         )
-        # Frozen packs ride beside the .npz payloads; a torn pack would
-        # poison mmap recovery, so deep-verify each one too.
-        from repro.core.frozen import verify_frozen_layout
-
-        cpdir = state.directory
-        packs = sorted(
-            name for name in os.listdir(cpdir) if name.endswith(".ring")
-        )
-        for name in packs:
-            verify_frozen_layout(os.path.join(cpdir, name), deep=True)
-        if packs:
-            report["checks"].append(
-                f"frozen pack layout + checksum ({len(packs)} pack(s))"
-            )
 
     rep = replay(os.path.join(directory, WAL_FILE))
     report["checks"].append(

@@ -188,23 +188,36 @@ class TestCrashProperty:
 
 class TestTypedFailures:
     def test_corrupt_checkpoint_ring_raises(self, tmp_path):
-        workdir = tmp_path / "d"
-        store = DurableDynamicRing.create(
-            workdir, universe(), buffer_threshold=4
-        )
-        for i in range(12):
-            store.insert(i, 0, i + 1)
-        store.index.compact()  # freeze into a ring so the checkpoint has one
-        cpdir = store.checkpoint()
-        store.close()
-        ring_files = [f for f in os.listdir(cpdir) if f.endswith(".npz")]
-        assert ring_files, "checkpoint should persist at least one ring"
-        victim = os.path.join(cpdir, ring_files[0])
-        with open(victim, "r+b") as f:
-            f.seek(50)
-            f.write(b"\xff\xff\xff\xff")
-        with pytest.raises(IndexIntegrityError):
-            DurableDynamicRing.recover(workdir)
+        from repro.reliability.integrity import manifest_path, verify_index
+
+        def flip_pack_bytes(pack):
+            # Same size, magic and footer intact: only the SHA-256 sees it.
+            with open(pack, "r+b") as f:
+                f.seek(os.path.getsize(pack) // 2)
+                f.write(b"\xff\xff\xff\xff")
+
+        def tear_sidecar(pack):
+            sidecar = manifest_path(pack)
+            with open(sidecar, "r+b") as f:
+                f.truncate(os.path.getsize(sidecar) // 2)
+
+        for damage in (flip_pack_bytes, tear_sidecar):
+            workdir = tmp_path / damage.__name__
+            store = DurableDynamicRing.create(
+                workdir, universe(), buffer_threshold=4
+            )
+            for i in range(12):
+                store.insert(i, 0, i + 1)
+            store.index.compact()  # freeze into a ring to checkpoint
+            cpdir = store.checkpoint()
+            store.close()
+            victim = os.path.join(cpdir, "ring-000.ring")
+            assert os.path.exists(victim), "checkpoint should persist its ring"
+            damage(victim)
+            with pytest.raises(IndexIntegrityError):
+                DurableDynamicRing.recover(workdir)
+            with pytest.raises(IndexIntegrityError):
+                verify_index(workdir)
 
     def test_missing_wal_raises(self, tmp_path):
         workdir = tmp_path / "d"
