@@ -12,6 +12,7 @@ Examples::
     python -m repro verify nobel.npz
     python -m repro stats nobel.npz
     python -m repro serve store/ --create --n-nodes 1000 --n-predicates 16
+    python -m repro shard-serve cluster/ --create --shards 4 --processes
     python -m repro recover store/
 
 Input formats for ``build``: ``.nt`` files go through the N-Triples
@@ -19,11 +20,17 @@ loader; anything else is parsed as whitespace-separated ``s p o`` lines.
 The benchmark entry points live under ``python -m repro.bench``.
 
 ``serve`` runs a durable dynamic ring (WAL + checkpoints, see
-:mod:`repro.reliability.wal`) behind a :class:`QueryBroker` and speaks a
-line protocol on stdin — ``INSERT s p o`` / ``DELETE s p o`` /
-``QUERY <bgp>`` / ``CHECKPOINT`` / ``STATS``; EOF shuts down cleanly.
-``recover`` replays the WAL against the latest checkpoint and reports
-what it did; ``verify`` accepts those directories too.
+:mod:`repro.reliability.wal`) behind a :class:`QueryBroker`;
+``shard-serve`` runs supervised durable shards behind a scatter-gather
+coordinator.  Both speak one line protocol on stdin through
+:mod:`repro.serving.frontend` — ``INSERT s p o`` / ``DELETE s p o`` /
+``QUERY <bgp>`` / ``STATS`` / ``QUIT``, plus ``CHECKPOINT`` (serve) or
+``KILL n`` / ``RESTART n`` (shard-serve) — one line at a time, so
+``--max-in-flight`` can only shed on a socket session.  EOF, QUIT and
+SIGTERM shut down cleanly: SIGTERM interrupts only the idle read, so a
+request already running completes and is answered before the final
+checkpoint.  ``recover`` replays the WAL against the latest checkpoint
+and reports what it did; ``verify`` accepts those directories too.
 
 Failure conventions (the serving-layer contract): user mistakes —
 nonexistent files, unreadable or corrupted indexes, malformed queries —
@@ -297,113 +304,20 @@ def cmd_verify(args) -> None:
 
 def _coerce_query(text: str, graph: Graph):
     """Parse a BGP; on id-only graphs, digit constants become ids."""
-    from repro.graph.model import BasicGraphPattern, TriplePattern, Var
-    from repro.graph.parser import parse_bgp
+    from repro.serving.frontend import coerce_query
 
-    bgp = parse_bgp(text)
-    if graph.dictionary is not None:
-        return bgp
-    patterns = []
-    for pattern in bgp.patterns:
-        terms = []
-        for term in pattern.terms:
-            if isinstance(term, str) and term.lstrip("-").isdigit():
-                term = int(term)
-            elif isinstance(term, str):
-                raise ValueError(
-                    f"constant {term!r} needs a dictionary-backed graph; "
-                    f"this store is id-only — use integer ids"
-                )
-            terms.append(term)
-        patterns.append(TriplePattern(*terms))
-    return BasicGraphPattern(patterns)
+    return coerce_query(text, graph)
 
 
 def _serve_line(line: str, store, broker, decode: bool) -> bool:
-    """Handle one protocol line; returns ``False`` on QUIT."""
-    from repro.reliability.broker import QueryRejected
+    """Answer one ``repro serve`` line on stdout; ``False`` on QUIT
+    (``decode`` follows the store's graph; the argument is ignored)."""
+    from repro.serving.frontend import LineFrontend, StoreService
 
-    tokens = line.split(None, 1)
-    verb = tokens[0].upper()
-    rest = tokens[1] if len(tokens) > 1 else ""
-    if verb == "QUIT":
-        return False
-    if verb in ("INSERT", "DELETE"):
-        parts = rest.split()
-        if len(parts) != 3:
-            raise ValueError(f"{verb} needs exactly 3 terms")
-        if store.graph.dictionary is not None and not all(
-            t.lstrip("-").isdigit() for t in parts
-        ):
-            method = getattr(store, f"{verb.lower()}_labelled")
-            changed = method(*parts)
-        else:
-            method = getattr(store, verb.lower())
-            changed = method(*(int(t) for t in parts))
-        if verb == "INSERT":
-            print("ok inserted" if changed else "ok duplicate")
-        else:
-            print("ok deleted" if changed else "ok absent")
-    elif verb == "QUERY":
-        bgp = _coerce_query(rest, store.graph)
-        try:
-            result = broker.evaluate(bgp, decode=decode)
-        except QueryRejected as exc:
-            print(f"error: rejected: {exc}")
-            return True
-        for mu in result:
-            items = sorted(mu.items(), key=lambda kv: str(kv[0]))
-            print("  ".join(f"{k}={v}" for k, v in items))
-        suffix = (
-            f" (truncated: {result.interrupted_by})" if result.truncated else ""
-        )
-        if getattr(result, "cached", False):
-            suffix += " (cached)"
-        print(f"-- {len(result)} solution(s) @epoch {store.epoch}{suffix}")
-    elif verb == "CHECKPOINT":
-        print(f"ok checkpoint {store.checkpoint()}")
-    elif verb == "STATS":
-        stats = broker.stats()
-        stats.update(
-            epoch=store.epoch,
-            triples=store.n_triples,
-            components=store.n_components,
-            wal_bytes=store.wal_bytes,
-        )
-        for key in sorted(stats):
-            print(f"{key:<22}: {stats[key]}")
-    else:
-        print(f"error: unknown command {verb!r} "
-              f"(INSERT/DELETE/QUERY/CHECKPOINT/STATS/QUIT)")
-    return True
-
-
-class _DrainRequested(Exception):
-    """Raised by the SIGTERM handler to break the blocking serve loop."""
-
-
-def _install_sigterm_drain():
-    """Route SIGTERM into :class:`_DrainRequested`; returns the previous
-    handler (or ``None`` when not installable, e.g. off the main thread)."""
-    import signal
-
-    def _handler(signum, frame):
-        raise _DrainRequested()
-
-    try:
-        return signal.signal(signal.SIGTERM, _handler)
-    except ValueError:  # pragma: no cover - non-main-thread callers
-        return None
-
-
-def _restore_sigterm(previous) -> None:
-    import signal
-
-    if previous is not None:
-        try:
-            signal.signal(signal.SIGTERM, previous)
-        except ValueError:  # pragma: no cover - non-main-thread callers
-            pass
+    keep_going, lines = LineFrontend(StoreService(store, broker)).dispatch(line)
+    for out in lines:
+        print(out)
+    return keep_going
 
 
 def cmd_serve(args) -> None:
@@ -412,6 +326,7 @@ def cmd_serve(args) -> None:
 
     from repro.reliability.broker import QueryBroker
     from repro.reliability.wal import DurableDynamicRing
+    from repro.serving.frontend import LineFrontend, StoreService
 
     if args.create:
         universe = Graph(
@@ -434,7 +349,6 @@ def cmd_serve(args) -> None:
               + (" (memmapped checkpoints)" if args.mmap else ""))
     if args.policy != "static":
         print(f"policy: {args.policy}")
-    decode = store.graph.dictionary is not None
     served_index = store
     if args.cache:
         from repro.cache import CachedQuerySystem
@@ -450,47 +364,20 @@ def cmd_serve(args) -> None:
         default_timeout=args.timeout,
         maintenance_interval=args.maintenance_interval,
     )
-    # SIGTERM = graceful drain: the raising handler interrupts the
-    # blocking stdin read (PEP 475), the broker's context exit finishes
-    # every in-flight query, and the final checkpoint still runs — so a
-    # supervised `repro serve` can be stopped without losing acked work.
-    previous_handler = _install_sigterm_drain()
-    try:
-        with broker:
-            print("ready")
-            sys.stdout.flush()
-            try:
-                for line in sys.stdin:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    try:
-                        if not _serve_line(line, store, broker, decode):
-                            break
-                    except QueryTimeout:
-                        print("error: timeout")
-                    except (QueryExecutionError, ValueError, KeyError) as exc:
-                        print(f"error: {str(exc) or type(exc).__name__}")
-                    sys.stdout.flush()
-            except _DrainRequested:
-                print("draining: finishing in-flight queries")
-                sys.stdout.flush()
-    finally:
-        _restore_sigterm(previous_handler)
-        store.close(checkpoint=not args.no_final_checkpoint)
-        print("bye")
+    service = StoreService(store, broker,
+                           final_checkpoint=not args.no_final_checkpoint)
+    LineFrontend(service).serve_lines()
 
 
 def cmd_shard_serve(args) -> None:
     # Lazy: pulls in the whole serving tier only this command needs.
-    import asyncio
-
     import numpy as np
 
     from repro.serving import (
+        LineFrontend,
         ShardCoordinator,
         ShardedRingIndex,
-        ShardFrontend,
+        ShardService,
         ShardSupervisor,
     )
 
@@ -538,31 +425,13 @@ def cmd_shard_serve(args) -> None:
 
         served = CachedQuerySystem(served, capacity_bytes=args.cache_mb << 20)
         print(f"cache enabled ({args.cache_mb} MiB)")
-    supervisor = ShardSupervisor(shards, interval=args.supervise_interval)
-    frontend = ShardFrontend(
+    service = ShardService(
         served,
-        supervisor=supervisor,
-        max_in_flight=args.max_in_flight,
+        ShardSupervisor(shards, interval=args.supervise_interval),
         default_timeout=args.timeout,
-        decode=shards.graph.dictionary is not None,
+        final_checkpoint=not args.no_final_checkpoint,
     )
-    async def _serve() -> None:
-        # SIGTERM = graceful drain: stop admitting, finish in-flight,
-        # then the finally below checkpoints every shard and exits 0.
-        import signal
-
-        loop = asyncio.get_running_loop()
-        try:
-            loop.add_signal_handler(signal.SIGTERM, frontend.request_drain)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # platform without loop signal handlers
-        await frontend.serve_stdin()
-
-    try:
-        with supervisor:
-            asyncio.run(_serve())
-    finally:
-        shards.shutdown(checkpoint=not args.no_final_checkpoint)
+    LineFrontend(service, max_in_flight=args.max_in_flight).serve_lines()
 
 
 def cmd_recover(args) -> None:

@@ -7,46 +7,36 @@ per-shard engines (:mod:`~repro.serving.sharding`,
 retry/backoff, per-shard circuit breakers, and deterministic
 partial-result degradation (:mod:`~repro.serving.coordinator`,
 :mod:`~repro.serving.breaker`), automatic crash recovery
-(:mod:`~repro.serving.supervisor`), and an asyncio front end with
-admission control (:mod:`~repro.serving.frontend`, exposed as the
-``repro shard-serve`` CLI command).  Shards can run process-isolated
-(:mod:`~repro.serving.process`, INTERNALS §13) and replicated with
-transparent primary→secondary failover (:mod:`~repro.serving.replica`).
+(:mod:`~repro.serving.supervisor`), and the one line frontend of
+``repro serve`` and ``repro shard-serve`` (:mod:`~repro.serving.frontend`).
+Shards can run process-isolated (:mod:`~repro.serving.process`,
+INTERNALS §13) and replicated with transparent primary→secondary
+failover (:mod:`~repro.serving.replica`).
+
+Names load on first use, so ``repro serve`` imports the frontend
+without the shard machinery (multiprocessing, worker pools) it never
+runs.
 """
 
-from repro.serving.breaker import CircuitBreaker, RetryPolicy
-from repro.serving.coordinator import (
-    ShardCoordinator,
-    ShardReport,
-    ShardUnavailable,
-)
-from repro.serving.endpoint import EndpointDown, EngineEndpoint, InProcessEndpoint
-from repro.serving.frontend import ShardFrontend
-from repro.serving.process import (
-    ProcessEndpoint,
-    ShardConnectionReset,
-    ShardProcessDied,
-)
-from repro.serving.replica import ReplicaSet
-from repro.serving.sharding import ShardedRingIndex, partition_graph, shard_of
-from repro.serving.supervisor import ShardSupervisor
+import importlib
 
-__all__ = [
-    "CircuitBreaker",
-    "RetryPolicy",
-    "ShardCoordinator",
-    "ShardReport",
-    "ShardUnavailable",
-    "EngineEndpoint",
-    "EndpointDown",
-    "InProcessEndpoint",
-    "ProcessEndpoint",
-    "ReplicaSet",
-    "ShardConnectionReset",
-    "ShardProcessDied",
-    "ShardFrontend",
-    "ShardedRingIndex",
-    "ShardSupervisor",
-    "partition_graph",
-    "shard_of",
-]
+_EXPORTS = {
+    "breaker": ("CircuitBreaker", "RetryPolicy"),
+    "coordinator": ("ShardCoordinator", "ShardReport", "ShardUnavailable"),
+    "endpoint": ("EndpointDown", "EngineEndpoint", "InProcessEndpoint"),
+    "frontend": ("LineFrontend", "ShardFrontend", "ShardService",
+                 "StoreService"),
+    "process": ("ProcessEndpoint", "ShardConnectionReset", "ShardProcessDied"),
+    "replica": ("ReplicaSet",),
+    "sharding": ("ShardedRingIndex", "partition_graph", "shard_of"),
+    "supervisor": ("ShardSupervisor",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
