@@ -136,6 +136,10 @@ WORKLOAD = [
 # integrity tests, and latency there would not be seen by a query.
 QUERY_SITES = [
     "wavelet.rank",
+    # Every leapfrog bind's LF step, and the lockstep descent that binds
+    # and intersects the backward iterators of a variable.
+    "wavelet.rank_pair",
+    "wavelet.intersect_ranges",
     "wavelet.select",
     "wavelet.range_next_value",
     "wavelet.access",

@@ -17,6 +17,10 @@ Leap dispatch (Lemma 3.7) for a variable at position ``pos``:
 In arity 3 these cases are exhaustive.  Variables repeated inside one
 pattern (outside the paper's wco guarantee; cf. its §6 discussion) are
 handled soundly by candidate generation + verification.
+
+LTJ skips the backward leaps when it can: it reads every backward
+iterator's range off :meth:`RingIterator.zone_state`, descends them
+together, and binds each with the stepped range the descent found.
 """
 
 from __future__ import annotations
@@ -74,9 +78,14 @@ class RingIterator:
         """The paper's ``c(t) = (e - s + 1) / n`` statistic."""
         return self.count() / max(self._ring.n, 1)
 
+    @property
+    def ring(self) -> Ring:
+        return self._ring
+
     def zone_state(self) -> Optional[ZoneState]:
         """The maintained Lemma 3.6 range, or ``None`` when nothing is
-        bound (exposed for the parallel slice planner)."""
+        bound (exposed for the parallel slice planner, and for LTJ's
+        lockstep descent of backward iterators)."""
         return None if self._empty else self._state
 
     def distinct_estimate(self, var: Var, max_nodes: int = 64) -> int:
@@ -111,8 +120,9 @@ class RingIterator:
         ``"backward"`` (range-next-value), ``"forward"`` (rank/select on
         the next zone), ``"free"`` (C array alone) or ``"repeated"``.
 
-        Exposed so the unidirectional-ring ablation can route forward
-        leaps to a second, reversed ring.
+        Exposed so LTJ can descend the backward iterators of a variable
+        in lockstep, and so the unidirectional-ring ablation can route
+        forward leaps to a second, reversed ring.
         """
         positions = self._var_positions[var]
         if len(positions) != 1:
@@ -189,8 +199,15 @@ class RingIterator:
 
     # -- bind / unbind --------------------------------------------------------------
 
-    def bind(self, var: Var, value: int) -> None:
-        """Fix ``var := value``; maintains the zone range incrementally."""
+    def bind(
+        self, var: Var, value: int, state: Optional[ZoneState] = None
+    ) -> None:
+        """Fix ``var := value``; maintains the zone range incrementally.
+
+        ``state``, when given, is the range the bind would compute,
+        already found by a lockstep descent from :meth:`zone_state`;
+        it is adopted without descending again.
+        """
         positions = self._var_positions[var]
         self._stack.append((var, positions, self._state, self._empty))
         if self._empty:
@@ -199,14 +216,16 @@ class RingIterator:
         if len(positions) > 1:
             for pos in positions:
                 self._constants[pos] = value
-            state = ring.pattern_range(self._constants)
-            if state is None:
+            found = ring.pattern_range(self._constants)
+            if found is None:
                 self._empty = True
             else:
-                self._state = state
+                self._state = found
             return
         pos = positions[0]
-        if self._state is None:
+        if state is not None:
+            self._state = state
+        elif self._state is None:
             self._state = ring.attribute_range(pos, value)
         else:
             zone, lo, hi = self._state

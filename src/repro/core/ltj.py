@@ -17,18 +17,23 @@ engineering refinements:
   patterns), enumerating backwards so the wavelet matrices' ``distinct``
   operation applies.
 
-On top of those the engine leans on the vectorised succinct kernels
-wherever an iterator offers them:
+On top of those the engine leans on the succinct kernels wherever an
+iterator offers them:
 
-- when a variable is covered by a *single* iterator, the seek sequence
-  ``seek(0), seek(v+1), …`` degenerates to that iterator's ordered value
-  enumeration, which the ring answers with one ``distinct_in_range``
-  sweep instead of one wavelet descent per value;
+- the ring iterators whose leap on a variable is *backward* are not
+  leapt at all: their ranges descend their wavelet matrices in lockstep
+  (:meth:`repro.core.ring.Ring.backward_lockstep`, the Radix-Triejoin
+  reading of the matrices), which reaches each value they share once,
+  in increasing order, and hands every one of them the range its bind
+  would have computed; the variable's other iterators verify each such
+  value with a leap.  With one iterator this is its ordered value sweep,
+  started at the slice's ``lo``;
 - lonely patterns whose iterator offers ``solutions_bulk`` have their
   whole Lemma 3.6 range bulk-decoded into row-aligned numpy columns
   (chunked), replacing the per-triple bind/leap walk; iterators without
   it (every baseline) take the scalar walk;
-- repeated seeks hit the ring's LRU leap memo (see
+- the leapfrog seeks that remain (iterators with no zone state, such as
+  the dynamic ring's union) hit the ring's LRU leap memo (see
   :meth:`repro.core.ring.Ring.backward_leap`).
 
 Batch work charges the shared :class:`ResourceBudget` through
@@ -122,6 +127,39 @@ def rank_candidates(
             best_key, best = key, v
     assert best is not None and best_key is not None
     return best, best_key[0]
+
+
+def _lockstep_group(
+    iters: Sequence[PatternIterator], var: Var
+) -> Optional[tuple]:
+    """Split a variable's iterators for a lockstep descent.
+
+    Returns ``(ring, backward, states, verifiers)``: the ring iterators
+    whose leap on ``var`` is backward descend their zone matrices
+    together from their zone states; the rest — forward, free, repeated,
+    or with no zone state at all (the baselines, the dynamic ring's
+    union) — verify its candidates.  ``None`` sends the whole group to
+    the leapfrog ``_seek``: no iterator is backward, or the backward ones
+    do not share one ring and one level count.
+    """
+    ring = levels = None
+    backward, states, verifiers = [], [], []
+    for it in iters:
+        zone_state = getattr(it, "zone_state", None)
+        state = zone_state() if zone_state is not None else None
+        if state is None or it.leap_direction(var) != "backward":
+            verifiers.append(it)
+            continue
+        depth = it.ring.zone_sequence(state[0]).levels
+        if ring is None:
+            ring, levels = it.ring, depth
+        elif it.ring is not ring or depth != levels:
+            return None
+        backward.append(it)
+        states.append(state)
+    if ring is None:
+        return None
+    return ring, backward, states, verifiers
 
 
 class _PolicyState:
@@ -605,9 +643,15 @@ class LeapfrogTrieJoin:
 
         Only values in ``[lo, hi)`` are enumerated; deeper levels run
         unrestricted.  The parallel driver passes a proper slice at
-        depth 0, and the seek loop lands on the first admissible value
-        ``>= lo`` with one leap instead of sweeping from 0, so a K-way
-        partition costs K extra leaps total, not K extra scans.
+        depth 0, and the descent (or the seek loop) starts at ``lo``
+        instead of sweeping from 0, so a K-way partition costs K extra
+        descents total, not K extra scans.
+
+        The variable's values come from one source: a lockstep descent
+        of its backward iterators (:meth:`_lockstep`, which also hands
+        each of them its next range) when there is one, else the
+        leapfrog :meth:`_seek`.  Either way they arrive in increasing
+        order, so the rows are the same.
         """
         if not remaining:
             yield from self._emit_lonely(lonely_by_iter, 0, binding, deadline)
@@ -623,35 +667,21 @@ class LeapfrogTrieJoin:
         else:
             rest = [v for v in remaining if v is not var]
         iters = by_var[var]
-        if len(iters) == 1:
-            # With one iterator the seek sequence seek(0), seek(v+1), …
-            # is exactly the iterator's ordered value enumeration, which
-            # the ring serves with a single distinct_in_range DFS
-            # (O(k log σ/k)) instead of one wavelet descent per value;
-            # values outside the slice are skipped/stopped without one.
-            it = iters[0]
-            for value in it.values(var):
-                if value >= hi:
-                    break
-                deadline.tick()
-                if value < lo:
-                    continue
-                if self._stats is not None:
-                    self._stats["leaps"] += 1
-                    self._stats["binds"] += 1
-                it.bind(var, value)
-                binding[var] = value
-                yield from self._search(
-                    rest, by_var, lonely_by_iter, binding, deadline, state
-                )
-                del binding[var]
-                it.unbind(var)
-            return
-        value = self._seek(iters, var, lo, deadline)
-        while value is not None and value < hi:
+        group = _lockstep_group(iters, var)
+        if group is None:
+            backward, verifiers = (), iters
+            agreed = self._leapfrog(iters, var, lo, deadline)
+        else:
+            ring, backward, states, verifiers = group
+            agreed = self._lockstep(ring, states, verifiers, var, lo, deadline)
+        for value, stepped in agreed:
+            if value >= hi:
+                break
             if self._stats is not None:
                 self._stats["binds"] += 1
-            for it in iters:
+            for it, zone_state in zip(backward, stepped):
+                it.bind(var, value, zone_state)
+            for it in verifiers:
                 it.bind(var, value)
             binding[var] = value
             yield from self._search(
@@ -660,6 +690,62 @@ class LeapfrogTrieJoin:
             del binding[var]
             for it in iters:
                 it.unbind(var)
+
+    def _lockstep(
+        self,
+        ring,
+        states: list,
+        verifiers: Sequence[PatternIterator],
+        var: Var,
+        c: int,
+        deadline: ResourceBudget,
+    ) -> Iterator[tuple[int, list]]:
+        """Agreed values ``>= c`` with the backward iterators' stepped
+        states.
+
+        The backward iterators' ranges descend in lockstep
+        (:meth:`~repro.core.ring.Ring.backward_lockstep`); each value
+        they share is a candidate, counted as one leap and one tick
+        (each backtrack of the descent ticks too).  Every other iterator
+        then verifies it with a ``leap``: a larger answer restarts the
+        descent there, none ends the variable.
+        """
+        stats = self._stats
+        while True:
+            for value, stepped in ring.backward_lockstep(states, c, deadline.tick):
+                deadline.tick()
+                if stats is not None:
+                    stats["leaps"] += 1
+                answer = value
+                for it in verifiers:
+                    deadline.tick()
+                    if stats is not None:
+                        stats["leaps"] += 1
+                    answer = it.leap(var, value)
+                    if answer != value:
+                        break
+                if answer != value:
+                    break
+                yield value, stepped
+            else:
+                return
+            if answer is None:
+                return
+            c = answer
+
+    def _leapfrog(
+        self,
+        iters: Sequence[PatternIterator],
+        var: Var,
+        c: int,
+        deadline: ResourceBudget,
+    ) -> Iterator[tuple[int, tuple]]:
+        """Agreed values ``>= c`` by repeated :meth:`_seek` — for groups
+        the lockstep descent cannot serve (no backward iterator, matrices
+        of different level counts, iterators with no zone state)."""
+        value = self._seek(iters, var, c, deadline)
+        while value is not None:
+            yield value, ()
             value = self._seek(iters, var, value + 1, deadline)
 
     def _seek(

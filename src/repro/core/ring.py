@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -276,6 +276,39 @@ class Ring:
         if len(memo) > self._leap_memo_size:
             memo.popitem(last=False)
         return value
+
+    def backward_lockstep(
+        self,
+        states: Sequence[ZoneState],
+        c: int,
+        on_backtrack: Optional[Callable[[], None]] = None,
+    ) -> Iterator[tuple[int, list[ZoneState]]]:
+        """Backward leaps and binds of ``k`` bound runs, fused.
+
+        Yields, increasing, every value ``v >= c`` that a backward leap
+        would admit from *each* of ``states`` (whose zones must have
+        matrices of one level count), together with the zone states
+        :meth:`backward_step` would map them to under ``v`` — so the
+        caller binds without descending again.  One lockstep descent of
+        the matrices (:meth:`WaveletMatrix.intersect_ranges`, looked up
+        at call time so a fault patched onto the class reaches it)
+        replaces the leapfrog's ``k`` leaps per agreed value plus its
+        ``k`` bind descents.  Not memoised.
+        """
+        matrices, ranges, targets = [], [], []
+        for zone, lo, hi in states:
+            target = prev_attr(zone)
+            matrices.append(self._seq[zone])
+            ranges.append((lo, hi))
+            targets.append((target, self._c[target].access))
+        for value, ranks in WaveletMatrix.intersect_ranges(
+            matrices, ranges, c, on_backtrack
+        ):
+            stepped = []
+            for (target, access), (below, upto) in zip(targets, ranks):
+                base = access(value)
+                stepped.append((target, base + below, base + upto))
+            yield value, stepped
 
     def leap_memo_stats(self) -> dict[str, int]:
         """Hit/miss/size counters of the backward-leap memo."""

@@ -3,7 +3,8 @@
 A serving layer's failure handling is only trustworthy once it has been
 exercised: this module installs **monkeypatchable hooks** on the hot
 primitives every engine bottoms out in — wavelet-matrix ``rank`` /
-``select`` / ``range_next_value`` (``next_in_range``), bitvector reads,
+``rank_pair`` / ``select`` / ``range_next_value`` (``next_in_range``) /
+``intersect_ranges`` (LTJ's lockstep descent), bitvector reads,
 their batch counterparts (``rank1_many`` / ``select1_many`` /
 ``rank_many`` / ``extract_at`` — the vectorised fast path), the
 save/load I/O path, and the durability protocol of the dynamic ring
@@ -36,6 +37,7 @@ patch targets; :func:`available_sites` lists them.
 from __future__ import annotations
 
 import importlib
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
@@ -54,8 +56,13 @@ class InjectedFault(RuntimeError):
 #: site name -> (owner object, attribute name) patch target.
 SITES: dict[str, tuple[object, str]] = {
     "wavelet.rank": (WaveletMatrix, "rank"),
+    # The LF step of every leapfrog bind and of pattern_range.
+    "wavelet.rank_pair": (WaveletMatrix, "rank_pair"),
     "wavelet.select": (WaveletMatrix, "select"),
     "wavelet.range_next_value": (WaveletMatrix, "next_in_range"),
+    # The lockstep descent LTJ intersects backward iterators with (a
+    # staticmethod, called through the class so the patch reaches it).
+    "wavelet.intersect_ranges": (WaveletMatrix, "intersect_ranges"),
     "wavelet.access": (WaveletMatrix, "__getitem__"),
     "bitvector.access": (BitVector, "__getitem__"),
     "bitvector.rank": (BitVector, "rank1"),
@@ -205,9 +212,12 @@ class FaultInjector:
             by_site.setdefault(fault.site, []).append(fault)
         for site, site_faults in by_site.items():
             owner, attr = _resolve_site(site)
-            original = getattr(owner, attr)
-            self._originals.append((owner, attr, original))
-            setattr(owner, attr, self._wrap(site, site_faults, original))
+            raw = inspect.getattr_static(owner, attr)
+            hooked = self._wrap(site, site_faults, getattr(owner, attr))
+            if isinstance(raw, staticmethod):  # keep it callable on instances
+                hooked = staticmethod(hooked)
+            self._originals.append((owner, attr, raw))
+            setattr(owner, attr, hooked)
         return self
 
     def uninstall(self) -> None:

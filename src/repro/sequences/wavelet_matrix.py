@@ -17,6 +17,9 @@ Supported operations (all ``O(levels)`` bitvector operations):
 - ``distinct_in_range`` — enumeration of the distinct symbols in a range
   with their multiplicities, the engine of the *lonely variables*
   optimisation (§4.2), in ``O(k log(σ/k))`` node visits;
+- ``intersect_ranges`` — the symbols common to ranges of ``k`` matrices
+  of one level count, found by one lockstep descent that also returns
+  each symbol's rank pair per range: the engine of LTJ's intersections;
 - ``count`` — number of occurrences of a symbol in a range.
 
 The matrix **owns its level loop**: every scalar operation is one loop
@@ -39,7 +42,7 @@ loops ask it for ``rank1``/``select`` at that level.
 from __future__ import annotations
 
 import time
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -435,6 +438,46 @@ class WaveletMatrix:
                 return
             level, lo, hi, prefix = pending.pop()
 
+    @staticmethod
+    def intersect_ranges(
+        matrices: Sequence["WaveletMatrix"],
+        ranges: Sequence[tuple[int, int]],
+        c: int = 0,
+        on_backtrack: Optional[Callable[[], None]] = None,
+    ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+        """Yield every symbol ``>= c`` occurring in *each* of ``k`` ranges,
+        increasing, with its rank pair in every range.
+
+        ``matrices[i]`` is searched over ``ranges[i] = (lo, hi)``; all
+        matrices must share one level count (they are then one radix
+        trie).  The ranges descend it together, depth first, left before
+        right: a prefix is pruned the moment any of its ranges empties or
+        its subtree lies wholly below ``c`` — range intersection on
+        wavelet trees, the Radix Triejoin of the matrices.  Each node
+        also carries its own start position down the path (one extra
+        rank per node with a live child, shared by both children), so a
+        leaf ``v`` comes with ``(rank(v, lo), rank(v, hi))`` per range —
+        the :meth:`rank_pair` a caller would otherwise descend for again.
+
+        ``on_backtrack`` is called each time the search resumes at a
+        waiting sibling: the yields plus those calls bound the work.
+        """
+        if len(matrices) != len(ranges) or not matrices:
+            raise ValueError("intersect_ranges needs one range per matrix")
+        levels = matrices[0]._levels
+        nodes = []  # per matrix (node start, lo, hi) at the current level
+        for wm, (lo, hi) in zip(matrices, ranges):
+            if wm._levels != levels:
+                raise ValueError("intersect_ranges needs one level count")
+            if c >= wm._sigma:
+                return iter(())
+            lo, hi = max(lo, 0), min(hi, wm._n)
+            if lo >= hi:
+                return iter(())
+            nodes.append((0, lo, hi))
+        kernel = _intersect_two if len(nodes) == 2 else _intersect_many
+        return kernel(matrices, nodes, max(c, 0), on_backtrack)
+
     def count_distinct(self, lo: int, hi: int) -> int:
         """Number of distinct symbols in ``[lo, hi)``."""
         return sum(1 for _ in self.distinct_in_range(lo, hi))
@@ -556,3 +599,181 @@ class WaveletMatrix:
             f"WaveletMatrix(n={self._n}, sigma={self._sigma}, "
             f"levels={self._levels})"
         )
+
+
+def _intersect_many(matrices, nodes, c, on_backtrack):
+    """The search of :meth:`WaveletMatrix.intersect_ranges` for any ``k``.
+
+    ``nodes[i]`` is matrix ``i``'s ``(node start, lo, hi)``.  Only a
+    one-child waits on ``pending``, and never one on ``c``'s own path,
+    so every waiting subtree lies wholly above ``c``.
+    """
+    loops = [wm._loop for wm in matrices]
+    sizes = [wm._n for wm in matrices]
+    levels = len(loops[0])
+    pending = []
+    level = prefix = 0
+    tight = True  # the prefix is c's: a 0-child where c has a 1 is pruned
+    while True:
+        while level < levels:
+            bit = tight and (c >> (levels - 1 - level)) & 1
+            zero, one = not bit, True
+            zero_nodes, one_nodes = [], []
+            for (s, lo, hi), loop, n in zip(nodes, loops, sizes):
+                words, sup, rel, z, ones, _shift, bv = loop[level]
+                if bv is None:
+                    w = lo >> 6
+                    word = words[w]
+                    l1 = (
+                        sup[lo >> 9] + rel[w]
+                        + (word & ((1 << (lo & 63)) - 1)).bit_count()
+                    )
+                    if hi >> 6 == w:  # a narrow range: count inside lo's word
+                        h1 = l1 + (
+                            (word >> (lo & 63)) & ((1 << (hi - lo)) - 1)
+                        ).bit_count()
+                    else:
+                        h1 = ones if hi >= n else (
+                            sup[hi >> 9] + rel[hi >> 6]
+                            + (words[hi >> 6] & ((1 << (hi & 63)) - 1)).bit_count()
+                        )
+                else:
+                    l1, h1 = bv.rank1(lo), bv.rank1(hi)
+                zero = zero and lo - l1 < hi - h1
+                one = one and l1 < h1
+                if not (zero or one):
+                    break
+                if bv is None:
+                    s1 = (
+                        sup[s >> 9] + rel[s >> 6]
+                        + (words[s >> 6] & ((1 << (s & 63)) - 1)).bit_count()
+                    )
+                else:
+                    s1 = bv.rank1(s)
+                zero_nodes.append((s - s1, lo - l1, hi - h1))
+                one_nodes.append((z + s1, z + l1, z + h1))
+            else:  # every range kept a child: go down
+                level += 1
+                if zero:
+                    if one:
+                        pending.append((level, (prefix << 1) | 1, one_nodes))
+                    nodes = zero_nodes
+                    prefix <<= 1
+                else:
+                    nodes = one_nodes
+                    prefix = (prefix << 1) | 1
+                    tight = bool(bit)
+                continue
+            break  # some range emptied both children: a dead end
+        else:
+            yield prefix, tuple((lo - s, hi - s) for s, lo, hi in nodes)
+        if not pending:
+            return
+        if on_backtrack is not None:
+            on_backtrack()
+        level, prefix, nodes = pending.pop()
+        tight = False
+
+
+def _intersect_two(matrices, nodes, c, on_backtrack):
+    """:func:`_intersect_many` for ``k = 2``, unrolled: both ranges live
+    in locals, the second is ranked only while the first has a live
+    child, and the node starts only while both have one."""
+    loop_a, loop_b = matrices[0]._loop, matrices[1]._loop
+    na, nb = matrices[0]._n, matrices[1]._n
+    levels = len(loop_a)
+    (sa, la, ha), (sb, lb, hb) = nodes
+    pending = []
+    level = prefix = 0
+    tight = True
+    while True:
+        while level < levels:
+            wa, pa, ra, za, oa, shift, bva = loop_a[level]
+            bit = tight and (c >> shift) & 1
+            if bva is None:
+                w = la >> 6
+                word = wa[w]
+                la1 = (
+                    pa[la >> 9] + ra[w]
+                    + (word & ((1 << (la & 63)) - 1)).bit_count()
+                )
+                if ha >> 6 == w:  # a narrow range: count inside lo's word
+                    ha1 = la1 + (
+                        (word >> (la & 63)) & ((1 << (ha - la)) - 1)
+                    ).bit_count()
+                else:
+                    ha1 = oa if ha >= na else (
+                        pa[ha >> 9] + ra[ha >> 6]
+                        + (wa[ha >> 6] & ((1 << (ha & 63)) - 1)).bit_count()
+                    )
+            else:
+                la1, ha1 = bva.rank1(la), bva.rank1(ha)
+            zero = not bit and la - la1 < ha - ha1
+            one = la1 < ha1
+            if not (zero or one):
+                break
+            wb, pb, rb, zb, ob, _shift, bvb = loop_b[level]
+            if bvb is None:
+                w = lb >> 6
+                word = wb[w]
+                lb1 = (
+                    pb[lb >> 9] + rb[w]
+                    + (word & ((1 << (lb & 63)) - 1)).bit_count()
+                )
+                if hb >> 6 == w:
+                    hb1 = lb1 + (
+                        (word >> (lb & 63)) & ((1 << (hb - lb)) - 1)
+                    ).bit_count()
+                else:
+                    hb1 = ob if hb >= nb else (
+                        pb[hb >> 9] + rb[hb >> 6]
+                        + (wb[hb >> 6] & ((1 << (hb & 63)) - 1)).bit_count()
+                    )
+            else:
+                lb1, hb1 = bvb.rank1(lb), bvb.rank1(hb)
+            zero = zero and lb - lb1 < hb - hb1
+            one = one and lb1 < hb1
+            if not (zero or one):
+                break
+            if bva is None:
+                sa1 = (
+                    pa[sa >> 9] + ra[sa >> 6]
+                    + (wa[sa >> 6] & ((1 << (sa & 63)) - 1)).bit_count()
+                )
+            else:
+                sa1 = bva.rank1(sa)
+            if bvb is None:
+                sb1 = (
+                    pb[sb >> 9] + rb[sb >> 6]
+                    + (wb[sb >> 6] & ((1 << (sb & 63)) - 1)).bit_count()
+                )
+            else:
+                sb1 = bvb.rank1(sb)
+            level += 1
+            if zero:
+                if one:
+                    pending.append((
+                        level, (prefix << 1) | 1,
+                        za + sa1, za + la1, za + ha1,
+                        zb + sb1, zb + lb1, zb + hb1,
+                    ))
+                sa -= sa1
+                la -= la1
+                ha -= ha1
+                sb -= sb1
+                lb -= lb1
+                hb -= hb1
+                prefix <<= 1
+            else:
+                sa, la, ha = za + sa1, za + la1, za + ha1
+                sb, lb, hb = zb + sb1, zb + lb1, zb + hb1
+                prefix = (prefix << 1) | 1
+                tight = bool(bit)
+        else:
+            yield prefix, ((la - sa, ha - sa), (lb - sb, hb - sb))
+        if not pending:
+            return
+        if on_backtrack is not None:
+            on_backtrack()
+        level, prefix, sa, la, ha, sb, lb, hb = pending.pop()
+        tight = False

@@ -9,9 +9,16 @@ reviewed like code, before any timing run.  ``SLICED`` pins the
 ``first_range`` clip the same way: leaps + binds summed over a fixed
 4-way split of the first variable's domain.
 
+A *leap* is one ``leap`` call on an iterator, or one value a lockstep
+descent of backward iterators reaches (``Ring.backward_lockstep``: the
+descent that replaces their leaps and binds).
+
 Regenerate (after an intended algorithmic change) with::
 
     PYTHONPATH=src python tests/core/test_cost_ledger.py
+
+which prints ``shape policy column: old → new`` for every changed cell
+before the new tables.
 """
 
 from __future__ import annotations
@@ -30,44 +37,45 @@ from repro.sequences.wavelet_matrix import WaveletMatrix
 
 LIMIT = 1000
 COUNTS = ("leaps", "binds", "bulk_rows")
+COLUMNS = (*COUNTS, "rows")
 
 #: shape -> policy -> (leaps, binds, bulk_rows, rows), two instances each.
 LEDGER: dict[str, dict[str, tuple[int, int, int, int]]] = {
     'P2': {
-        'static': (260, 55, 1782, 1587),
-        'rowcount': (260, 55, 1782, 1587),
-        'distinct': (260, 55, 1782, 1587),
-        'adaptive': (260, 55, 1782, 1587),
+        'static': (244, 55, 1782, 1587),
+        'rowcount': (244, 55, 1782, 1587),
+        'distinct': (244, 55, 1782, 1587),
+        'adaptive': (244, 55, 1782, 1587),
     },
     'P3': {
-        'static': (10, 5, 2194, 2000),
-        'rowcount': (10, 5, 2194, 2000),
-        'distinct': (10, 5, 2194, 2000),
-        'adaptive': (10, 5, 2194, 2000),
+        'static': (7, 5, 2194, 2000),
+        'rowcount': (7, 5, 2194, 2000),
+        'distinct': (7, 5, 2194, 2000),
+        'adaptive': (7, 5, 2194, 2000),
     },
     'P4': {
-        'static': (771, 146, 2413, 2000),
-        'rowcount': (771, 146, 2413, 2000),
-        'distinct': (18039, 2353, 2407, 2000),
-        'adaptive': (771, 146, 2413, 2000),
+        'static': (319, 146, 2413, 2000),
+        'rowcount': (319, 146, 2413, 2000),
+        'distinct': (10528, 2353, 2407, 2000),
+        'adaptive': (319, 146, 2413, 2000),
     },
     'T2': {
-        'static': (4, 2, 2162, 2000),
-        'rowcount': (4, 2, 2162, 2000),
-        'distinct': (4, 2, 2162, 2000),
-        'adaptive': (4, 2, 2162, 2000),
+        'static': (2, 2, 2162, 2000),
+        'rowcount': (2, 2, 2162, 2000),
+        'distinct': (2, 2, 2162, 2000),
+        'adaptive': (2, 2, 2162, 2000),
     },
     'T3': {
-        'static': (6, 2, 2283, 2000),
-        'rowcount': (6, 2, 2283, 2000),
-        'distinct': (6, 2, 2283, 2000),
-        'adaptive': (6, 2, 2283, 2000),
+        'static': (2, 2, 2283, 2000),
+        'rowcount': (2, 2, 2283, 2000),
+        'distinct': (2, 2, 2283, 2000),
+        'adaptive': (2, 2, 2283, 2000),
     },
     'T4': {
-        'static': (8, 2, 2478, 2000),
-        'rowcount': (8, 2, 2478, 2000),
-        'distinct': (8, 2, 2478, 2000),
-        'adaptive': (8, 2, 2478, 2000),
+        'static': (2, 2, 2478, 2000),
+        'rowcount': (2, 2, 2478, 2000),
+        'distinct': (2, 2, 2478, 2000),
+        'adaptive': (2, 2, 2478, 2000),
     },
     'Ti2': {
         'static': (4, 2, 2185, 2000),
@@ -94,68 +102,68 @@ LEDGER: dict[str, dict[str, tuple[int, int, int, int]]] = {
         'adaptive': (6, 2, 2166, 2000),
     },
     'J4': {
-        'static': (8, 2, 2274, 2000),
-        'rowcount': (8, 2, 2274, 2000),
-        'distinct': (8, 2, 2274, 2000),
-        'adaptive': (8, 2, 2274, 2000),
+        'static': (6, 2, 2274, 2000),
+        'rowcount': (6, 2, 2274, 2000),
+        'distinct': (6, 2, 2274, 2000),
+        'adaptive': (6, 2, 2274, 2000),
     },
     'Tr1': {
-        'static': (2711, 390, 0, 55),
-        'rowcount': (2327, 323, 0, 55),
-        'distinct': (2711, 390, 0, 55),
-        'adaptive': (2327, 323, 0, 55),
+        'static': (1020, 390, 0, 55),
+        'rowcount': (735, 323, 0, 55),
+        'distinct': (1020, 390, 0, 55),
+        'adaptive': (735, 323, 0, 55),
     },
     'Tr2': {
-        'static': (4541, 647, 0, 32),
-        'rowcount': (2985, 432, 0, 32),
-        'distinct': (4541, 647, 0, 32),
-        'adaptive': (2994, 441, 0, 32),
+        'static': (963, 647, 0, 32),
+        'rowcount': (762, 432, 0, 32),
+        'distinct': (963, 647, 0, 32),
+        'adaptive': (1098, 441, 0, 32),
     },
     'S1': {
-        'static': (7209, 1048, 0, 129),
-        'rowcount': (4907, 694, 0, 129),
-        'distinct': (7209, 1048, 0, 129),
-        'adaptive': (4907, 694, 0, 129),
+        'static': (2035, 1048, 0, 129),
+        'rowcount': (1739, 694, 0, 129),
+        'distinct': (2035, 1048, 0, 129),
+        'adaptive': (1739, 694, 0, 129),
     },
     'S2': {
-        'static': (21497, 3662, 0, 479),
-        'rowcount': (8919, 1454, 0, 479),
-        'distinct': (21497, 3662, 0, 479),
-        'adaptive': (8919, 1454, 0, 479),
+        'static': (3850, 3662, 0, 479),
+        'rowcount': (2414, 1454, 0, 479),
+        'distinct': (3850, 3662, 0, 479),
+        'adaptive': (2414, 1454, 0, 479),
     },
     'S3': {
-        'static': (22253, 3234, 0, 788),
-        'rowcount': (10763, 1757, 0, 788),
-        'distinct': (164977, 24155, 0, 788),
-        'adaptive': (10763, 1757, 0, 788),
+        'static': (4425, 3234, 0, 788),
+        'rowcount': (2567, 1757, 0, 788),
+        'distinct': (24497, 24155, 0, 788),
+        'adaptive': (2567, 1757, 0, 788),
     },
     'S4': {
-        'static': (7540, 2462, 0, 2000),
-        'rowcount': (7540, 2462, 0, 2000),
-        'distinct': (4084, 2030, 0, 2000),
-        'adaptive': (4084, 2030, 0, 2000),
+        'static': (2480, 2462, 0, 2000),
+        'rowcount': (2480, 2462, 0, 2000),
+        'distinct': (2030, 2030, 0, 2000),
+        'adaptive': (2030, 2030, 0, 2000),
     },
 }
 
 #: shape -> policy -> leaps + binds over the 4 slices of ``_quarters``.
 SLICED: dict[str, dict[str, int]] = {
-    'P2': {'static': 132, 'rowcount': 132, 'distinct': 132, 'adaptive': 132},
-    'P3': {'static': 494, 'rowcount': 494, 'distinct': 494, 'adaptive': 494},
-    'P4': {'static': 343, 'rowcount': 343, 'distinct': 5248, 'adaptive': 343},
-    'T2': {'static': 1086, 'rowcount': 1086, 'distinct': 1086, 'adaptive': 1086},
-    'T3': {'static': 587, 'rowcount': 587, 'distinct': 587, 'adaptive': 587},
-    'T4': {'static': 711, 'rowcount': 711, 'distinct': 711, 'adaptive': 711},
+    'P2': {'static': 128, 'rowcount': 128, 'distinct': 128, 'adaptive': 128},
+    'P3': {'static': 448, 'rowcount': 448, 'distinct': 448, 'adaptive': 448},
+    'P4': {'static': 174, 'rowcount': 174, 'distinct': 3337, 'adaptive': 174},
+    'T2': {'static': 723, 'rowcount': 723, 'distinct': 723, 'adaptive': 723},
+    'T3': {'static': 292, 'rowcount': 292, 'distinct': 292, 'adaptive': 292},
+    'T4': {'static': 82, 'rowcount': 82, 'distinct': 82, 'adaptive': 82},
     'Ti2': {'static': 1233, 'rowcount': 1233, 'distinct': 1233, 'adaptive': 1233},
     'Ti3': {'static': 629, 'rowcount': 629, 'distinct': 629, 'adaptive': 629},
     'Ti4': {'static': 870, 'rowcount': 870, 'distinct': 870, 'adaptive': 870},
-    'J3': {'static': 374, 'rowcount': 374, 'distinct': 374, 'adaptive': 374},
-    'J4': {'static': 208, 'rowcount': 208, 'distinct': 208, 'adaptive': 208},
-    'Tr1': {'static': 1596, 'rowcount': 1146, 'distinct': 1596, 'adaptive': 1146},
-    'Tr2': {'static': 1295, 'rowcount': 1100, 'distinct': 1295, 'adaptive': 1116},
-    'S1': {'static': 5500, 'rowcount': 3573, 'distinct': 5500, 'adaptive': 3573},
-    'S2': {'static': 6517, 'rowcount': 2451, 'distinct': 6517, 'adaptive': 2451},
-    'S3': {'static': 1662, 'rowcount': 1645, 'distinct': 1662, 'adaptive': 1645},
-    'S4': {'static': 7794, 'rowcount': 4868, 'distinct': 355846, 'adaptive': 4280},
+    'J3': {'static': 296, 'rowcount': 296, 'distinct': 296, 'adaptive': 296},
+    'J4': {'static': 103, 'rowcount': 103, 'distinct': 103, 'adaptive': 103},
+    'Tr1': {'static': 887, 'rowcount': 533, 'distinct': 887, 'adaptive': 533},
+    'Tr2': {'static': 654, 'rowcount': 349, 'distinct': 654, 'adaptive': 727},
+    'S1': {'static': 2012, 'rowcount': 1488, 'distinct': 2012, 'adaptive': 1488},
+    'S2': {'static': 2389, 'rowcount': 1030, 'distinct': 2389, 'adaptive': 1030},
+    'S3': {'static': 652, 'rowcount': 644, 'distinct': 652, 'adaptive': 644},
+    'S4': {'static': 4037, 'rowcount': 2865, 'distinct': 127194, 'adaptive': 2727},
 }
 
 
@@ -248,6 +256,13 @@ FUSED_SCALAR_OPS = {
     "select": lambda wm: wm.select(wm[17], 1),
     "next_in_range": lambda wm: wm.next_in_range(3, 128, 2),
     "distinct_in_range": lambda wm: list(wm.distinct_in_range(3, 128)),
+    # k = 1 and 3 run the generic loop, k = 2 the unrolled body.
+    "intersect_ranges": lambda wm: [
+        list(WaveletMatrix.intersect_ranges(
+            [wm] * k, [(3, 128), (0, 90), (5, 128)][:k], 2
+        ))
+        for k in (1, 2, 3)
+    ],
 }
 
 
@@ -278,15 +293,35 @@ def test_fused_ops_enter_no_bitvector_method(bitvector_calls, op):
     assert bitvector_calls["n"] == 1
 
 
+def changed_cells(ledger, sliced) -> list[str]:
+    """``shape policy column: old → new`` for every cell that moved."""
+    lines = []
+    for shape, by_policy in ledger.items():
+        for policy, counts in by_policy.items():
+            old = LEDGER.get(shape, {}).get(policy, (None,) * len(counts))
+            for column, was, now in zip(COLUMNS, old, counts):
+                if was != now:
+                    lines.append(f"{shape} {policy} {column}: {was} → {now}")
+    for shape, by_policy in sliced.items():
+        for policy, now in by_policy.items():
+            was = SLICED.get(shape, {}).get(policy)
+            if was != now:
+                lines.append(f"{shape} {policy} sliced: {was} → {now}")
+    return lines
+
+
 if __name__ == "__main__":
+    ledger, sliced = measure(), measure_sliced()
+    for line in changed_cells(ledger, sliced):
+        print(f"# {line}")
     print("LEDGER = {")
-    for shape, by_policy in measure().items():
+    for shape, by_policy in ledger.items():
         print(f"    {shape!r}: {{")
         for policy, counts in by_policy.items():
             print(f"        {policy!r}: {counts},")
         print("    },")
     print("}")
     print("SLICED = {")
-    for shape, by_policy in measure_sliced().items():
+    for shape, by_policy in sliced.items():
         print(f"    {shape!r}: {by_policy},")
     print("}")

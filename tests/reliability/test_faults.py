@@ -6,6 +6,8 @@ exception, or (with ``partial=True``) a truncated-but-correct prefix.
 Never a silent wrong answer.
 """
 
+import inspect
+
 import pytest
 
 from repro.core import QueryExecutionError, QueryTimeout, RingIndex
@@ -30,6 +32,9 @@ X, Y, Z = Var("x"), Var("y"), Var("z")
 TWO_HOP = BasicGraphPattern(
     [TriplePattern(X, 0, Y), TriplePattern(Y, 0, Z)]
 )
+TRIANGLE = BasicGraphPattern(
+    [TriplePattern(X, 0, Y), TriplePattern(Y, 0, Z), TriplePattern(Z, 0, X)]
+)
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +52,10 @@ class TestRegistry:
         sites = available_sites()
         for expected in (
             "wavelet.rank",
+            "wavelet.rank_pair",
             "wavelet.select",
             "wavelet.range_next_value",
+            "wavelet.intersect_ranges",
             "bitvector.access",
             "io.save",
             "io.load",
@@ -120,6 +127,30 @@ class TestErrorFaults:
         with injector:
             index.evaluate(TWO_HOP)
         assert fault.fired == 3
+
+
+class TestTriangleSites:
+    """Since binds step through ``rank_pair`` and backward iterators
+    intersect by one lockstep descent, ``wavelet.rank`` and
+    ``wavelet.range_next_value`` no longer reach a ring triangle: these
+    two sites do."""
+
+    @pytest.mark.parametrize(
+        "site", ["wavelet.rank_pair", "wavelet.intersect_ranges"]
+    )
+    def test_site_fires_and_surfaces_typed(self, index, site):
+        injector = FaultInjector([Fault(site, error=InjectedFault)])
+        with injector:
+            with pytest.raises(QueryExecutionError, match=f"injected fault at {site}"):
+                index.evaluate(TRIANGLE)
+        assert injector.fired[site] == 1
+
+    def test_static_kernel_stays_static(self):
+        raw = inspect.getattr_static(WaveletMatrix, "intersect_ranges")
+        with inject_faults(Fault("wavelet.intersect_ranges", latency=0.0)):
+            patched = inspect.getattr_static(WaveletMatrix, "intersect_ranges")
+            assert isinstance(patched, staticmethod) and patched is not raw
+        assert inspect.getattr_static(WaveletMatrix, "intersect_ranges") is raw
 
 
 class TestHygiene:

@@ -1,9 +1,10 @@
 """Property tests for the fused wavelet-matrix kernels.
 
 Every scalar operation (``rank``, ``rank_pair``, ``select``,
-``__getitem__``, ``next_in_range``, ``distinct_in_range``) and every
-batch operation is compared with a brute-force reference on the decoded
-sequence, over random ``(n, sigma)`` including the edges the fused loops
+``__getitem__``, ``next_in_range``, ``distinct_in_range``, the
+``k``-matrix ``intersect_ranges``) and every batch operation is compared
+with a brute-force reference on the decoded sequence, over random
+``(n, sigma)`` including the edges the fused loops
 must get right: ``n in {0, 1, 64, 128}`` (``n % 64 == 0`` makes a
 boundary equal to ``n`` index one word past the end), ``sigma == 1``,
 non-power-of-two ``sigma``, ``lo == hi``, ``c >= sigma`` and
@@ -146,6 +147,91 @@ def test_rrr_levels_agree_through_the_same_loops(case, seed):
     check_against_brute_force(wm, seq, sigma, seed)
 
 
+def check_intersections(matrices, seqs, seed):
+    """``intersect_ranges`` over ``matrices`` (one level count) against
+    a set intersection of the decoded windows, for empty, full, random
+    and ``hi = n`` ranges and ``c`` at 0, mid-range and past every
+    alphabet; every yielded rank pair against :meth:`rank_pair`."""
+    rng = np.random.default_rng(seed)
+    sigma = max(wm.sigma for wm in matrices)
+    picks = []
+    for _ in range(6):
+        ranges = []
+        for seq in seqs:
+            n = len(seq)
+            kind = rng.integers(4)
+            if kind == 0:
+                lo = int(rng.integers(0, n + 1))
+                ranges.append((lo, lo))  # empty
+            elif kind == 1:
+                ranges.append((0, n))  # full
+            elif kind == 2:
+                ranges.append((int(rng.integers(0, n + 1)), n))  # hi = n
+            else:
+                ends = sorted(int(x) for x in rng.integers(-1, n + 2, 2))
+                ranges.append(tuple(ends))
+        picks.append(ranges)
+    for ranges in picks:
+        windows = [
+            set(seq[max(lo, 0):max(min(hi, len(seq)), 0)].tolist())
+            for seq, (lo, hi) in zip(seqs, ranges)
+        ]
+        common = sorted(set.intersection(*windows))
+        mid = int(rng.integers(0, sigma + 1))
+        for c in (-1, 0, sigma // 2, mid, sigma, sigma + 3):
+            got = list(WaveletMatrix.intersect_ranges(matrices, ranges, c))
+            assert [v for v, _ in got] == [v for v in common if v >= c]
+            for value, pairs in got:
+                assert list(pairs) == [
+                    wm.rank_pair(value, lo, hi)
+                    for wm, (lo, hi) in zip(matrices, ranges)
+                ]
+
+
+@st.composite
+def intersections(draw):
+    """``k`` sequences of different lengths over alphabets of one level
+    count (σ = 1 and 2 share one level; 5–8 share three)."""
+    k = draw(st.integers(1, 3))
+    sigma = draw(st.sampled_from((1, 2, 7, 8, 13)) | st.integers(1, 40))
+    levels = max(1, (sigma - 1).bit_length())
+    floor = 1 if levels == 1 else (1 << (levels - 1)) + 1
+    seqs = []
+    for _ in range(k):
+        n = draw(st.sampled_from(EDGE_LENGTHS) | st.integers(0, 150))
+        own = draw(st.integers(floor, max(sigma, floor)))
+        seed = draw(st.integers(0, 2**32 - 1))
+        seqs.append((np.random.default_rng(seed).integers(0, own, n), own))
+    return seqs
+
+
+@given(intersections(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_intersect_ranges_matches_brute_force(case, compressed, seed):
+    matrices = [
+        WaveletMatrix(seq, own, compressed=compressed) for seq, own in case
+    ]
+    check_intersections(matrices, [seq for seq, _ in case], seed)
+
+
+def test_intersect_ranges_needs_one_level_count():
+    two, three = WaveletMatrix([0, 1], 2), WaveletMatrix([0, 5], 6)
+    with pytest.raises(ValueError, match="level count"):
+        WaveletMatrix.intersect_ranges([two, three], [(0, 2), (0, 2)])
+    with pytest.raises(ValueError, match="one range per matrix"):
+        WaveletMatrix.intersect_ranges([two], [(0, 2), (0, 2)])
+
+
+def test_intersect_ranges_calls_back_on_every_backtrack():
+    wm = WaveletMatrix(np.arange(16), 16)
+    calls = []
+    got = list(WaveletMatrix.intersect_ranges(
+        [wm, wm], [(0, 16), (0, 16)], 0, lambda: calls.append(1)
+    ))
+    assert [v for v, _ in got] == list(range(16))
+    assert len(calls) == 15  # every leaf after the first resumes a sibling
+
+
 @st.composite
 def graphs(draw):
     """A small graph whose triple count hits the word-boundary edges."""
@@ -185,6 +271,12 @@ def test_three_backings_agree(tmp_path_factory, graph, seed):
                     wm = ring.zone_sequence(zone)
                     assert all(lv[-1] is None for lv in wm._loop)
                     check_against_brute_force(wm, column, wm.sigma, seed)
+                # Zones S and P both hold node ids: one level count.
+                for zones in ((S,), (S, P), (P, S, P)):
+                    check_intersections(
+                        [ring.zone_sequence(z) for z in zones],
+                        [columns[z] for z in zones], seed,
+                    )
                 assert ring.triples().tolist() == t.tolist()
             for bv in mapped.zone_sequence(S)._bits:
                 assert all(view.readonly for view in bv._views)
