@@ -34,8 +34,8 @@ serves can be an order of magnitude larger than its RAM:
 **Parallel partitioned build** (``workers > 0``): the per-partition
 sort→merge→re-sort pipelines, the three per-zone wavelet constructions
 and the three count passes each run as independent *build tasks* on a
-:class:`~repro.parallel.pool.TaskPool` of worker processes (dead
-workers are rescued inline, exactly like the query pool).  Because the
+:class:`~repro.parallel.pool.TaskPool` of worker processes (the pool
+parallel queries run on; dead workers' tasks are rescued inline).  Because the
 partitions are disjoint by subject and the key embeds the subject,
 k-way merging the per-partition sorted streams reproduces the global
 sorted stream — the driver stitches the workers' spooled arrays into

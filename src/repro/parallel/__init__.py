@@ -10,11 +10,13 @@ parallelisation the paper's single-index-order design invites.
   re-attach on the worker side.
 - :mod:`repro.parallel.slices` — split the first join variable's value
   domain into balanced, boundary-snapped ``[a, b)`` slices.
-- :mod:`repro.parallel.pool` — the worker pool: per-worker task queues,
-  budget propagation, shared cancellation, dead-worker degradation.
+- :mod:`repro.parallel.pool` — the one process pool (:class:`TaskPool`):
+  per-worker task queues, a shared cancellation flag, inline rescue of
+  dead workers' tasks; the bulk builder runs on it too.
 - :mod:`repro.parallel.system` — :class:`ParallelRingIndex`, the
-  drop-in :class:`~repro.core.system.RingIndex` that fans each query
-  out over the pool and merges slice results deterministically.
+  drop-in :class:`~repro.core.system.RingIndex` that runs each query as
+  slice tasks (:func:`~repro.parallel.system.run_slice`) on the pool and
+  merges their blocks deterministically.
 """
 
 from repro.parallel.shm import (
@@ -25,7 +27,7 @@ from repro.parallel.shm import (
     export_ring,
 )
 from repro.parallel.slices import SlicePlan, plan_slices
-from repro.parallel.pool import TaskError, TaskPool, WorkerPool, merge_blocks
+from repro.parallel.pool import TaskError, TaskPool, merge_blocks
 from repro.parallel.system import ParallelRingIndex
 
 __all__ = [
@@ -34,7 +36,8 @@ __all__ = [
     "SharedRing",
     "ShmExportError",
     "SlicePlan",
-    "WorkerPool",
+    "TaskError",
+    "TaskPool",
     "attach_ring",
     "export_ring",
     "merge_blocks",

@@ -19,16 +19,14 @@ segment cannot carry; exporting one raises :class:`ShmExportError`
 
 Lifetime: the exporting process owns the segment and unlinks it in
 :meth:`SharedRing.close`.  Attached processes only close their mapping;
-they also *unregister* the segment from their ``resource_tracker`` —
-without that, the tracker of the first worker to exit would unlink the
-segment while the parent (and sibling workers) still use it (Python
-3.11 has no ``track=False``).
+pool workers are forked, so they share the exporter's resource tracker
+and leave the segment's registration to the owner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Optional
 
 import numpy as np
@@ -53,12 +51,17 @@ class ShmExportError(RingLayoutError):
 
 @dataclass(frozen=True)
 class RingHandle:
-    """Everything a worker needs to re-attach the ring (picklable)."""
+    """Everything a worker needs to re-attach the ring (picklable).
+
+    Equality and hash cover the segment only, so a handle can key the
+    per-process ring memo of :func:`repro.parallel.system.run_slice`.
+    """
 
     name: str  #: shared-memory segment name
     size: int  #: segment size in bytes
-    meta: dict = field(repr=False)  #: ring scalars (n, sigma, wm shapes…)
-    arrays: ArrayTable = field(repr=False)
+    #: ring scalars (n, sigma, wm shapes…)
+    meta: dict = field(repr=False, compare=False)
+    arrays: ArrayTable = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -153,20 +156,6 @@ def export_ring(ring: Ring, name: Optional[str] = None) -> SharedRing:
     return SharedRing(shm, handle)
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Stop this process's resource tracker from unlinking the segment.
-
-    Attaching registers the segment with the local tracker; on worker
-    exit the tracker would *destroy* it even though the owner still uses
-    it.  Python 3.11 lacks ``SharedMemory(..., track=False)``, so we
-    unregister by hand (best-effort: tracker internals are private).
-    """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals shifted
-        pass
-
-
 def _attach_bitvector(
     shm: shared_memory.SharedMemory,
     table: ArrayTable,
@@ -191,7 +180,7 @@ def _view(
     return arr
 
 
-def attach_ring(handle: RingHandle, untrack: bool = False) -> Ring:
+def attach_ring(handle: RingHandle) -> Ring:
     """Rebuild a fully functional ring over the shared segment.
 
     Every array of the result is a read-only view into the segment —
@@ -200,17 +189,9 @@ def attach_ring(handle: RingHandle, untrack: bool = False) -> Ring:
     it is independent of the exporting ring (own leap memo, generation
     0) and read-only by construction.
 
-    ``untrack=True`` removes the segment from this process's resource
-    tracker.  Pass it when the attaching process has its *own* tracker
-    (``spawn``/``forkserver`` workers) — otherwise that tracker would
-    unlink the segment when the worker exits.  Leave it False when the
-    tracker is shared with the exporting process (``fork`` workers, or
-    attaching within the exporter itself): the registration being
-    removed would then be the *owner's*, breaking its cleanup.
-
     A :class:`PackHandle` attaches by memory-mapping the frozen pack
-    file instead (``untrack`` is irrelevant: there is no segment to
-    leak, the kernel drops the mapping with the process).
+    file instead (there is no segment to leak: the kernel drops the
+    mapping with the process).
     """
     if isinstance(handle, PackHandle):
         from repro.core.frozen import open_frozen_ring
@@ -218,8 +199,6 @@ def attach_ring(handle: RingHandle, untrack: bool = False) -> Ring:
         ring, _ = open_frozen_ring(handle.path, mmap=True, verify=True)
         return ring
     shm = shared_memory.SharedMemory(name=handle.name)
-    if untrack:
-        _untrack(shm)
     meta, table = handle.meta, handle.arrays
     seq = {}
     for zone in (S, P, O):

@@ -1,39 +1,119 @@
 """:class:`ParallelRingIndex` — the pool-backed drop-in ring system.
 
 Construction builds the ordinary serial :class:`RingIndex`, exports its
-ring into shared memory once, and spawns the worker pool.  At query
-time the driver:
+ring into shared memory once, and starts a :class:`TaskPool` whose
+executor is :func:`run_slice`.  At query time the driver:
 
 1. computes the elimination order (the same cardinality-guided §4.3
-   order the serial engine would use — workers receive it explicitly so
-   every process runs the identical plan);
+   order the serial engine would use — every slice task carries it
+   explicitly so every process runs the identical plan);
 2. asks the slice planner for a balanced, boundary-snapped partition of
    the first variable's domain;
-3. fans the slices out over the pool, folding worker op counts and
-   engine stats back into the parent budget, and merges the blocks in
-   slice order — the output is byte-identical to the serial
+3. runs one slice task per slice on the pool, folding the tasks' op
+   counts and engine stats back into the parent budget, and merges the
+   blocks in slice order — the output is byte-identical to the serial
    enumeration, including the *prefix* semantics of ``partial=True``
    under timeout/cancellation.
 
-Whenever fanning out is impossible or pointless — no shared join
-variable, fewer than two non-empty slices, an unexportable ring, a
-fully dead pool — the query silently runs on the inherited serial
-engine instead: parallelism is an optimisation, never a requirement.
+A worker killed mid-query costs latency, never rows: the pool re-runs
+its slices in this process through the same :func:`run_slice`, over
+this index's own ring.  Whenever fanning out is impossible or pointless
+— no shared join variable, fewer than two non-empty slices, an
+unexportable ring, a pool that cannot run — the query silently runs on
+the inherited serial engine instead: parallelism is an optimisation,
+never a requirement.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Optional, Sequence
 
 from repro.core.interface import QueryCancelled, QueryTimeout
+from repro.core.iterators import RingIterator
+from repro.core.ltj import LeapfrogTrieJoin
 from repro.core.system import RingIndex
 from repro.graph.dataset import Graph
 from repro.graph.model import BasicGraphPattern, Var
 from repro.parallel import pool as pool_mod
-from repro.parallel.pool import PoolUnavailable, WorkerPool
-from repro.parallel.shm import ShmExportError, export_ring
+from repro.parallel.pool import (
+    Block,
+    PoolUnavailable,
+    TaskError,
+    TaskPool,
+    cancel_token,
+)
+from repro.parallel.shm import PackHandle, attach_ring, export_ring
 from repro.parallel.slices import plan_slices
 from repro.reliability.budget import ResourceBudget
+
+_SLICE_EXECUTOR = "repro.parallel.system:run_slice"
+
+#: ``handle -> ring`` of this process.  A worker attaches each handle
+#: once; the exporting index registers its own ring, so an inline rescue
+#: never attaches a second copy.  Forked children start empty and map
+#: the shared segment (or pack) themselves.
+_RINGS: dict = {}
+os.register_at_fork(after_in_child=_RINGS.clear)
+
+
+def run_slice(task) -> Block:
+    """Run one slice task: the serial engine restricted to one slice.
+
+    ``task`` is ``(handle, bgp, var_order, first_range, spec)``; ``spec``
+    holds the engine options, the sub-budget (``timeout``, ``max_ops``,
+    ``tick_mask``; cancellation comes from the pool's
+    :func:`~repro.parallel.pool.cancel_token`), the row cap
+    ``max_solutions`` and ``pin_first``.  Returns the block
+    ``(status, rows, stats, ops)``: timeout, cancellation and errors are
+    statuses, never exceptions, so a slice's partial rows reach the
+    prefix merge.
+    """
+    handle, bgp, var_order, first_range, spec = task
+    ring = _RINGS.get(handle)
+    if ring is None:
+        ring = _RINGS[handle] = attach_ring(handle)
+    engine = LeapfrogTrieJoin(
+        lambda pattern: RingIterator(ring, pattern), ring.n, **spec["engine"]
+    )
+    budget = ResourceBudget(
+        timeout=spec["timeout"],
+        max_ops=spec["max_ops"],
+        token=cancel_token(),
+        tick_mask=spec["tick_mask"],
+    )
+    rows: list[dict[Var, int]] = []
+    stats: dict = {}
+    status = "ok"
+    max_rows = spec["max_solutions"]
+    # Dynamic variable-selection policies: pin only the sliced first
+    # variable and let every deeper depth re-rank, so this slice's
+    # subtree enumeration matches the serial policy search node for node.
+    pin_first = spec["pin_first"]
+    try:
+        if max_rows is None or max_rows > 0:
+            for solution in engine.evaluate(
+                bgp,
+                timeout=budget,
+                var_order=None if pin_first else var_order,
+                stats=stats,
+                first_range=first_range,
+                first_var=var_order[0] if pin_first else None,
+            ):
+                rows.append(solution)
+                # A capped block keeps status "ok": the parent never
+                # consumes more than max_rows rows in total, so it
+                # cannot need the tail this break abandons.
+                if max_rows is not None and len(rows) >= max_rows:
+                    break
+    except QueryTimeout:
+        status = "timeout"
+    except QueryCancelled:
+        status = "cancelled"
+    except Exception as exc:  # reported through the block's status
+        status = "error"
+        stats["error"] = f"{type(exc).__name__}: {exc}"
+    return (status, rows, stats, budget.ops)
 
 
 class ParallelRingIndex(RingIndex):
@@ -47,9 +127,6 @@ class ParallelRingIndex(RingIndex):
     num_slices:
         Slices per query; defaults to ``2 * workers`` so the fastest
         worker picks up slack from skewed slices.
-    start_method:
-        ``multiprocessing`` start method (default ``fork``, overridable
-        via ``REPRO_PARALLEL_START_METHOD``).
 
     Only the plain (uncompressed, plain-counts) ring is shareable;
     requesting a compressed one raises
@@ -63,7 +140,6 @@ class ParallelRingIndex(RingIndex):
         graph: Graph,
         workers: int = 2,
         num_slices: Optional[int] = None,
-        start_method: Optional[str] = None,
         leap_memo_size: int = 1 << 16,
         **engine_options,
     ) -> None:
@@ -71,9 +147,7 @@ class ParallelRingIndex(RingIndex):
             graph, compressed=False, leap_memo_size=leap_memo_size, **engine_options
         )
         self._shared = export_ring(self._ring)
-        self._start_pool(
-            self._shared.handle, workers, num_slices, start_method, engine_options
-        )
+        self._start_pool(self._shared.handle, workers, num_slices, engine_options)
 
     @classmethod
     def from_ring(
@@ -83,7 +157,6 @@ class ParallelRingIndex(RingIndex):
         *,
         workers: int = 2,
         num_slices: Optional[int] = None,
-        start_method: Optional[str] = None,
         **engine_options,
     ) -> "ParallelRingIndex":
         """Parallel driver over a prebuilt ring (no index construction).
@@ -98,32 +171,26 @@ class ParallelRingIndex(RingIndex):
         index = RingIndex.from_ring.__func__(cls, ring, graph, **engine_options)
         pack_path = getattr(ring, "_pack_path", None)
         if pack_path is not None and getattr(ring, "_pack_mmap", False):
-            from repro.parallel.shm import PackHandle
-
             index._shared = None
             handle = PackHandle(pack_path)
         else:
             index._shared = export_ring(ring)
             handle = index._shared.handle
-        index._start_pool(
-            handle, workers, num_slices, start_method, engine_options
-        )
+        index._start_pool(handle, workers, num_slices, engine_options)
         return index
 
-    def _start_pool(
-        self, handle, workers, num_slices, start_method, engine_options
-    ) -> None:
-        """Spawn the workers over ``handle``, each running the parent's
-        engine configuration; a pool that cannot start leaves the index
-        degraded (every query runs serially)."""
+    def _start_pool(self, handle, workers, num_slices, engine_options) -> None:
+        """Start the slice pool over ``handle``, every task running the
+        parent's engine configuration; a pool that cannot start leaves
+        the index degraded (every query runs serially)."""
+        self._handle = handle
+        self._engine_options = dict(engine_options)
+        _RINGS[handle] = self._ring
         self._workers = max(1, int(workers))
         self._num_slices = int(num_slices) if num_slices else 2 * self._workers
         try:
-            self._pool: Optional[WorkerPool] = WorkerPool(
-                handle,
-                workers=self._workers,
-                engine_opts=engine_options,
-                start_method=start_method,
+            self._pool: Optional[TaskPool] = TaskPool(
+                _SLICE_EXECUTOR, workers=self._workers
             )
         except PoolUnavailable:
             self._pool = None
@@ -131,7 +198,7 @@ class ParallelRingIndex(RingIndex):
     # -- lifecycle -----------------------------------------------------------
 
     @property
-    def pool(self) -> Optional[WorkerPool]:
+    def pool(self) -> Optional[TaskPool]:
         return self._pool
 
     def pool_stats(self) -> dict:
@@ -150,6 +217,8 @@ class ParallelRingIndex(RingIndex):
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+        if _RINGS.get(self._handle) is self._ring:
+            del _RINGS[self._handle]
         if self._shared is not None:
             self._shared.close()
 
@@ -176,24 +245,28 @@ class ParallelRingIndex(RingIndex):
     ) -> Iterable[dict[Var, int]]:
         budget = ResourceBudget.coerce(timeout)
         pool = self._pool
-        if pool is None or not pool.alive:
-            yield from self._engine.evaluate(
+
+        def serial():
+            return self._engine.evaluate(
                 bgp, timeout=budget, var_order=var_order, stats=stats
             )
+
+        if pool is None:
+            yield from serial()
             return
 
         # The engine's own preamble, so the parent, the planner and
-        # every worker agree on the same live iterators and order.
+        # every slice task agree on the same live iterators and order.
         analysed = self._engine._analyse(bgp, var_order)
         if analysed is None:
             return  # some pattern is unsatisfiable
         live, by_var, order, _lonely_by_iter = analysed
 
-        # Dynamic policies: the sliced (and per-worker pinned) first
-        # variable is the policy's own depth-0 choice, so workers only
-        # re-rank depths >= 1 and the merged slices reproduce the serial
-        # policy enumeration byte for byte.  Slices may diverge in the
-        # deeper order — each worker re-ranks against its own narrowed
+        # Dynamic policies: the sliced (and per-task pinned) first
+        # variable is the policy's own depth-0 choice, so slice tasks
+        # only re-rank depths >= 1 and the merged slices reproduce the
+        # serial policy enumeration byte for byte.  Slices may diverge
+        # in the deeper order — each re-ranks against its own narrowed
         # ranges — but those choices are deterministic functions of the
         # shared ring state, identical to what the serial search decides
         # at the same node.
@@ -205,63 +278,43 @@ class ParallelRingIndex(RingIndex):
 
         plan = plan_slices(live, bgp, order, self._num_slices) if order else None
         if plan is None or not plan.viable:
-            yield from self._engine.evaluate(
-                bgp, timeout=budget, var_order=var_order, stats=stats
-            )
+            yield from serial()
             return
 
-        def serial_fallback(first_range):
-            # Dead-worker rescue: re-run the slice in this process,
-            # charging the parent budget directly (its ticks are already
-            # accounted, hence ops=0 in the returned block).
-            rows: list = []
-            slice_stats: dict = {}
-            status = "ok"
-            row_demand = getattr(budget, "row_demand", None)
-            if row_demand is not None:
-                # Same cap the pool hands its workers: the consumer never
-                # needs more than the remaining row allowance from any
-                # single slice, so a rescue may stop there too.
-                max_rows = max(row_demand - budget.solutions, 0)
-            else:
-                max_rows = None
-            try:
-                if max_rows is None or max_rows > 0:
-                    for solution in self._engine.evaluate(
-                        bgp,
-                        timeout=budget,
-                        var_order=None if pin_first else order,
-                        stats=slice_stats,
-                        first_range=first_range,
-                        first_var=order[0] if pin_first else None,
-                    ):
-                        rows.append(solution)
-                        if max_rows is not None and len(rows) >= max_rows:
-                            break
-            except QueryTimeout:
-                status = "timeout"
-            except QueryCancelled:
-                status = "cancelled"
-            except Exception as exc:
-                status = "error"
-                slice_stats["error"] = f"{type(exc).__name__}: {exc}"
-            return (status, rows, slice_stats, 0)
-
+        if budget.max_ops is not None:
+            remaining_ops = max(budget.max_ops - budget.ops, 1)
+            sub_ops = max(remaining_ops // len(plan.slices), 1)
+        else:
+            sub_ops = None
+        if budget.row_demand is not None:
+            # The parent consumes at most L raw rows total, so it can
+            # never need more than L rows from any single block: capping
+            # each slice at the remaining L preserves first-L-rows
+            # identity while sparing workers the (possibly huge) slice
+            # tail.  row_demand is only set when no dedup sits between
+            # the stream and the consumer (see BaseQuerySystem.evaluate).
+            sub_solutions = max(budget.row_demand - budget.solutions, 0)
+        else:
+            sub_solutions = None
+        spec = {
+            "engine": self._engine_options,
+            "timeout": budget.remaining_time(),
+            "max_ops": sub_ops,
+            "tick_mask": budget.tick_mask,
+            "max_solutions": sub_solutions,
+            "pin_first": pin_first,
+        }
+        tasks = [(self._handle, bgp, order, slc, spec) for slc in plan.slices]
         try:
-            blocks = pool.run_slices(
-                bgp, order, plan.slices, budget, serial_fallback,
-                pin_first=pin_first,
-            )
-        except PoolUnavailable:
-            yield from self._engine.evaluate(
-                bgp, timeout=budget, var_order=var_order, stats=stats
-            )
+            blocks = pool.run(tasks, budget=budget)
+        except (PoolUnavailable, TaskError):
+            yield from serial()
             return
 
         # Called through the module so the ``parallel.slice_merge``
         # chaos site (which patches the module attribute) intercepts it.
-        rows, bad, merged_stats, worker_ops = pool_mod.merge_blocks(blocks)
-        budget.ops += worker_ops  # fold the fan-out into the governor
+        rows, bad, merged_stats, slice_ops = pool_mod.merge_blocks(blocks)
+        budget.ops += slice_ops  # fold the fan-out into the governor
         if stats is not None:
             for key, value in merged_stats.items():
                 if isinstance(value, (int, float)):

@@ -74,8 +74,8 @@ __all__ = [
     "heartbeat",
 ]
 
-#: Override the multiprocessing start method (mirrors parallel.pool).
-START_METHOD_ENV = "REPRO_PROC_START_METHOD"
+#: Shard processes are forked, like the parallel pool's workers.
+_CTX = mp.get_context("fork")
 
 
 class ShardProcessDied(EndpointDown):
@@ -286,7 +286,6 @@ class ProcessEndpoint:
         *,
         store_options: Optional[dict] = None,
         broker_options: Optional[dict] = None,
-        start_method: Optional[str] = None,
         spawn_timeout: float = 30.0,
         rpc_timeout: float = 30.0,
         heartbeat_timeout: float = 2.0,
@@ -294,7 +293,6 @@ class ProcessEndpoint:
         self.directory = str(directory)
         self._store_options = dict(store_options or {})
         self._broker_options = dict(broker_options or {})
-        self._start_method = start_method
         self.spawn_timeout = spawn_timeout
         self.rpc_timeout = rpc_timeout
         self.heartbeat_timeout = heartbeat_timeout
@@ -320,13 +318,11 @@ class ProcessEndpoint:
     # -- lifecycle -----------------------------------------------------------
 
     def _start(self) -> None:
-        method = self._start_method or os.environ.get(START_METHOD_ENV, "fork")
-        ctx = mp.get_context(method)
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        parent_conn, child_conn = _CTX.Pipe(duplex=True)
         ready: Future = Future()
         try:
             proc = spawn_process(
-                ctx,
+                _CTX,
                 _shard_server_main,
                 (
                     parent_conn,

@@ -368,6 +368,37 @@ class TestWorkerFaults:
         bulk_build(graph, out, chunk_triples=300, workers=2)
         assert _read(out) == _read(reference)
 
+    def test_spawn_fault_degrades_to_serial_bytes(self, graph, tmp_path):
+        # No worker can spawn: both builders record pool_degraded, run
+        # every task inline, and write the serial build's bytes.
+        reference = _reference_pack(graph, tmp_path)
+        serial_dir = str(tmp_path / "shards-serial")
+        bulk_build_sharded(graph, serial_dir, n_shards=2, chunk_triples=300)
+        out = str(tmp_path / "nospawn.ring")
+        out_dir = str(tmp_path / "shards-nospawn")
+        stats: dict = {}
+        shard_stats: dict = {}
+        fault = Fault("parallel.spawn", probability=1.0, error=InjectedFault)
+        with inject_faults(fault, seed=3):
+            bulk_build(graph, out, chunk_triples=300, workers=2, stats=stats)
+            bulk_build_sharded(
+                graph, out_dir, n_shards=2, chunk_triples=300, workers=2,
+                stats=shard_stats,
+            )
+        assert stats["pool_degraded"] and shard_stats["pool_degraded"]
+        assert _read(out) == _read(reference)
+        assert _read(out + ".config.json") == _read(
+            reference + ".config.json"
+        )
+        for sid in range(2):
+            pack = os.path.join(
+                f"shard-{sid:02d}", "checkpoint-0000000001", "ring-000.ring"
+            )
+            for name in (pack, pack + ".config.json"):
+                assert _read(os.path.join(out_dir, name)) == _read(
+                    os.path.join(serial_dir, name)
+                )
+
     def test_killed_worker_is_rescued(self, graph, tmp_path):
         reference = _reference_pack(graph, tmp_path)
         out = str(tmp_path / "wkill.ring")

@@ -7,7 +7,8 @@ cancellation (all with correct ``partial=True`` prefixes), a worker
 SIGKILLed mid-query, and a pool that never came up at all.
 """
 
-import os
+import threading
+import time
 
 import pytest
 
@@ -56,9 +57,9 @@ def test_ordered_identity_with_serial(serial, parallel, bgp):
 
 
 def test_lonely_only_query_bypasses_the_pool(parallel):
-    before = parallel.pool_stats()["queries"]
+    before = parallel.pool_stats()["batches"]
     parallel.evaluate(LONELY_ONLY)
-    assert parallel.pool_stats()["queries"] == before, (
+    assert parallel.pool_stats()["batches"] == before, (
         "a no-shared-variable query should run serially, not fan out"
     )
 
@@ -142,6 +143,67 @@ def test_killed_worker_is_rescued_exactly(graph, serial):
         index.close()
 
 
+def test_killed_worker_under_op_budget_yields_a_prefix(graph, serial):
+    # The rescued slices run under the same op share as a worker's, so
+    # the merged answer is still a prefix of the serial enumeration.
+    index = ParallelRingIndex(graph, workers=2, num_slices=4)
+    try:
+        reference = list(serial.evaluate(TRIANGLE))
+        index.pool._kill_after_dispatch = 0
+        result = index.evaluate(
+            TRIANGLE,
+            budget=ResourceBudget(max_ops=3000, tick_mask=0),
+            partial=True,
+        )
+        assert result.truncated
+        assert list(result) == reference[: len(result)]
+        assert index.pool_stats()["serial_rescues"] >= 1
+    finally:
+        index.close()
+
+
+@pytest.fixture(scope="module")
+def slow_triangle():
+    """The triangle query on a complete 56-node graph: 175 616 rows,
+    about 1.3 s serially on a 2-vCPU host."""
+    graph = random_graph(4000, n_nodes=56, n_predicates=1, seed=3)
+    started = time.monotonic()
+    reference = list(RingIndex(graph).evaluate(TRIANGLE))
+    return graph, reference, time.monotonic() - started
+
+
+def test_mid_query_cancellation_stops_the_slices(slow_triangle):
+    graph, reference, serial_s = slow_triangle
+    index = ParallelRingIndex(graph, workers=2, num_slices=4)
+    try:
+        token = CancellationToken()
+        timer = threading.Timer(serial_s / 10, token.cancel)
+        started = time.monotonic()
+        timer.start()
+        try:
+            with pytest.raises(QueryCancelled):
+                index.evaluate(TRIANGLE, budget=ResourceBudget(token=token))
+        finally:
+            timer.cancel()
+        assert time.monotonic() - started < serial_s / 2
+
+        token = CancellationToken()
+        timer = threading.Timer(serial_s / 10, token.cancel)
+        timer.start()
+        try:
+            result = index.evaluate(
+                TRIANGLE, budget=ResourceBudget(token=token), partial=True
+            )
+        finally:
+            timer.cancel()
+        assert result.truncated
+        assert result.interrupted_by == "cancelled"
+        assert len(result) < len(reference)
+        assert list(result) == reference[: len(result)]
+    finally:
+        index.close()
+
+
 def test_spawn_fault_degrades_to_serial(graph, serial):
     with inject_faults(
         Fault("parallel.spawn", probability=1.0, error=InjectedFault)
@@ -170,7 +232,7 @@ def test_merge_fault_is_a_typed_error(graph):
 def test_pool_stats_shape(parallel):
     stats = parallel.pool_stats()
     for key in (
-        "workers", "alive_workers", "busy_seconds", "queries",
+        "workers", "alive_workers", "busy_seconds", "batches",
         "dispatched", "completed", "respawns", "serial_rescues",
         "spawn_failures",
     ):
@@ -186,10 +248,6 @@ def test_close_is_idempotent_and_degrades(graph, serial):
     index.close()
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_PARALLEL_START_METHOD", "fork") != "fork",
-    reason="worker attach counting relies on the default start method",
-)
 def test_attach_is_zero_copy_shells_only():
     """The handle a worker attaches from is tiny and *constant-size* —
     index data never rides through pickling (the segment carries it)."""
