@@ -140,6 +140,8 @@ QUERY_SITES = [
     # and intersects the backward iterators of a variable.
     "wavelet.rank_pair",
     "wavelet.intersect_ranges",
+    # The same descent batched over a block of bindings.
+    "wavelet.intersect_ranges_many",
     "wavelet.select",
     "wavelet.range_next_value",
     "wavelet.access",

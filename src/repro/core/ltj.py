@@ -20,25 +20,40 @@ engineering refinements:
 On top of those the engine leans on the succinct kernels wherever an
 iterator offers them:
 
+- the search recurses over **blocks** of partial bindings — up to
+  :data:`BLOCK_SIZE` of one depth, in emission order, across parents —
+  not over one binding at a time;
 - the ring iterators whose leap on a variable is *backward* are not
   leapt at all: their ranges descend their wavelet matrices in lockstep
-  (:meth:`repro.core.ring.Ring.backward_lockstep`, the Radix-Triejoin
-  reading of the matrices), which reaches each value they share once,
-  in increasing order, and hands every one of them the range its bind
-  would have computed; the variable's other iterators verify each such
-  value with a leap.  With one iterator this is its ordered value sweep,
-  started at the slice's ``lo``;
+  (the Radix-Triejoin reading of the matrices), which reaches each
+  value they share once, in increasing order, and hands every one of
+  them the range its bind would have computed; the variable's other
+  iterators verify each such value with a leap.  A run of at least
+  :data:`BATCH_CROSSOVER` bindings of a block descends in one batched,
+  level-synchronous call
+  (:meth:`repro.core.ring.Ring.backward_lockstep_many`), a shorter one
+  binding by binding (:meth:`repro.core.ring.Ring.backward_lockstep`).
+  With one iterator this is its ordered value sweep, started at the
+  slice's ``lo``;
 - lonely patterns whose iterator offers ``solutions_bulk`` have their
   whole Lemma 3.6 range bulk-decoded into row-aligned numpy columns
   (chunked), replacing the per-triple bind/leap walk; iterators without
   it (every baseline) take the scalar walk;
 - the leapfrog seeks that remain (iterators with no zone state, such as
   the dynamic ring's union) hit the ring's LRU leap memo (see
-  :meth:`repro.core.ring.Ring.backward_leap`).
+  :meth:`repro.core.ring.Ring.backward_leap`).  A query with such an
+  iterator searches blocks of one binding: the classic depth-first
+  search.
 
-Batch work charges the shared :class:`ResourceBudget` through
-``tick_many`` — one op per logical row/leap, identical to the scalar
-walk — so op caps, timeouts and cancellation behave the same either way.
+Work is charged when a binding is *consumed*, not when its block
+computes it: leaps, binds and budget ticks reach ``stats`` and the
+shared :class:`ResourceBudget` (through ``tick_many``, which raises
+where as many single ticks would) in exactly the order and amounts of
+the one-binding search, so rows, the cost ledger, op caps and ``limit``
+cut-offs are the same either way.  The deadline and the cancellation
+token need no charge: they are polled once per ``tick_mask + 1`` ticks
+of work done, charged or not, so they fire mid-search even where no
+binding is ever consumed.
 
 The two paper refinements can be disabled (``use_lonely`` /
 ``use_ordering``) for the ablation benchmarks.
@@ -71,7 +86,10 @@ from __future__ import annotations
 
 import copy
 import sys
-from typing import Callable, Iterator, Optional, Sequence, Union
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.core.interface import PatternIterator, QueryCancelled, QueryTimeout
 from repro.graph.model import BasicGraphPattern, TriplePattern, Var
@@ -91,6 +109,17 @@ _UNBOUNDED = sys.maxsize
 #: sample — the totals live in the ``reranks``/``rerank_divergence``
 #: stats and the ``plan.*`` kernel counters.
 DECISION_LOG_CAP = 128
+
+#: Most bindings of one depth a block of the search carries, across
+#: parents: the frontier one batched descent can serve.
+BLOCK_SIZE = 256
+
+#: Fewest consecutive bindings of a block one batched descent serves;
+#: shorter runs descend one binding at a time.  On the runs the cyclic
+#: WGPB queries batch, one batched descent of 16 / 20 / 32 / 64 / 256
+#: problems ran 0.94x / 1.09x / 1.73x / 2.85x / 5.47x as fast as their
+#: scalar descents: even at about 20, with margin at 32.
+BATCH_CROSSOVER = 32
 
 
 def rank_candidates(
@@ -129,21 +158,34 @@ def rank_candidates(
     return best, best_key[0]
 
 
+class _Group(NamedTuple):
+    """A variable's lockstep group: the backward iterators as ``zs``
+    slots with their zones (the matrices a descent walks), the
+    verifiers, and the verifiers that have zone state (``(iterator,
+    slot)``, re-read after each bind)."""
+
+    ring: object
+    slots: tuple[int, ...]
+    zones: tuple[int, ...]
+    verifiers: list
+    rebind: list
+
+
 def _lockstep_group(
-    iters: Sequence[PatternIterator], var: Var
-) -> Optional[tuple]:
+    iters: Sequence[PatternIterator], var: Var, slot: dict[int, int]
+) -> Optional[_Group]:
     """Split a variable's iterators for a lockstep descent.
 
-    Returns ``(ring, backward, states, verifiers)``: the ring iterators
-    whose leap on ``var`` is backward descend their zone matrices
-    together from their zone states; the rest — forward, free, repeated,
-    or with no zone state at all (the baselines, the dynamic ring's
-    union) — verify its candidates.  ``None`` sends the whole group to
-    the leapfrog ``_seek``: no iterator is backward, or the backward ones
-    do not share one ring and one level count.
+    The ring iterators whose leap on ``var`` is backward descend their
+    zone matrices together from their zone states; the rest — forward,
+    free, repeated, or with no zone state at all (the baselines, the
+    dynamic ring's union) — verify its candidates.  ``slot`` maps an
+    iterator's ``id`` to its ``zs`` slot.  ``None`` sends the whole
+    group to the leapfrog ``_seek``: no iterator is backward, or the
+    backward ones do not share one ring and one level count.
     """
     ring = levels = None
-    backward, states, verifiers = [], [], []
+    slots, zones, verifiers = [], [], []
     for it in iters:
         zone_state = getattr(it, "zone_state", None)
         state = zone_state() if zone_state is not None else None
@@ -155,11 +197,156 @@ def _lockstep_group(
             ring, levels = it.ring, depth
         elif it.ring is not ring or depth != levels:
             return None
-        backward.append(it)
-        states.append(state)
+        slots.append(slot[id(it)])
+        zones.append(state[0])
     if ring is None:
         return None
-    return ring, backward, states, verifiers
+    rebind = [(it, slot[id(it)]) for it in verifiers if id(it) in slot]
+    return _Group(ring, tuple(slots), tuple(zones), verifiers, rebind)
+
+
+class _Tally:
+    """Work done since it was last taken: ``ticks`` and ``leaps`` as a
+    one-binding search charges them, and ``batched``, the values a
+    batched descent served.
+
+    One per query.  The search's generators nest, and each takes the
+    tally before it yields a node or returns, so what the tally holds is
+    always the running node's work.  Nothing is charged before a binding
+    is consumed, so the tally also polls the budget's clock and token
+    (:meth:`ResourceBudget.poll`, never the op cap) once per ``tick_mask
+    + 1`` ticks it sees, charged or not: a search that reaches no leaf
+    still times out and cancels on time.
+    """
+
+    __slots__ = ("ticks", "leaps", "batched", "due", "period", "budget")
+
+    def __init__(self, budget: ResourceBudget) -> None:
+        self.ticks = self.leaps = self.batched = 0
+        self.budget = budget
+        pollable = budget.deadline is not None or budget.token is not None
+        #: Ticks between polls; ``due`` is where ``ticks`` polls next.
+        self.period = budget.tick_mask + 1 if pollable else _UNBOUNDED
+        self.due = self.period
+
+    def tick(self) -> None:
+        self.ticks += 1
+        if self.ticks >= self.due:
+            self.poll()
+
+    def poll(self) -> None:
+        self.budget.poll()
+        self.due = self.ticks + self.period
+
+    def take(self) -> tuple[int, int, int]:
+        """``(ticks, leaps, batched)`` since the last take, zeroed; the
+        countdown to the next poll runs on."""
+        taken = self.ticks, self.leaps, self.batched
+        self.due -= self.ticks
+        self.ticks = self.leaps = self.batched = 0
+        return taken
+
+
+class _Query:
+    """Per-evaluation state of the block search: the iterators, the
+    policy, the root's slice, the path the iterators are bound to and
+    the growing block size."""
+
+    __slots__ = (
+        "by_var", "lonely", "deadline", "state", "lo", "hi", "first_var",
+        "n_shared", "slot", "binders", "path", "block", "cap",
+        "frontier", "carry", "tally",
+    )
+
+    def __init__(
+        self,
+        live: Sequence[PatternIterator],
+        by_var: dict[Var, list[PatternIterator]],
+        order: list[Var],
+        lonely: Sequence[tuple[PatternIterator, list[Var]]],
+        deadline: ResourceBudget,
+        state: Optional[_PolicyState],
+        lo: int,
+        hi: int,
+        first_var: Optional[Var],
+    ) -> None:
+        self.by_var = by_var
+        self.lonely = lonely
+        self.deadline = deadline
+        self.state = state
+        self.lo, self.hi = lo, hi
+        self.first_var = first_var
+        self.n_shared = len(order)
+        #: ``zs`` slot of every iterator with zone state, by ``id``.
+        self.slot: dict[int, int] = {}
+        zs = []
+        for it in live:
+            zone_state = getattr(it, "zone_state", None)
+            if zone_state is not None:
+                self.slot[id(it)] = len(zs)
+                zs.append(zone_state())
+        self.binders = {
+            var: [(it, self.slot.get(id(it))) for it in its]
+            for var, its in by_var.items()
+        }
+        #: The nodes the iterators are bound to, root excluded.
+        self.path: list = []
+        self.block = BLOCK_SIZE if len(zs) == len(live) else 1
+        #: The size at which a depth's waiting nodes are searched next
+        #: (doubling per block searched, up to ``block``).
+        self.cap = 1
+        #: Per depth, the nodes waiting to be searched and the work
+        #: charged to the next node to join them.
+        root = (None, None, None, list(order), tuple(zs), (0, 0, 0, 0))
+        self.frontier: list[list] = [[root]] + [[] for _ in order]
+        self.carry = [[0, 0, 0, 0] for _ in range(len(order) + 1)]
+        self.tally = _Tally(deadline)
+
+
+def _binding_of(node: tuple) -> dict[Var, int]:
+    """``{var: value}`` along ``node``'s path, in binding order."""
+    pairs = []
+    while node[0] is not None:
+        pairs.append((node[1], node[2]))
+        node = node[0]
+    return dict(reversed(pairs))
+
+
+def _scalar_descent(ring, states: list, tally: _Tally) -> Callable:
+    """``descend(c)``: one scalar lockstep descent of ``states`` from
+    ``c``, its backtracks ticking ``tally``."""
+    return lambda c: ring.backward_lockstep(states, c, tally.tick)
+
+
+def _replay(
+    vals: list, starts: list, columns: list, a: int, b: int, ra: int, rb: int,
+    tally: _Tally,
+) -> Callable:
+    """Replay one problem of a batched descent as its scalar descent.
+
+    ``vals[a:b]`` are the problem's agreed values, ``starts[ra:rb]`` its
+    resume points and ``columns`` the stepped ``(target, los, his)``.
+    ``descend(c)`` yields what
+    :meth:`~repro.core.ring.Ring.backward_lockstep` from ``c`` would and
+    ticks ``tally`` once per resume point that search would pass: those
+    in ``(c, v]`` before a value ``v``, those above the last value after
+    it.  A restart from a verifier's answer is one more ``descend``.
+    """
+
+    def descend(c: int) -> Iterator[tuple[int, list]]:
+        i = bisect_left(vals, c, a, b)
+        j = bisect_right(starts, c, ra, rb)
+        while i < b:
+            value = vals[i]
+            passed = bisect_right(starts, value, j, rb)
+            tally.ticks += passed - j
+            tally.batched += 1
+            j = passed
+            yield value, [(t, los[i], his[i]) for t, los, his in columns]
+            i += 1
+        tally.ticks += rb - j
+
+    return descend
 
 
 class _PolicyState:
@@ -275,7 +462,7 @@ class LeapfrogTrieJoin:
         run = copy.copy(self)
         run._stats = stats
         if stats is not None:
-            for key in ("leaps", "binds", "bulk_rows"):
+            for key in ("leaps", "binds", "bulk_rows", "batched_values"):
                 stats.setdefault(key, 0)
             stats.setdefault("policy", self._policy)
         deadline = ResourceBudget.coerce(timeout)
@@ -311,9 +498,11 @@ class LeapfrogTrieJoin:
                 stats.setdefault("estimate_misses", 0)
                 stats.setdefault("decision_log", [])
         lo, hi = first_range if first_range is not None else (0, _UNBOUNDED)
-        yield from run._search(
-            order, by_var, lonely_by_iter, {}, deadline, state, lo, hi, first_var
+        q = _Query(
+            live, by_var, order, lonely_by_iter, deadline, state, lo, hi,
+            first_var,
         )
+        yield from run._search(q, 0, True)
 
     def _analyse(
         self,
@@ -620,110 +809,287 @@ class LeapfrogTrieJoin:
     # -- the search tree ---------------------------------------------------------
 
     def _search(
-        self,
-        remaining: list[Var],
-        by_var: dict[Var, list[PatternIterator]],
-        lonely_by_iter: Sequence[tuple[PatternIterator, list[Var]]],
-        binding: dict[Var, int],
-        deadline: ResourceBudget,
-        state: Optional[_PolicyState],
-        lo: int = 0,
-        hi: int = _UNBOUNDED,
-        first_var: Optional[Var] = None,
+        self, q: "_Query", depth: int, final: bool
     ) -> Iterator[dict[Var, int]]:
-        """Algorithm 1: eliminate one variable, recurse on the rest.
+        """Algorithm 1 over the block of bindings waiting at ``depth``.
 
-        ``remaining`` stays in static §4.3 order.  The variable is
-        ``first_var`` when given (parallel slice mode: depth 0 is pinned
-        to the slicing variable, the parent's own policy choice), else
-        the head of ``remaining`` when ``state`` is ``None`` (``static``,
-        or a pinned ``var_order``), else the policy's per-depth choice —
-        so a policy's output differs from ``static`` only in row
-        *order*, never in the solution multiset.
+        ``q.frontier[depth]`` holds nodes of one depth in emission
+        order, drawn from any number of parents — and of grandparents:
+        it fills across the blocks of the depth above.  At the leaves
+        (no variable left) each node settles its gap and emits its rows.
+        Otherwise the block's children (:meth:`_children`, in emission
+        order) join the next depth's frontier, which is searched
+        whenever it holds a block's worth and, once this depth is
+        ``final`` (nothing more can arrive), one last time with the
+        rest.  Rows therefore leave in the order a one-binding-at-a-time
+        search would emit them.
 
-        Only values in ``[lo, hi)`` are enumerated; deeper levels run
-        unrestricted.  The parallel driver passes a proper slice at
-        depth 0, and the descent (or the seek loop) starts at ``lo``
-        instead of sweeping from 0, so a K-way partition costs K extra
-        descents total, not K extra scans.
+        A node is ``(parent, var, value, rest, zs, gap)``: the binding
+        ``var := value`` below ``parent``, the variables ``rest`` still
+        to eliminate under it, ``zs`` the zone state of every zone-state
+        iterator (aligned with ``q.slot``), and ``gap`` the ``(ticks,
+        leaps, binds, batched)`` a one-binding search would have spent
+        between the previous node of this depth and this one.  Work is
+        charged when a node is consumed, not when its block computes
+        it, so the ledger and the budget see that search exactly — a
+        ``limit`` or a spent budget stops between the same two rows.
 
-        The variable's values come from one source: a lockstep descent
-        of its backward iterators (:meth:`_lockstep`, which also hands
-        each of them its next range) when there is one, else the
-        leapfrog :meth:`_seek`.  Either way they arrive in increasing
-        order, so the rows are the same.
+        Blocks grow from one binding, doubling per block searched, to
+        :data:`BLOCK_SIZE` (to 1 when an iterator lacks zone state, which
+        makes this the classic depth-first search), and a leaf, which
+        has no descent to share, is emitted as soon as it exists: a
+        consumer that stops early (``limit``) leaves little computed
+        ahead of it.
         """
-        if not remaining:
-            yield from self._emit_lonely(lonely_by_iter, 0, binding, deadline)
+        block, q.frontier[depth] = q.frontier[depth], []
+        if depth == q.n_shared:
+            for node in block:
+                self._settle(q, node[5])
+                binding = _binding_of(node)
+                if q.lonely:
+                    self._seat(q, node)
+                    yield from self._emit_lonely(q.lonely, 0, binding, q.deadline)
+                else:
+                    yield binding
             return
-        if first_var is not None:
-            var = first_var
-        elif state is None:
-            var = remaining[0]
-        else:
-            var = self._choose_variable(remaining, by_var, state)
-        if var is remaining[0]:
-            rest = remaining[1:]
-        else:
-            rest = [v for v in remaining if v is not var]
-        iters = by_var[var]
-        group = _lockstep_group(iters, var)
-        if group is None:
-            backward, verifiers = (), iters
-            agreed = self._leapfrog(iters, var, lo, deadline)
-        else:
-            ring, backward, states, verifiers = group
-            agreed = self._lockstep(ring, states, verifiers, var, lo, deadline)
-        for value, stepped in agreed:
-            if value >= hi:
-                break
-            if self._stats is not None:
-                self._stats["binds"] += 1
-            for it, zone_state in zip(backward, stepped):
-                it.bind(var, value, zone_state)
-            for it in verifiers:
-                it.bind(var, value)
-            binding[var] = value
-            yield from self._search(
-                rest, by_var, lonely_by_iter, binding, deadline, state
+        below = depth + 1
+        carry = q.carry[below]
+        if block:
+            for child in self._children(q, block, carry):
+                frontier = q.frontier[below]
+                frontier.append(child)
+                if below == q.n_shared:
+                    yield from self._search(q, below, False)
+                elif len(frontier) >= q.cap:
+                    q.cap = min(2 * q.cap, q.block)
+                    yield from self._search(q, below, False)
+        if final:
+            yield from self._search(q, below, True)
+            self._settle(q, carry)
+            carry[:] = (0, 0, 0, 0)
+
+    def _children(self, q: "_Query", block: list, carry: list) -> Iterator[tuple]:
+        """The next depth's nodes under ``block``, in emission order.
+
+        Each node's variable's values come from one source: a lockstep
+        descent of its backward iterators when there is one (batched
+        over the run or one per binding, :meth:`_descents`), else the
+        leapfrog :meth:`_seek`.  Either way they arrive in
+        increasing order.  Only the root restricts its values to
+        ``[q.lo, q.hi)``, and its search starts at ``q.lo``: a K-way
+        slicing costs K extra descents, not K extra scans.  A dynamic
+        policy changes only the row order, never the rows.
+        ``carry`` accumulates the work between
+        children: a parent's gap and the trailing work of its search
+        are charged to the next child (or, at the end, by the caller).
+        """
+        tally = q.tally
+        for var, group, run in self._runs(q, block):
+            if group is not None:
+                descent = self._descents(q, run, group)
+            rest_of, rest = None, None
+            for r, node in enumerate(run):
+                gap = node[5]
+                carry[0] += gap[0]
+                carry[1] += gap[1]
+                carry[2] += gap[2]
+                carry[3] += gap[3]
+                if node[3] is not rest_of:
+                    rest_of = node[3]
+                    rest = [v for v in rest_of if v is not var]
+                c, hi = (q.lo, q.hi) if node[0] is None else (0, _UNBOUNDED)
+                if group is None:
+                    values = self._leapfrog(q, node, var, c, tally)
+                else:
+                    values = self._lockstep(
+                        q, node, var, group.verifiers, c,
+                        descent(r, node, tally), tally,
+                    )
+                for value, stepped in values:
+                    if value >= hi:
+                        break
+                    zs = self._child_states(q, node, var, value, group, stepped)
+                    ticks, leaps, batched = tally.take()
+                    gap = (
+                        carry[0] + ticks, carry[1] + leaps,
+                        carry[2] + 1, carry[3] + batched,
+                    )
+                    carry[:] = (0, 0, 0, 0)
+                    yield (node, var, value, rest, zs, gap)
+                ticks, leaps, batched = tally.take()
+                carry[0] += ticks
+                carry[1] += leaps
+                carry[3] += batched
+                if tally.due <= 0:  # a batched descent's replayed ticks
+                    tally.poll()
+
+    def _runs(self, q: "_Query", block: list) -> Iterator[tuple]:
+        """Split ``block`` into maximal runs ``(var, group, nodes)`` of
+        consecutive nodes that eliminate one variable with one lockstep
+        signature (the same backward iterators in the same zones, so one
+        set of matrices), keeping row order exact.
+
+        ``first_var`` pins the root's variable.  Without a dynamic
+        policy every node of a depth binds the same variables in the
+        same order, so their iterators sit in the same zones and the
+        whole block is one run; a dynamic policy chooses per node.
+        """
+        node = block[0]
+        if node[0] is None and q.first_var is not None:
+            yield q.first_var, self._group(q, node, q.first_var), block
+            return
+        if q.state is None:
+            yield node[3][0], self._group(q, node, node[3][0]), block
+            return
+        run: list = []
+        key = None
+        for node in block:
+            self._seat(q, node)
+            var = self._choose_variable(node[3], q.by_var, q.state)
+            group = self._group(q, node, var)
+            sig = (var, None if group is None else (group.slots, group.zones))
+            if run and sig != key:
+                yield run_var, run_group, run
+                run = []
+            if not run:
+                key, run_var, run_group = sig, var, group
+            run.append(node)
+        yield run_var, run_group, run
+
+    def _group(self, q: "_Query", node: tuple, var: Var) -> Optional[_Group]:
+        """``var``'s lockstep group at ``node`` (see :func:`_lockstep_group`),
+        or ``None`` for the leapfrog."""
+        self._seat(q, node)
+        return _lockstep_group(q.by_var[var], var, q.slot)
+
+    def _descents(self, q: "_Query", run: list, group: "_Group") -> Callable:
+        """``descent(r, node, tally)``: ``descend(c)`` for the run's
+        ``r``-th node.  A run shorter than :data:`BATCH_CROSSOVER` gets
+        one scalar descent per node.  A longer one gets one batched
+        descent for all of its nodes
+        (:meth:`~repro.core.ring.Ring.backward_lockstep_many`), each
+        node's part replayed as its scalar descent would yield and
+        charge it."""
+        slots = group.slots
+        if len(run) < BATCH_CROSSOVER:
+            return lambda r, node, tally: _scalar_descent(
+                group.ring, [node[4][s] for s in slots], tally
             )
-            del binding[var]
-            for it in iters:
+        los = [[node[4][s][1] for node in run] for s in slots]
+        his = [[node[4][s][2] for node in run] for s in slots]
+        cs = [q.lo if node[0] is None else 0 for node in run]
+        problem, values, stepped, (r_problem, r_start) = (
+            group.ring.backward_lockstep_many(group.zones, los, his, cs)
+        )
+        edges = np.arange(len(run) + 1)
+        leaf_at = np.searchsorted(problem, edges).tolist()
+        resume_at = np.searchsorted(r_problem, edges).tolist()
+        vals, starts = values.tolist(), r_start.tolist()
+        columns = [(target, lo.tolist(), hi.tolist()) for target, lo, hi in stepped]
+        return lambda r, node, tally: _replay(
+            vals, starts, columns, leaf_at[r], leaf_at[r + 1],
+            resume_at[r], resume_at[r + 1], tally,
+        )
+
+    def _child_states(
+        self,
+        q: "_Query",
+        node: tuple,
+        var: Var,
+        value: int,
+        group: Optional["_Group"],
+        stepped: Optional[list],
+    ) -> tuple:
+        """The zone states below ``node`` after ``var := value``: the
+        descent's stepped ranges for the backward iterators; every other
+        zone-state iterator of ``var`` binds, is read and unbinds."""
+        zs = list(node[4])
+        if group is None:
+            rebind = [pair for pair in q.binders[var] if pair[1] is not None]
+        else:
+            rebind = group.rebind
+            for slot, state in zip(group.slots, stepped):
+                zs[slot] = state
+        if rebind:
+            self._seat(q, node)
+            for it, slot in rebind:
+                it.bind(var, value)
+                zs[slot] = it.zone_state()
                 it.unbind(var)
+        return tuple(zs)
+
+    def _seat(self, q: "_Query", node: tuple) -> None:
+        """Bind the iterators to ``node``'s path: unbind down to the
+        deepest node it shares with the current path, bind the rest
+        (zone-state iterators adopt their recorded ranges)."""
+        path = q.path
+        depth = q.n_shared - len(node[3])
+        if len(path) == depth and (not depth or path[-1] is node):
+            return
+        chain = []
+        while depth and not (len(path) >= depth and path[depth - 1] is node):
+            chain.append(node)
+            node = node[0]
+            depth -= 1
+        while len(path) > depth:
+            top = path.pop()
+            for it in q.by_var[top[1]]:
+                it.unbind(top[1])
+        for node in reversed(chain):
+            var, value, zs = node[1], node[2], node[4]
+            for it, slot in q.binders[var]:
+                if slot is None:
+                    it.bind(var, value)
+                else:
+                    it.bind(var, value, zs[slot])
+            path.append(node)
+
+    def _settle(self, q: "_Query", gap) -> None:
+        """Charge a consumed node's ``(ticks, leaps, binds, batched)``."""
+        ticks, leaps, binds, batched = gap
+        stats = self._stats
+        if stats is not None:
+            stats["leaps"] += leaps
+            stats["binds"] += binds
+            stats["batched_values"] += batched
+        if ticks:
+            q.deadline.tick_many(ticks)
 
     def _lockstep(
         self,
-        ring,
-        states: list,
-        verifiers: Sequence[PatternIterator],
+        q: "_Query",
+        node: tuple,
         var: Var,
+        verifiers: Sequence[PatternIterator],
         c: int,
-        deadline: ResourceBudget,
+        descend: Callable,
+        tally: "_Tally",
     ) -> Iterator[tuple[int, list]]:
         """Agreed values ``>= c`` with the backward iterators' stepped
         states.
 
-        The backward iterators' ranges descend in lockstep
-        (:meth:`~repro.core.ring.Ring.backward_lockstep`); each value
-        they share is a candidate, counted as one leap and one tick
-        (each backtrack of the descent ticks too).  Every other iterator
-        then verifies it with a ``leap``: a larger answer restarts the
-        descent there, none ends the variable.
+        ``descend(c)`` runs the lockstep descent of the backward
+        iterators' ranges from ``c``; each value they share is a
+        candidate, counted as one leap and one tick (each backtrack of
+        the descent ticks too).  Every other iterator then verifies it
+        with a ``leap``: a larger answer restarts the descent there, none
+        ends the variable.
         """
-        stats = self._stats
         while True:
-            for value, stepped in ring.backward_lockstep(states, c, deadline.tick):
-                deadline.tick()
-                if stats is not None:
-                    stats["leaps"] += 1
+            for value, stepped in descend(c):
+                tally.ticks += 1
+                tally.leaps += 1
                 answer = value
+                if verifiers:
+                    self._seat(q, node)
                 for it in verifiers:
-                    deadline.tick()
-                    if stats is not None:
-                        stats["leaps"] += 1
+                    tally.ticks += 1
+                    tally.leaps += 1
                     answer = it.leap(var, value)
                     if answer != value:
                         break
+                if tally.ticks >= tally.due:
+                    tally.poll()
                 if answer != value:
                     break
                 yield value, stepped
@@ -734,26 +1100,23 @@ class LeapfrogTrieJoin:
             c = answer
 
     def _leapfrog(
-        self,
-        iters: Sequence[PatternIterator],
-        var: Var,
-        c: int,
-        deadline: ResourceBudget,
-    ) -> Iterator[tuple[int, tuple]]:
+        self, q: "_Query", node: tuple, var: Var, c: int, tally: "_Tally"
+    ) -> Iterator[tuple[int, None]]:
         """Agreed values ``>= c`` by repeated :meth:`_seek` — for groups
         the lockstep descent cannot serve (no backward iterator, matrices
         of different level counts, iterators with no zone state)."""
-        value = self._seek(iters, var, c, deadline)
-        while value is not None:
-            yield value, ()
-            value = self._seek(iters, var, value + 1, deadline)
+        iters = q.by_var[var]
+        while True:
+            self._seat(q, node)
+            value = self._seek(iters, var, c, tally)
+            if value is None:
+                return
+            yield value, None
+            c = value + 1
 
+    @staticmethod
     def _seek(
-        self,
-        iters: Sequence[PatternIterator],
-        var: Var,
-        c: int,
-        deadline: ResourceBudget,
+        iters: Sequence[PatternIterator], var: Var, c: int, tally: "_Tally"
     ) -> Optional[int]:
         """The ``seek`` of Algorithm 1: smallest agreed eliminator >= c."""
         cur = c
@@ -761,9 +1124,10 @@ class LeapfrogTrieJoin:
         i = 0
         m = len(iters)
         while agreements < m:
-            deadline.tick()
-            if self._stats is not None:
-                self._stats["leaps"] += 1
+            tally.ticks += 1
+            tally.leaps += 1
+            if tally.ticks >= tally.due:
+                tally.poll()
             value = iters[i].leap(var, cur)
             if value is None:
                 return None

@@ -310,6 +310,34 @@ class Ring:
                 stepped.append((target, base + below, base + upto))
             yield value, stepped
 
+    def backward_lockstep_many(
+        self, zones: Sequence[int], los, his, cs
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple], tuple]:
+        """:meth:`backward_lockstep` for a block of problems at once.
+
+        Problem ``r`` holds one bound run per zone of ``zones`` (whose
+        matrices share one level count), run ``i`` over ``[los[i][r],
+        his[i][r])``, and searches from ``cs[r]``.  Returns ``(problem,
+        values, stepped, resumes)``: the agreed values of every problem
+        from :meth:`WaveletMatrix.intersect_ranges_many` (looked up at
+        call time, like the scalar kernel, so a patched fault reaches
+        it), ``stepped[i] = (target, lo, hi)`` with the arrays of the
+        ranges run ``i`` steps to under each value, and the scalar
+        searches' backtracks as ``resumes``.  The ``C`` bases come from
+        one ``access_many`` per run.
+        """
+        problem, values, below, upto, resumes = (
+            WaveletMatrix.intersect_ranges_many(
+                [self._seq[zone] for zone in zones], los, his, cs
+            )
+        )
+        stepped = []
+        for zone, rank_lo, rank_hi in zip(zones, below, upto):
+            target = prev_attr(zone)
+            base = self._c[target].access_many(values)
+            stepped.append((target, base + rank_lo, base + rank_hi))
+        return problem, values, stepped, resumes
+
     def leap_memo_stats(self) -> dict[str, int]:
         """Hit/miss/size counters of the backward-leap memo."""
         return {

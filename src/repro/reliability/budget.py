@@ -222,17 +222,29 @@ class ResourceBudget:
     def tick_many(self, n: int) -> None:
         """Account ``n`` elementary operations served by one batch call.
 
-        The batch kernels charge the budget exactly as ``n`` scalar
-        :meth:`tick` calls would: the op counter advances by ``n`` and
-        the clock/token are consulted whenever a check boundary (every
-        ``tick_mask + 1`` ops) was crossed.
+        The batch kernels and LTJ's block search charge the budget
+        exactly as ``n`` scalar :meth:`tick` calls would: the op counter
+        advances by ``n``, and when a check point (every ``tick_mask +
+        1`` ops) was crossed the constraints are consulted at the first
+        one — and, past an op cap, at the first check point above the
+        cap — with the counter where those ticks would have left it.
         """
         if n <= 0:
             return
         before = self.ops
-        self.ops = before + n
-        if (self.ops & ~self.tick_mask) != (before & ~self.tick_mask):
-            self.check()
+        after = before + n
+        mask = self.tick_mask
+        if (after & ~mask) == (before & ~mask):
+            self.ops = after
+            return
+        self.ops = (before | mask) + 1
+        self.check()
+        if self.max_ops is not None and after > self.max_ops:
+            cap = (self.max_ops | mask) + 1  # the check that would raise
+            if cap <= after:
+                self.ops = cap
+                self.check()
+        self.ops = after
 
     def check(self) -> None:
         """Consult every constraint now (raises on exhaustion).
@@ -243,14 +255,24 @@ class ResourceBudget:
         the :class:`QueryTimeout` it is, not as a caller cancellation
         that happens to have won the watchdog-vs-tick race.
         """
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise QueryTimeout(f"deadline exceeded ({self.timeout:g}s)")
-        if self.token is not None and self.token.cancelled:
-            raise QueryCancelled("query cancelled by caller")
+        self.poll()
         if self.max_ops is not None and self.ops > self.max_ops:
             raise QueryTimeout(
                 f"operation budget exhausted ({self.ops} > {self.max_ops} ops)"
             )
+
+    def poll(self) -> None:
+        """Consult the deadline and the token, not the op cap.
+
+        For work done but not yet charged (LTJ's block search charges a
+        binding's ops only when it is consumed): the clock and the token
+        may fire at any moment, while the op cap must fire only where
+        :meth:`tick` would have checked it.
+        """
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise QueryTimeout(f"deadline exceeded ({self.timeout:g}s)")
+        if self.token is not None and self.token.cancelled:
+            raise QueryCancelled("query cancelled by caller")
 
     def expired(self) -> bool:
         """Non-raising probe: would :meth:`check` raise right now?"""

@@ -4,7 +4,8 @@ A serving layer's failure handling is only trustworthy once it has been
 exercised: this module installs **monkeypatchable hooks** on the hot
 primitives every engine bottoms out in — wavelet-matrix ``rank`` /
 ``rank_pair`` / ``select`` / ``range_next_value`` (``next_in_range``) /
-``intersect_ranges`` (LTJ's lockstep descent), bitvector reads,
+``intersect_ranges`` and ``intersect_ranges_many`` (LTJ's lockstep
+descent, per binding and per block), bitvector reads,
 their batch counterparts (``rank1_many`` / ``select1_many`` /
 ``rank_many`` / ``extract_at`` — the vectorised fast path), the
 save/load I/O path, and the durability protocol of the dynamic ring
@@ -63,6 +64,8 @@ SITES: dict[str, tuple[object, str]] = {
     # The lockstep descent LTJ intersects backward iterators with (a
     # staticmethod, called through the class so the patch reaches it).
     "wavelet.intersect_ranges": (WaveletMatrix, "intersect_ranges"),
+    # Its batched form: one descent for a block of LTJ bindings.
+    "wavelet.intersect_ranges_many": (WaveletMatrix, "intersect_ranges_many"),
     "wavelet.access": (WaveletMatrix, "__getitem__"),
     "bitvector.access": (BitVector, "__getitem__"),
     "bitvector.rank": (BitVector, "rank1"),

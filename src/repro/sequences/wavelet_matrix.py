@@ -20,6 +20,8 @@ Supported operations (all ``O(levels)`` bitvector operations):
 - ``intersect_ranges`` — the symbols common to ranges of ``k`` matrices
   of one level count, found by one lockstep descent that also returns
   each symbol's rank pair per range: the engine of LTJ's intersections;
+  ``intersect_ranges_many`` runs it for a whole block of problems at
+  once, one batch step per matrix per level;
 - ``count`` — number of occurrences of a symbol in a range.
 
 The matrix **owns its level loop**: every scalar operation is one loop
@@ -477,6 +479,100 @@ class WaveletMatrix:
             nodes.append((0, lo, hi))
         kernel = _intersect_two if len(nodes) == 2 else _intersect_many
         return kernel(matrices, nodes, max(c, 0), on_backtrack)
+
+    @staticmethod
+    def intersect_ranges_many(
+        matrices: Sequence["WaveletMatrix"], los, his, cs
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """:meth:`intersect_ranges` for ``R`` problems over the same ``k``
+        matrices, level-synchronous: one :meth:`step_many` per matrix per
+        level serves every live node of every problem.
+
+        Problem ``r`` searches ``matrices[i]`` over ``[los[i][r],
+        his[i][r])`` for symbols ``>= cs[r]``.  Returns ``(problem,
+        values, below, upto, resumes)``: the leaves sorted by ``(problem,
+        value)`` — exactly the scalar kernel's yields, problem by problem
+        — with ``below[i]`` / ``upto[i]`` the rank pair of each leaf in
+        range ``i``.  ``resumes = (problem, start)``, sorted the same
+        way, lists the scalar search's backtracks: a branching node's
+        one-child waits on its stack and is resumed once, and ``start``
+        is the smallest symbol under that child.  A scalar search begun
+        at ``c`` therefore calls ``on_backtrack`` once per resume with
+        ``c < start <= v`` before it yields ``v``, and once per resume
+        above its last yield after it; every resume lies above the
+        problem's own ``cs[r]``.
+        """
+        started = time.perf_counter() if _perf.enabled else 0.0
+        if not matrices:
+            raise ValueError("intersect_ranges_many needs a matrix")
+        k = len(matrices)
+        cs = np.maximum(np.asarray(cs, dtype=np.int64).reshape(-1), 0)
+        los = np.asarray(los, dtype=np.int64).reshape(k, cs.size)
+        his = np.asarray(his, dtype=np.int64).reshape(k, cs.size)
+        levels = matrices[0]._levels
+        live = np.ones(cs.size, dtype=bool)
+        bounds = []
+        for wm, lo, hi in zip(matrices, los, his):
+            if wm._levels != levels:
+                raise ValueError("intersect_ranges_many needs one level count")
+            lo, hi = np.maximum(lo, 0), np.minimum(hi, wm._n)
+            live &= (lo < hi) & (cs < wm._sigma)
+            bounds.append((lo, hi))
+        problem = np.flatnonzero(live)
+        prefix = np.zeros(problem.size, dtype=np.int64)
+        c = cs[problem]
+        # Per matrix, rows (node start, lo, hi) of every live node.
+        nodes = [
+            np.stack([np.zeros_like(prefix), lo[problem], hi[problem]])
+            for lo, hi in bounds
+        ]
+        resume_problem, resume_start = [], []
+        for level in range(levels):
+            if not problem.size:
+                break
+            shift = levels - 1 - level
+            # A 0-child is below c when c's prefix here is odd and ours
+            # equals it; a 1-child never is (the parent was not).
+            zero = (prefix << 1) >= (c >> shift)
+            one = np.ones(problem.size, dtype=bool)
+            steps = []
+            for wm, node in zip(matrices, nodes):
+                ones = wm._bits[level].step_many(node.reshape(-1))[0]
+                ones = ones.reshape(3, -1)
+                zero &= node[1] - ones[1] < node[2] - ones[2]
+                one &= ones[1] < ones[2]
+                steps.append(ones)
+            branching = zero & one
+            if branching.any():
+                resume_problem.append(problem[branching])
+                resume_start.append(((prefix[branching] << 1) | 1) << shift)
+            keep = np.empty(2 * problem.size, dtype=bool)
+            keep[0::2], keep[1::2] = zero, one
+            picked = np.flatnonzero(keep)
+            parent, bit = picked >> 1, (picked & 1).astype(bool)
+            problem, c = problem[parent], c[parent]
+            prefix = (prefix[parent] << 1) | bit
+            for i, (wm, ones) in enumerate(zip(matrices, steps)):
+                ones = ones[:, parent]
+                nodes[i] = np.where(
+                    bit, wm._zeros[level] + ones, nodes[i][:, parent] - ones
+                )
+        below = np.array([node[1] - node[0] for node in nodes]).reshape(k, -1)
+        upto = np.array([node[2] - node[0] for node in nodes]).reshape(k, -1)
+        if resume_problem:
+            r_problem = np.concatenate(resume_problem)
+            r_start = np.concatenate(resume_start)
+            order = np.argsort((r_problem << levels) | r_start, kind="stable")
+            resumes = (r_problem[order], r_start[order])
+        else:
+            empty = np.zeros(0, dtype=np.int64)
+            resumes = (empty, empty)
+        if _perf.enabled:
+            _perf.record(
+                "wavelet.intersect_ranges_many", cs.size,
+                time.perf_counter() - started,
+            )
+        return problem, prefix, below, upto, resumes
 
     def count_distinct(self, lo: int, hi: int) -> int:
         """Number of distinct symbols in ``[lo, hi)``."""

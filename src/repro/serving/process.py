@@ -298,6 +298,11 @@ class ProcessEndpoint:
         self.heartbeat_timeout = heartbeat_timeout
         self._lock = threading.RLock()
         self._send_lock = threading.Lock()
+        # One join at a time: of two concurrent joins (``kill()`` and the
+        # reader thread), one can reap the child while the other reads
+        # its exit code as still unknown, which files a SIGKILL as a
+        # connection reset instead of a death.
+        self._reap_lock = threading.Lock()
         self._conn = None
         self._proc: Optional[mp.process.BaseProcess] = None
         self._pending: dict[int, tuple[Future, Optional[callable]]] = {}
@@ -399,7 +404,7 @@ class ProcessEndpoint:
             pending = list(self._pending.values())
             self._pending.clear()
         if proc is not None:
-            proc.join(timeout=5.0)  # reap the zombie
+            self._reap(proc, 5.0)  # reap the zombie
         error = self._classify_death(proc)
         if not ready.done():
             ready.set_exception(error)
@@ -410,6 +415,11 @@ class ProcessEndpoint:
             conn.close()
         except OSError:  # pragma: no cover - defensive
             pass
+
+    def _reap(self, proc, timeout: float) -> None:
+        """``proc.join(timeout)``, one thread at a time."""
+        with self._reap_lock:
+            proc.join(timeout=timeout)
 
     def _classify_death(self, proc) -> EndpointDown:
         exitcode = proc.exitcode if proc is not None else None
@@ -438,7 +448,7 @@ class ProcessEndpoint:
                 os.kill(proc.pid, signal.SIGKILL)
             except (OSError, ProcessLookupError):  # pragma: no cover
                 pass
-            proc.join(timeout=5.0)
+            self._reap(proc, 5.0)
         # The reader thread observes EOF and fails every pending future.
 
     def terminate(self, wait: float = 10.0) -> Optional[int]:
@@ -454,7 +464,7 @@ class ProcessEndpoint:
             os.kill(proc.pid, signal.SIGTERM)
         except (OSError, ProcessLookupError):  # pragma: no cover
             pass
-        proc.join(timeout=wait)
+        self._reap(proc, wait)
         if proc.is_alive():  # drain wedged: escalate
             self.kill()
         return proc.exitcode
@@ -466,7 +476,7 @@ class ProcessEndpoint:
                 return  # already running
             proc = self._proc
         if proc is not None:
-            proc.join(timeout=5.0)  # reap before respawning
+            self._reap(proc, 5.0)  # reap before respawning
         self._start()
         with self._lock:
             self._incarnation += 1
@@ -484,7 +494,7 @@ class ProcessEndpoint:
                 )
             except Exception:
                 pass
-            proc.join(timeout=10.0)
+            self._reap(proc, 10.0)
             if proc.is_alive():
                 self.terminate()
 

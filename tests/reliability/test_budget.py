@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.interface import QueryCancelled, QueryTimeout
 from repro.reliability.budget import CancellationToken, ResourceBudget
@@ -52,6 +54,19 @@ class TestDeadline:
             for _ in range(256):
                 budget.tick()
 
+    def test_poll_reads_the_clock_and_token_not_the_op_cap(self):
+        budget = ResourceBudget(max_ops=10)  # default mask: checks at 256
+        budget.tick_many(20)
+        budget.poll()  # past the cap, but no tick has checked it yet
+        with pytest.raises(QueryTimeout):
+            budget.check()
+        with pytest.raises(QueryTimeout):
+            ResourceBudget(timeout=0.0).poll()
+        token = CancellationToken()
+        token.cancel()
+        with pytest.raises(QueryCancelled):
+            ResourceBudget(token=token).poll()
+
     def test_remaining_time(self):
         budget = ResourceBudget(timeout=60.0)
         assert 0 < budget.remaining_time() <= 60.0
@@ -75,6 +90,31 @@ class TestOpsBudget:
         for _ in range(5):
             budget.tick()
         assert budget.ops == 5
+
+    @given(
+        st.sampled_from((0, 0xF, 0xFF)),
+        st.integers(0, 600),
+        st.lists(st.integers(0, 40), min_size=1, max_size=40),
+    )
+    def test_tick_many_raises_where_the_ticks_would(self, mask, cap, batches):
+        """LTJ charges a block's deferred work in batches: each batch
+        must raise at the batch, and with the op count, where as many
+        single ticks would."""
+
+        def spend(batched):
+            budget = ResourceBudget(max_ops=cap, tick_mask=mask)
+            for i, n in enumerate(batches):
+                try:
+                    if batched:
+                        budget.tick_many(n)
+                    else:
+                        for _ in range(n):
+                            budget.tick()
+                except QueryTimeout:
+                    return i, budget.ops
+            return None, budget.ops
+
+        assert spend(True) == spend(False)
 
 
 class TestCancellation:
@@ -115,9 +155,6 @@ class TestValidation:
 
 
 # -- sub-budgets & folding (the sharded serving tier's accounting) -----------
-
-from hypothesis import given  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 maybe_timeout = st.one_of(st.none(), st.floats(0.0, 60.0, allow_nan=False))
 maybe_ops = st.one_of(st.none(), st.integers(0, 10_000))

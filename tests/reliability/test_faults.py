@@ -11,6 +11,7 @@ import inspect
 import pytest
 
 from repro.core import QueryExecutionError, QueryTimeout, RingIndex
+from repro.core import ltj
 from repro.graph import BasicGraphPattern, TriplePattern, Var
 from repro.graph.generators import random_graph
 from repro.reliability.faults import (
@@ -56,6 +57,7 @@ class TestRegistry:
             "wavelet.select",
             "wavelet.range_next_value",
             "wavelet.intersect_ranges",
+            "wavelet.intersect_ranges_many",
             "bitvector.access",
             "io.save",
             "io.load",
@@ -151,6 +153,32 @@ class TestTriangleSites:
             patched = inspect.getattr_static(WaveletMatrix, "intersect_ranges")
             assert isinstance(patched, staticmethod) and patched is not raw
         assert inspect.getattr_static(WaveletMatrix, "intersect_ranges") is raw
+
+    def test_batched_site_fires_and_surfaces_typed(self, graph, index, monkeypatch):
+        """With every run of bindings batched, the block descent is where
+        a triangle intersects: a fault there is a typed error, and a
+        flaky one is a typed error or the right answer, never a wrong
+        one."""
+        monkeypatch.setattr(ltj, "BATCH_CROSSOVER", 1)
+        site = "wavelet.intersect_ranges_many"
+        injector = FaultInjector([Fault(site, error=InjectedFault)])
+        with injector:
+            with pytest.raises(QueryExecutionError, match=f"injected fault at {site}"):
+                index.evaluate(TRIANGLE)
+        assert injector.fired[site] == 1
+        reference = naive_evaluate(graph, TRIANGLE)
+        outcomes = set()
+        for seed in range(8):
+            flaky = Fault(site, probability=0.1, error=InjectedFault)
+            with inject_faults(flaky, seed=seed):
+                try:
+                    rows = index.evaluate(TRIANGLE)
+                except QueryExecutionError:
+                    outcomes.add("typed")
+                    continue
+            assert as_solution_set(rows) == reference
+            outcomes.add("correct")
+        assert outcomes == {"typed", "correct"}
 
 
 class TestHygiene:

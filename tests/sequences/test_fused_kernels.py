@@ -16,16 +16,20 @@ memory attach — and over RRR levels, which the same loops ask through
 their level objects.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.frozen import open_frozen_ring, write_frozen_ring
+from repro.core.ltj import BATCH_CROSSOVER
 from repro.core.ring import Ring
 from repro.graph.dataset import Graph
 from repro.graph.model import O, P, S
 from repro.parallel.shm import attach_ring, detach_ring, export_ring
+from repro.perf.counters import measuring
 from repro.sequences.wavelet_matrix import WaveletMatrix
 
 EDGE_LENGTHS = (0, 1, 64, 128)
@@ -214,6 +218,79 @@ def test_intersect_ranges_matches_brute_force(case, compressed, seed):
     check_intersections(matrices, [seq for seq, _ in case], seed)
 
 
+#: Problems per batched call: one, either side of the engine's
+#: crossover, and more than a block.
+BLOCK_SIZES = (1, BATCH_CROSSOVER - 1, BATCH_CROSSOVER, 300)
+
+
+def check_batched_intersections(matrices, seqs, seed, sizes=BLOCK_SIZES):
+    """``intersect_ranges_many`` against one scalar ``intersect_ranges``
+    per problem: the same values with the same rank pairs, and resume
+    points that reproduce the scalar search's ``on_backtrack`` calls —
+    those in ``(c, v]`` before each value ``v``, the rest after the
+    last.  Ranges are random with about a fifth left empty, ``c``
+    differs per problem, and each call records one kernel entry."""
+    rng = np.random.default_rng(seed)
+    sigma = max(wm.sigma for wm in matrices)
+    for size in sizes:
+        los, his = [], []
+        for seq in seqs:
+            ends = np.sort(rng.integers(-1, len(seq) + 2, (2, size)), axis=0)
+            empty = rng.random(size) < 0.2
+            los.append(ends[0])
+            his.append(np.where(empty, ends[0], ends[1]))
+        cs = rng.integers(-1, sigma + 3, size)
+        with measuring() as counters:
+            problem, values, below, upto, (r_problem, r_start) = (
+                WaveletMatrix.intersect_ranges_many(matrices, los, his, cs)
+            )
+            assert counters.calls("wavelet.intersect_ranges_many") == 1
+            assert counters.ops("wavelet.intersect_ranges_many") == size
+        assert problem.tolist() == sorted(problem.tolist())
+        for r in range(size):
+            ranges = [(int(lo[r]), int(hi[r])) for lo, hi in zip(los, his)]
+            backtracks = []
+            want = [
+                (value, tuple(pairs), len(backtracks))
+                for value, pairs in WaveletMatrix.intersect_ranges(
+                    matrices, ranges, int(cs[r]), lambda: backtracks.append(1)
+                )
+            ]
+            starts = r_start[r_problem == r].tolist()
+            assert starts == sorted(starts)
+            assert all(start > int(cs[r]) for start in starts)
+            got = [
+                (
+                    int(values[i]),
+                    tuple((int(b[i]), int(u[i])) for b, u in zip(below, upto)),
+                    bisect_right(starts, int(values[i])),
+                )
+                for i in np.flatnonzero(problem == r)
+            ]
+            assert got == want
+            assert len(starts) == len(backtracks)
+
+
+@given(intersections(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_intersect_ranges_many_matches_the_scalar_kernel(case, compressed, seed):
+    matrices = [
+        WaveletMatrix(seq, own, compressed=compressed) for seq, own in case
+    ]
+    sizes = BLOCK_SIZES[:2] if compressed else BLOCK_SIZES
+    check_batched_intersections(matrices, [seq for seq, _ in case], seed, sizes)
+
+
+def test_intersect_ranges_many_needs_one_level_count():
+    two, three = WaveletMatrix([0, 1], 2), WaveletMatrix([0, 5], 6)
+    with pytest.raises(ValueError, match="level count"):
+        WaveletMatrix.intersect_ranges_many(
+            [two, three], [[0], [0]], [[2], [2]], [0]
+        )
+    with pytest.raises(ValueError, match="needs a matrix"):
+        WaveletMatrix.intersect_ranges_many([], [], [], [0])
+
+
 def test_intersect_ranges_needs_one_level_count():
     two, three = WaveletMatrix([0, 1], 2), WaveletMatrix([0, 5], 6)
     with pytest.raises(ValueError, match="level count"):
@@ -276,6 +353,10 @@ def test_three_backings_agree(tmp_path_factory, graph, seed):
                     check_intersections(
                         [ring.zone_sequence(z) for z in zones],
                         [columns[z] for z in zones], seed,
+                    )
+                    check_batched_intersections(
+                        [ring.zone_sequence(z) for z in zones],
+                        [columns[z] for z in zones], seed, BLOCK_SIZES[1:3],
                     )
                 assert ring.triples().tolist() == t.tolist()
             for bv in mapped.zone_sequence(S)._bits:
