@@ -59,8 +59,9 @@ replicas — fail over transparently to a complete, byte-identical answer
 (``ShardReport.failovers`` names the shard); with one replica the same
 kill degrades to the flagged-partial contract; SIGTERM must drain
 in-flight queries, checkpoint, and exit 0; and the ``proc.spawn`` /
-``proc.heartbeat`` / ``replica.failover`` fault sites must each degrade
-to counted failures, never wrong answers.
+``proc.heartbeat`` / ``replica.failover`` fault sites, and
+``shard.restart`` on a replicated shard, must each degrade to counted
+failures, never wrong answers.
 
 An **out-of-core drill** attacks the external-memory builder and the
 memmapped pack reader (:mod:`repro.graph.bulkload` /
@@ -1011,8 +1012,9 @@ def drill_process_shards(rounds: int, seed: int) -> list[str]:
     respawn through WAL recovery must restore the exact answer.  A
     SIGTERM'd shard must finish its in-flight query, checkpoint, and
     exit 0.  Finally the ``proc.spawn`` / ``proc.heartbeat`` /
-    ``replica.failover`` fault sites must each degrade to counted
-    failures, never wrong answers.
+    ``replica.failover`` fault sites, and ``shard.restart`` on a
+    replicated shard, must each degrade to counted failures, never
+    wrong answers.
     """
     import threading
 
@@ -1221,12 +1223,15 @@ def drill_process_shards(rounds: int, seed: int) -> list[str]:
 
 
 def _drill_process_fault_sites(seed: int) -> list[str]:
-    """Arm ``proc.spawn`` / ``proc.heartbeat`` / ``replica.failover``.
+    """Arm ``proc.spawn`` / ``proc.heartbeat`` / ``replica.failover``,
+    then ``shard.restart`` on a replicated shard.
 
     A failing spawn must surface as a counted failed restart (typed,
     never a crash); a failing heartbeat must mark the endpoint unhealthy
     and recover when the fault clears; a failing promotion must degrade
-    the query to a flagged partial — never a wrong answer.
+    the query to a flagged partial — never a wrong answer; a failing
+    replica restart must be counted by the supervisor, and the next
+    sweep must restart the replica and catch it up.
     """
     from repro.serving import (
         CircuitBreaker,
@@ -1240,7 +1245,7 @@ def _drill_process_fault_sites(seed: int) -> list[str]:
     graph = random_graph(400, n_nodes=30, n_predicates=2, seed=5)
     base = tempfile.mkdtemp(prefix="chaos-procsite-")
     print("\nprocess drill: fault sites proc.spawn, proc.heartbeat, "
-          "replica.failover")
+          "replica.failover, shard.restart")
     try:
         shards = ShardedRingIndex.create_durable(
             os.path.join(base, "store"), graph, 2,
@@ -1332,6 +1337,39 @@ def _drill_process_fault_sites(seed: int) -> list[str]:
                     print(f"  failover  : broken promotion degraded to "
                           f"flagged partial ({fo_fault.fired} fired), "
                           f"then failed over exactly")
+
+            # shard.restart on a replicated shard: the supervisor restarts
+            # the dead replica itself, so its failure is counted there.
+            rep_supervisor = ShardSupervisor(rep_shards)
+            ep.kill(1 - ep.primary)  # the secondary; the primary serves on
+            restart_fault = Fault("shard.restart", probability=1.0,
+                                  error=InjectedFault)
+            with inject_faults(restart_fault, seed=seed):
+                rep_supervisor.sweep()
+            counted = rep_supervisor.stats()["failed_restarts"][victim]
+            if restart_fault.fired < 1 or counted < 1:
+                failures.append(
+                    f"shard.restart fault on a replica: fired "
+                    f"{restart_fault.fired}, counted {counted}"
+                )
+            elif all(r.alive for r in ep.replicas):
+                failures.append("shard.restart fault: replica restarted anyway")
+            else:
+                rep_supervisor.sweep()  # unfaulted: restart + catch-up
+                healed = list(coord.evaluate(bgp, timeout=30.0))
+                if not all(r.alive for r in ep.replicas) or any(
+                    ep.stats()["dirty"]
+                ):
+                    failures.append(
+                        "shard.restart: replica not recovered after fault"
+                    )
+                elif healed != reference:
+                    failures.append(
+                        "shard.restart: recovered replica set not exact"
+                    )
+                else:
+                    print(f"  restart   : failed replica restart counted "
+                          f"({restart_fault.fired} fired), then recovered")
         finally:
             rep_shards.shutdown()
     finally:
@@ -1679,7 +1717,7 @@ def main() -> None:
          lambda: drill_plan_rerank(args.rerank_rounds, args.seed + 7)),
         ("process-shards",
          ["proc.spawn", "proc.heartbeat", "replica.failover",
-          "shard.gather"],
+          "shard.gather", "shard.restart"],
          lambda: drill_process_shards(args.proc_rounds, args.seed + 8)),
         ("out-of-core",
          ["build.spill", "build.merge", "mmap.open"],

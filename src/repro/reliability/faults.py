@@ -110,10 +110,10 @@ LAZY_SITES: dict[str, tuple[str, Optional[str], str]] = {
     "shard.gather": ("repro.serving.coordinator", None, "gather_block"),
     "shard.restart": ("repro.serving.supervisor", None, "restart_shard"),
     # Process-isolated shards: a failing spawn must surface as a typed
-    # ShardProcessDied (counted by supervisor/replica repair, never a
-    # crash), a failing heartbeat marks the endpoint unhealthy, and a
-    # failing replica promotion must degrade the query to the
-    # flagged-partial contract — never a wrong or half-merged answer.
+    # ShardProcessDied (counted by the supervisor, never a crash), a
+    # failing heartbeat marks the endpoint unhealthy, and a failing
+    # replica promotion must degrade the query to the flagged-partial
+    # contract — never a wrong or half-merged answer.
     "proc.spawn": ("repro.serving.process", None, "spawn_process"),
     "proc.heartbeat": ("repro.serving.process", None, "heartbeat"),
     "replica.failover": ("repro.serving.replica", None, "promote_replica"),

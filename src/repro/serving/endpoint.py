@@ -4,19 +4,22 @@ The coordinator (:mod:`repro.serving.coordinator`) never talks to an
 engine or a :class:`~repro.reliability.broker.QueryBroker` directly; it
 talks to an :class:`EngineEndpoint` — the minimal failable surface of a
 shard.  The interface is deliberately the *broker's* intake surface
-(``submit`` returning a future, ``stats``), extracted here so that a
-future socket transport can implement the same five methods and the
-coordinator, breaker, and supervisor stay untouched.
+(``submit`` returning a future, ``stats``), so every transport
+implements the same methods and the coordinator, breaker, and
+supervisor stay transport-blind.
 
-:class:`InProcessEndpoint` is the one transport this PR ships: a
-factory-constructed engine (typically a
+:class:`InProcessEndpoint` is the one place a shard's engine and broker
+live: a factory-constructed engine (typically a
 :class:`~repro.reliability.wal.DurableDynamicRing`, so restarts recover
-through the WAL) behind its own private broker.  It adds the lifecycle
-the supervisor needs — :meth:`kill` to simulate a crash (chaos drills,
-tests), :meth:`restart` to rebuild engine + broker through the factory,
-an ``incarnation`` counter that bumps on every restart (feeding the
-shard-generation vector the cache layer invalidates on), and
-:meth:`health_check` for the supervisor's probe loop.
+through the WAL) behind its own private broker.  A process shard
+(:mod:`repro.serving.process`) serves one over its pipe, and a replica
+set (:mod:`repro.serving.replica`) routes across several.  It adds the
+lifecycle the supervisor needs — :meth:`kill` to simulate a crash
+(chaos drills, tests), :meth:`restart` to rebuild engine + broker
+through the factory, an ``incarnation`` counter that bumps on every
+restart (feeding the shard-generation vector the cache layer
+invalidates on), and :meth:`health_check` for the supervisor's probe
+loop.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 
 from repro.reliability.broker import QueryBroker, QueryRejected
 
-__all__ = ["EngineEndpoint", "EndpointDown", "InProcessEndpoint"]
+__all__ = ["EngineEndpoint", "EndpointDown", "InProcessEndpoint", "generation_entry"]
 
 
 class EndpointDown(QueryRejected):
@@ -62,6 +65,15 @@ class EngineEndpoint(Protocol):
     def stats(self) -> dict: ...
 
 
+def generation_entry(endpoint) -> tuple:
+    """One endpoint's slot in a generation vector: ``("down",
+    incarnation)`` while it is dead, else ``(incarnation,
+    engine_generation)`` — any write, crash or restart changes it."""
+    if not endpoint.alive:
+        return ("down", endpoint.incarnation)
+    return (endpoint.incarnation, endpoint.cache_generation())
+
+
 class InProcessEndpoint:
     """A supervised in-process shard: engine + private broker.
 
@@ -89,7 +101,6 @@ class InProcessEndpoint:
         self._engine = None
         self._broker: Optional[QueryBroker] = None
         self._incarnation = 0
-        self._restarts = 0
         self._start_engine()
 
     # -- lifecycle -----------------------------------------------------------
@@ -102,6 +113,16 @@ class InProcessEndpoint:
             self._engine = engine
             self._broker = broker
 
+    def _stop(self, checkpoint: bool) -> None:
+        with self._lock:
+            broker, engine = self._broker, self._engine
+            self._broker = None
+            self._engine = None
+        if broker is not None:
+            broker.stop()
+        if engine is not None and hasattr(engine, "close"):
+            engine.close(checkpoint=checkpoint)
+
     def kill(self) -> None:
         """Simulate a crash: drop the broker and the engine, no checkpoint.
 
@@ -110,19 +131,10 @@ class InProcessEndpoint:
         :meth:`restart` exercises the WAL recovery path, exactly like a
         process that died mid-write.
         """
-        with self._lock:
-            broker, engine = self._broker, self._engine
-            self._broker = None
-            self._engine = None
-        if broker is not None:
-            broker.stop()
-        if engine is not None and hasattr(engine, "close"):
-            try:
-                engine.close(checkpoint=False)
-            except TypeError:
-                engine.close()
-            except Exception:
-                pass  # crashing engines may fail to close cleanly
+        try:
+            self._stop(checkpoint=False)
+        except Exception:
+            pass  # crashing engines may fail to close cleanly
 
     def restart(self) -> None:
         """Rebuild engine + broker through the factory; bumps incarnation."""
@@ -132,21 +144,10 @@ class InProcessEndpoint:
         self._start_engine()
         with self._lock:
             self._incarnation += 1
-            self._restarts += 1
 
     def shutdown(self, checkpoint: bool = True) -> None:
         """Orderly stop (checkpointing durable engines by default)."""
-        with self._lock:
-            broker, engine = self._broker, self._engine
-            self._broker = None
-            self._engine = None
-        if broker is not None:
-            broker.stop()
-        if engine is not None and hasattr(engine, "close"):
-            try:
-                engine.close(checkpoint=checkpoint)
-            except TypeError:
-                engine.close()
+        self._stop(checkpoint)
 
     # -- the EngineEndpoint surface ------------------------------------------
 
@@ -235,7 +236,7 @@ class InProcessEndpoint:
             out = {
                 "alive": broker is not None,
                 "incarnation": self._incarnation,
-                "restarts": self._restarts,
+                "restarts": self._incarnation,
             }
         if engine is not None:
             n = getattr(engine, "n_triples", None)

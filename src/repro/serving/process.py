@@ -1,24 +1,25 @@
 """Process-isolated shard endpoints: one OS process per shard replica.
 
-:class:`ProcessEndpoint` is the remote transport the
-:class:`~repro.serving.endpoint.EngineEndpoint` protocol was designed
-for: the shard's :class:`~repro.reliability.wal.DurableDynamicRing` and
-its private :class:`~repro.reliability.broker.QueryBroker` live in a
-*child OS process*, and the parent talks to them over a
-``multiprocessing.Pipe`` duplex connection (length-prefixed pickle
-framing, provided by :class:`multiprocessing.connection.Connection`).
-A crashed shard is now genuine process death — ``kill -9`` — not a
-simulated ``kill()`` inside one interpreter, and recovery is a real
-respawn through WAL replay.
+:class:`ProcessEndpoint` is the remote transport of the
+:class:`~repro.serving.endpoint.EngineEndpoint` protocol: the shard's
+:class:`~repro.serving.endpoint.InProcessEndpoint` — a
+:class:`~repro.reliability.wal.DurableDynamicRing` opened through
+``recover`` plus its private broker — lives in a *child OS process*, and
+the parent talks to it over a ``multiprocessing.Pipe`` duplex connection
+(length-prefixed pickle framing, provided by
+:class:`multiprocessing.connection.Connection`).  A crashed shard is
+genuine process death — ``kill -9`` — not a simulated ``kill()`` inside
+one interpreter, and recovery is a real respawn through WAL replay.
 
 Wire protocol (all messages are small picklable tuples):
 
-- parent → child: ``(kind, req_id, payload)`` where ``kind`` is one of
-  ``evaluate`` / ``insert`` / ``delete`` / ``health`` / ``stats`` /
-  ``generation`` / ``ntriples`` / ``dump`` / ``shutdown``;
-- child → parent: ``(req_id, "ok" | "err", payload_or_exception)``.
-  Responses may arrive out of order (the child answers queries from
-  broker worker callbacks), so the parent keeps a pending-future table
+- parent → child: ``(req_id, method, args, kwargs)``, where ``method``
+  names the child endpoint's method to call, one of :data:`RPC_METHODS`
+  (``submit`` / ``insert`` / ``delete`` / ``dump`` / ``health_check`` /
+  ``cache_generation`` / ``stats`` / ``shutdown``);
+- child → parent: ``(req_id, "ok" | "err", result_or_exception)``.
+  Responses may arrive out of order (``submit`` is answered from the
+  broker's future callback), so the parent keeps a pending-future table
   keyed by ``req_id`` and a single reader thread resolves them.
 
 **Failure classification** — the coordinator's breaker must open on the
@@ -41,10 +42,11 @@ never left hanging.
 
 **Graceful SIGTERM drain** — the child installs a SIGTERM handler that
 merely sets a flag; the serve loop (a ``poll``/``recv`` loop, so the
-flag is observed within one poll interval) then stops admitting new
-requests, lets the broker finish every in-flight query (their responses
-still go out), writes a final checkpoint, and exits 0.  ``kill -9``
-skips all of that, which is exactly what the WAL recovery path is for.
+flag is observed within one poll interval) then stops admitting and
+calls ``endpoint.shutdown(checkpoint=True)``: the broker finishes every
+in-flight query (their responses still go out), the store checkpoints,
+and the process exits 0.  ``kill -9`` skips all of that, which is
+exactly what the WAL recovery path is for.
 
 The module-level :func:`spawn_process` and :func:`heartbeat` seams are
 fault sites (``proc.spawn`` / ``proc.heartbeat``) so chaos drills can
@@ -57,14 +59,13 @@ import multiprocessing as mp
 import os
 import signal
 import threading
-import time
 from concurrent.futures import Future
+from pathlib import Path
 from typing import Optional
 
 from repro.core.interface import QueryTimeout
 from repro.core.system import QueryResult
-from repro.reliability.broker import QueryRejected
-from repro.serving.endpoint import EndpointDown
+from repro.serving.endpoint import EndpointDown, InProcessEndpoint
 
 __all__ = [
     "ProcessEndpoint",
@@ -76,6 +77,11 @@ __all__ = [
 
 #: Shard processes are forked, like the parallel pool's workers.
 _CTX = mp.get_context("fork")
+
+#: The child endpoint's methods a request may name: the whole protocol.
+RPC_METHODS = frozenset(
+    "submit insert delete dump health_check cache_generation stats shutdown".split()
+)
 
 
 class ShardProcessDied(EndpointDown):
@@ -98,7 +104,7 @@ def spawn_process(ctx, target, args) -> mp.process.BaseProcess:
 
 def heartbeat(endpoint: "ProcessEndpoint", timeout: float) -> bool:
     """One health probe RPC to a shard process (fault site ``proc.heartbeat``)."""
-    return bool(endpoint._rpc("health", None, timeout=timeout))
+    return bool(endpoint._rpc("health_check", timeout=timeout))
 
 
 # -- child side --------------------------------------------------------------
@@ -141,8 +147,7 @@ def _shard_server_main(parent_end, conn, directory, store_options, broker_option
     signal.signal(signal.SIGTERM, lambda signum, frame: draining.set())
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    from repro.reliability.broker import QueryBroker
-    from repro.reliability.wal import DurableDynamicRing
+    from repro.serving.sharding import _durable_factory
 
     send_lock = threading.Lock()
 
@@ -150,7 +155,7 @@ def _shard_server_main(parent_end, conn, directory, store_options, broker_option
         with send_lock:
             try:
                 conn.send(msg)
-            except (OSError, ValueError, BrokenPipeError):
+            except (OSError, ValueError):
                 pass  # parent gone; nothing left to tell it
 
     def send_error(req_id, exc) -> None:
@@ -161,14 +166,6 @@ def _shard_server_main(parent_end, conn, directory, store_options, broker_option
             # family recognisable as a server-side failure.
             send((req_id, "err", RuntimeError(f"{type(exc).__name__}: {exc}")))
 
-    try:
-        store, _report = DurableDynamicRing.recover(directory, **dict(store_options))
-    except Exception as exc:  # recovery failure must reach the parent typed
-        send((None, "err", RuntimeError(f"shard recovery failed: {exc}")))
-        return
-    broker = QueryBroker(store, **dict(broker_options or {})).start()
-    send((None, "ready", {"pid": os.getpid(), "n_triples": int(store.n_triples)}))
-
     def answer(req_id, future) -> None:
         try:
             result = future.result()
@@ -177,73 +174,42 @@ def _shard_server_main(parent_end, conn, directory, store_options, broker_option
         else:
             send((req_id, "ok", _result_payload(result)))
 
-    checkpoint_on_exit = True
+    try:
+        endpoint = InProcessEndpoint(
+            _durable_factory(Path(directory), None, store_options), broker_options
+        )
+    except Exception as exc:  # recovery failure must reach the parent typed
+        send((None, "err", RuntimeError(f"shard recovery failed: {exc}")))
+        return
+    send((None, "ready", {"pid": os.getpid(), "n_triples": endpoint.n_triples}))
+
     try:
         while not draining.is_set():
             if not conn.poll(0.1):
                 continue
             try:
-                kind, req_id, payload = conn.recv()
+                req_id, method, args, kwargs = conn.recv()
             except (EOFError, OSError):
                 break  # parent died: drain and exit cleanly anyway
             try:
-                if kind == "evaluate":
-                    future = broker.submit(
-                        payload["query"],
-                        timeout=payload["timeout"],
-                        max_ops=payload["max_ops"],
-                        **payload["options"],
-                    )
-                    future.add_done_callback(
-                        lambda f, rid=req_id: answer(rid, f)
-                    )
-                elif kind == "insert":
-                    send((req_id, "ok", bool(store.insert(*payload))))
-                elif kind == "delete":
-                    send((req_id, "ok", bool(store.delete(*payload))))
-                elif kind == "health":
-                    send((req_id, "ok", int(store.n_triples) >= 0))
-                elif kind == "stats":
-                    send(
-                        (
-                            req_id,
-                            "ok",
-                            {
-                                "n_triples": int(store.n_triples),
-                                "broker": broker.stats(),
-                            },
-                        )
-                    )
-                elif kind == "generation":
-                    send((req_id, "ok", store.cache_generation()))
-                elif kind == "ntriples":
-                    send((req_id, "ok", int(store.n_triples)))
-                elif kind == "dump":
-                    send(
-                        (
-                            req_id,
-                            "ok",
-                            [tuple(map(int, t)) for t in store.to_graph().triples],
-                        )
-                    )
-                elif kind == "shutdown":
-                    checkpoint_on_exit = bool(payload.get("checkpoint", True))
-                    send((req_id, "ok", True))
-                    break
-                else:
-                    send_error(req_id, ValueError(f"unknown request {kind!r}"))
+                if method not in RPC_METHODS:
+                    raise ValueError(f"unknown request {method!r}")
+                out = getattr(endpoint, method)(*args, **kwargs)
             except Exception as exc:
                 send_error(req_id, exc)
+                continue
+            if isinstance(out, Future):
+                out.add_done_callback(lambda f, rid=req_id: answer(rid, f))
+            else:
+                send((req_id, "ok", out))
+            if method == "shutdown":
+                break
     finally:
-        # Orderly drain: stop admitting (loop exited), finish in-flight
-        # (broker.stop joins workers, completing their futures — the
-        # answer callbacks above still ship responses), checkpoint, bye.
+        # SIGTERM or a vanished parent: the loop stopped admitting; the
+        # endpoint finishes in-flight queries (their callbacks above
+        # still answer) and checkpoints.  A no-op after ``shutdown``.
         try:
-            broker.stop()
-        except Exception:  # pragma: no cover - defensive
-            pass
-        try:
-            store.close(checkpoint=checkpoint_on_exit)
+            endpoint.shutdown(checkpoint=True)
         except Exception:  # pragma: no cover - crashing store on exit
             pass
         try:
@@ -309,7 +275,6 @@ class ProcessEndpoint:
         self._next_id = 0
         self._alive = False
         self._incarnation = 0
-        self._restarts = 0
         self._last_exitcode: Optional[int] = None
         self._counters = {
             "deaths": 0,
@@ -326,17 +291,9 @@ class ProcessEndpoint:
         parent_conn, child_conn = _CTX.Pipe(duplex=True)
         ready: Future = Future()
         try:
-            proc = spawn_process(
-                _CTX,
-                _shard_server_main,
-                (
-                    parent_conn,
-                    child_conn,
-                    self.directory,
-                    self._store_options,
-                    self._broker_options,
-                ),
-            )
+            args = (parent_conn, child_conn, self.directory,
+                    self._store_options, self._broker_options)
+            proc = spawn_process(_CTX, _shard_server_main, args)
         except Exception as exc:
             self._counters["spawn_failures"] += 1
             parent_conn.close()
@@ -347,7 +304,6 @@ class ProcessEndpoint:
             self._conn = parent_conn
             self._proc = proc
             self._pending = {}
-            self._ready = ready
             self._alive = True
             self._last_exitcode = None
         reader = threading.Thread(
@@ -480,7 +436,6 @@ class ProcessEndpoint:
         self._start()
         with self._lock:
             self._incarnation += 1
-            self._restarts += 1
 
     def shutdown(self, checkpoint: bool = True) -> None:
         """Orderly stop: graceful RPC, then SIGTERM, then SIGKILL."""
@@ -489,9 +444,7 @@ class ProcessEndpoint:
             running = self._alive and proc is not None and proc.is_alive()
         if running:
             try:
-                self._rpc(
-                    "shutdown", {"checkpoint": checkpoint}, timeout=self.rpc_timeout
-                )
+                self._rpc("shutdown", checkpoint=checkpoint)
             except Exception:
                 pass
             self._reap(proc, 10.0)
@@ -501,6 +454,8 @@ class ProcessEndpoint:
     # -- RPC plumbing ---------------------------------------------------------
 
     def _request(self, kind, payload, transform=None) -> Future:
+        """Send request ``kind``, whose ``payload`` is the child
+        endpoint's ``(method, args, kwargs)``; a future of the answer."""
         with self._lock:
             if not self._alive or self._conn is None:
                 raise EndpointDown("shard process is down")
@@ -511,15 +466,20 @@ class ProcessEndpoint:
             self._pending[req_id] = (future, transform)
         try:
             with self._send_lock:
-                conn.send((kind, req_id, payload))
-        except (OSError, ValueError, BrokenPipeError) as exc:
+                conn.send((req_id, *payload))
+        except (OSError, ValueError) as exc:
             with self._lock:
                 self._pending.pop(req_id, None)
-            raise ShardConnectionReset(f"shard pipe write failed: {exc}") from exc
+            raise ShardConnectionReset(
+                f"shard pipe write failed ({kind}): {exc}"
+            ) from exc
         return future
 
-    def _rpc(self, kind, payload, *, timeout: float):
-        future = self._request(kind, payload)
+    def _rpc(self, method, *args, timeout: Optional[float] = None, **kwargs):
+        """Call the child endpoint's ``method`` and wait for its answer."""
+        if timeout is None:
+            timeout = self.rpc_timeout
+        future = self._request(method, (method, args, kwargs))
         try:
             return future.result(timeout=timeout)
         except TimeoutError:
@@ -530,28 +490,14 @@ class ProcessEndpoint:
                     if entry[0] is not future
                 }
             self._counters["timeouts"] += 1
-            raise QueryTimeout(f"shard rpc {kind!r} timed out after {timeout}s")
+            raise QueryTimeout(f"shard rpc {method!r} timed out after {timeout}s")
 
     # -- the EngineEndpoint surface ------------------------------------------
 
-    def submit(
-        self,
-        query,
-        *,
-        timeout: Optional[float] = None,
-        max_ops: Optional[int] = None,
-        **options,
-    ) -> Future:
-        return self._request(
-            "evaluate",
-            {
-                "query": query,
-                "timeout": timeout,
-                "max_ops": max_ops,
-                "options": options,
-            },
-            transform=_revive_result,
-        )
+    def submit(self, query, **kwargs) -> Future:
+        # Labelled ``evaluate``: per-layer tracing times query RPCs by it.
+        payload = ("submit", (query,), kwargs)
+        return self._request("evaluate", payload, _revive_result)
 
     def evaluate(self, query, **kwargs):
         return self.submit(query, **kwargs).result()
@@ -597,45 +543,49 @@ class ProcessEndpoint:
     @property
     def n_triples(self) -> int:
         try:
-            return int(self._rpc("ntriples", None, timeout=self.rpc_timeout))
+            return int(self._rpc("stats")["n_triples"])
         except Exception:
             return 0
 
     # -- writes ---------------------------------------------------------------
 
     def insert(self, s: int, p: int, o: int) -> bool:
-        return bool(self._rpc("insert", (s, p, o), timeout=self.rpc_timeout))
+        return bool(self._rpc("insert", s, p, o))
 
     def delete(self, s: int, p: int, o: int) -> bool:
-        return bool(self._rpc("delete", (s, p, o), timeout=self.rpc_timeout))
+        return bool(self._rpc("delete", s, p, o))
 
     def dump(self) -> list[tuple[int, int, int]]:
         """Every triple of the shard (replica catch-up, tests)."""
-        return self._rpc("dump", None, timeout=max(self.rpc_timeout, 60.0))
+        return self._rpc("dump", timeout=max(self.rpc_timeout, 60.0))
 
     # -- introspection --------------------------------------------------------
 
     def cache_generation(self):
         try:
-            return self._rpc("generation", None, timeout=self.rpc_timeout)
+            return self._rpc("cache_generation")
         except Exception:
             return None
 
     def stats(self) -> dict:
-        with self._lock:
-            out = {
-                "alive": self._alive,
-                "incarnation": self._incarnation,
-                "restarts": self._restarts,
-                "pid": self._proc.pid if self._proc is not None else None,
-                "exitcode": self._last_exitcode,
-                "transport": dict(self._counters),
-            }
+        """The child endpoint's stats under the parent's lifecycle keys
+        (the child never restarts; the parent's ``alive``,
+        ``incarnation`` and ``restarts`` are the shard's)."""
+        out = {}
         if self.alive:
             try:
-                out.update(self._rpc("stats", None, timeout=self.rpc_timeout))
+                out = self._rpc("stats")
             except Exception:
                 pass
+        with self._lock:
+            out.update(
+                alive=self._alive,
+                incarnation=self._incarnation,
+                restarts=self._incarnation,
+                pid=self._proc.pid if self._proc is not None else None,
+                exitcode=self._last_exitcode,
+                transport=dict(self._counters),
+            )
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

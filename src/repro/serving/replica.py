@@ -1,35 +1,38 @@
 """Primary/secondary replication of one shard partition.
 
 A :class:`ReplicaSet` wraps N :class:`~repro.serving.endpoint.EngineEndpoint`
-instances holding *the same partition* and presents the single-endpoint
+members holding *the same partition* and presents the single-endpoint
 surface to the coordinator — replication is invisible above this layer
 except for the ``failovers`` counter the
-:class:`~repro.serving.coordinator.ShardReport` samples.
+:class:`~repro.serving.coordinator.ShardReport` samples.  The set keeps
+only routing, failover, write fan-out and catch-up; restarting dead
+members is the :class:`~repro.serving.supervisor.ShardSupervisor`'s job,
+under its one flap cap, exactly as for a solo shard.
 
 **Reads** go to the primary; when the primary dies mid-call (an
 :class:`~repro.serving.endpoint.EndpointDown` — process death, pipe
 reset, engine gone) the set *fails over*: it promotes the next clean
 live replica (module-level :func:`promote_replica`, fault site
 ``replica.failover``) and transparently resubmits, resolving the same
-outer future.  Because every replica holds the identical partition and
-the coordinator canonically sorts rows, a failed-over answer is
-byte-identical to the one the dead primary would have produced —
-complete, cacheable, no ``truncated`` flag.  Typed query errors
-(timeout, rejection, bad query) are *not* failed over: they mean the
-replica is up and the query itself is the problem, so they propagate
-for the coordinator's retry/breaker machinery to handle.
+outer future.  Because every clean replica holds the identical
+partition and the coordinator canonically sorts rows, a failed-over
+answer is byte-identical to the one the dead primary would have
+produced — complete, cacheable, no ``truncated`` flag.  Typed query
+errors (timeout, rejection, bad query) are *not* failed over: they mean
+the replica is up and the query itself is the problem, so they
+propagate for the coordinator's retry/breaker machinery to handle.
 
-**Writes** fan out to every replica under a write lock; a replica that
-misses a write (dead, or the write errored) is marked *dirty* and
-excluded from reads until :meth:`catch_up` reconciles it from a clean
-peer by triple-set diff (the durable transports recover their own
-acknowledged prefix from the WAL, so the diff only covers the missed
-tail — cheap WAL-shipping by state rather than by log).
-
-**Repair** (called by the :class:`~repro.serving.supervisor.ShardSupervisor`)
-restarts dead replicas under a per-replica flap cap and then catches up
-every dirty one.  A replica set with no clean live member reports
-``alive == False`` and the coordinator degrades to the PR 6
+**Freshness is an incarnation.**  A replica is *clean* only at the
+incarnation it was last known to hold the partition at: its starting
+one, or the one it was last caught up at.  Any restart — by the
+supervisor, a RESTART command or a direct ``restart()`` on the member —
+moves the incarnation and so makes the replica stale without anyone
+marking it; a missed write (dead, or the write errored) marks it stale
+too.  Stale replicas are excluded from reads until :meth:`catch_up`
+reconciles them from a clean peer by triple-set diff (the durable
+transports recover their own acknowledged prefix from the WAL, so the
+diff only covers the missed tail).  A set with no clean live member
+reports ``alive == False`` and the coordinator degrades to the
 flagged-partial contract — replication narrows the failure window, it
 never fabricates data.
 """
@@ -40,7 +43,7 @@ import threading
 from concurrent.futures import Future
 from typing import Optional, Sequence
 
-from repro.serving.endpoint import EndpointDown
+from repro.serving.endpoint import EndpointDown, generation_entry
 
 __all__ = ["ReplicaSet", "promote_replica"]
 
@@ -61,31 +64,21 @@ def _is_replica_death(exc: BaseException) -> bool:
 class ReplicaSet:
     """N same-partition endpoints behind one endpoint surface.
 
-    Parameters
-    ----------
-    replicas:
-        The member endpoints (any :class:`EngineEndpoint` transport;
-        index 0 starts as primary).
-    max_restarts:
-        Per-replica flap cap for :meth:`repair` (``None`` = unbounded).
+    ``replicas`` are the member endpoints (any :class:`EngineEndpoint`
+    transport; index 0 starts as primary), all holding the partition at
+    their current incarnation.
     """
 
-    def __init__(
-        self,
-        replicas: Sequence,
-        *,
-        max_restarts: Optional[int] = None,
-    ) -> None:
+    def __init__(self, replicas: Sequence) -> None:
         self.replicas = list(replicas)
         if not self.replicas:
             raise ValueError("need at least one replica")
-        self.max_restarts = max_restarts
         self._lock = threading.RLock()
         self._write_lock = threading.Lock()
         self._primary = 0
-        self._dirty = [False] * len(self.replicas)
-        self._restarts = [0] * len(self.replicas)
-        self._failed_restarts = [0] * len(self.replicas)
+        #: Per replica, the incarnation it is known clean at (``None``
+        #: after a missed write).
+        self._clean_at: list = [r.incarnation for r in self.replicas]
         self._counters = {
             "failovers": 0,
             "failover_errors": 0,
@@ -105,11 +98,17 @@ class ReplicaSet:
         with self._lock:
             self._primary = rid
 
+    def _stale(self, rid: int) -> bool:
+        """Replica ``rid`` may lack writes: it missed one, or it has
+        restarted since it was last known clean."""
+        with self._lock:
+            clean_at = self._clean_at[rid]
+        return clean_at != self.replicas[rid].incarnation
+
     def _eligible(self, exclude=()) -> list[int]:
         """Clean live replica ids, primary first."""
         with self._lock:
             primary = self._primary
-            dirty = list(self._dirty)
         order = [primary] + [
             rid for rid in range(len(self.replicas)) if rid != primary
         ]
@@ -117,8 +116,8 @@ class ReplicaSet:
             rid
             for rid in order
             if rid not in exclude
-            and not dirty[rid]
             and self.replicas[rid].alive
+            and not self._stale(rid)
         ]
 
     # -- reads (submit + transparent failover) --------------------------------
@@ -228,81 +227,55 @@ class ReplicaSet:
 
     def _mark_dirty(self, rid: int) -> None:
         with self._lock:
-            if not self._dirty[rid]:
-                self._dirty[rid] = True
+            if self._clean_at[rid] is not None:
+                self._clean_at[rid] = None
                 self._counters["write_misses"] += 1
 
     # -- catch-up (WAL-recovered replicas reconcile the missed tail) ----------
 
-    def catch_up(self, rid: int) -> bool:
-        """Reconcile replica ``rid`` from a clean live peer by set diff."""
-        source_ids = [
-            src for src in self._eligible() if src != rid
-        ]
-        replica = self.replicas[rid]
-        if not source_ids or not replica.alive:
-            return False
-        source = self.replicas[source_ids[0]]
-        try:
-            with self._write_lock:  # freeze writes while diffing
-                want = {tuple(map(int, t)) for t in source.dump()}
-                have = {tuple(map(int, t)) for t in replica.dump()}
-                for t in have - want:
-                    replica.delete(*t)
-                for t in want - have:
-                    replica.insert(*t)
+    def catch_up(self) -> int:
+        """Reconcile every stale live replica from a clean live peer by
+        set diff; returns how many were caught up.  Never raises: a
+        failed catch-up is counted and the replica stays stale."""
+        caught = 0
+        for rid, replica in enumerate(self.replicas):
+            if not (replica.alive and self._stale(rid)):
+                continue
+            sources = self._eligible(exclude=(rid,))
+            if not sources:
+                break  # no clean peer to copy from
+            source = self.replicas[sources[0]]
+            try:
+                with self._write_lock:  # freeze writes while diffing
+                    incarnation = replica.incarnation
+                    want = {tuple(map(int, t)) for t in source.dump()}
+                    have = {tuple(map(int, t)) for t in replica.dump()}
+                    for t in have - want:
+                        replica.delete(*t)
+                    for t in want - have:
+                        replica.insert(*t)
+            except Exception:
+                with self._lock:
+                    self._counters["catch_up_failures"] += 1
+                continue
             with self._lock:
-                self._dirty[rid] = False
+                self._clean_at[rid] = incarnation
                 self._counters["catch_ups"] += 1
-            return True
-        except Exception:
-            with self._lock:
-                self._counters["catch_up_failures"] += 1
-            return False
+            caught += 1
+        return caught
 
-    # -- lifecycle (supervisor surface) ---------------------------------------
+    # -- lifecycle ------------------------------------------------------------
 
     def kill(self, rid: Optional[int] = None) -> None:
         """Crash one replica (default: the primary) — chaos lever."""
         self.replicas[self.primary if rid is None else rid].kill()
 
     def restart(self) -> None:
-        """Supervisor-compatible restart: repair the whole set."""
-        self.repair()
-
-    def repair(self) -> int:
-        """Restart dead replicas (flap-capped) and catch up dirty ones.
-
-        Returns how many replicas were restarted.  Never raises: a
-        replica that cannot be revived is counted and left down.
-        """
-        restarted = 0
-        for rid, replica in enumerate(self.replicas):
-            if replica.alive:
-                continue
-            with self._lock:
-                if (
-                    self.max_restarts is not None
-                    and self._restarts[rid] >= self.max_restarts
-                ):
-                    continue
-            try:
-                replica.restart()
-            except Exception:
-                with self._lock:
-                    self._failed_restarts[rid] += 1
-                continue
-            with self._lock:
-                self._restarts[rid] += 1
-                # A revived replica may have missed writes while down.
-                self._dirty[rid] = True
-            restarted += 1
-        for rid in range(len(self.replicas)):
-            with self._lock:
-                dirty = self._dirty[rid]
-            if dirty and self.replicas[rid].alive:
-                self.catch_up(rid)
-        return restarted
+        """Restart every dead replica, then catch up every stale one
+        (the RESTART lever; the supervisor restarts members itself)."""
+        for replica in self.replicas:
+            replica.restart()
+        self.catch_up()
 
     def shutdown(self, checkpoint: bool = True) -> None:
         for replica in self.replicas:
@@ -330,20 +303,9 @@ class ReplicaSet:
             return self._counters["failovers"]
 
     @property
-    def engine(self):
-        eligible = self._eligible()
-        if not eligible:
-            return None
-        return getattr(self.replicas[eligible[0]], "engine", None)
-
-    @property
     def n_triples(self) -> int:
-        for rid in self._eligible():
-            try:
-                return int(getattr(self.replicas[rid], "n_triples", 0) or 0)
-            except Exception:
-                continue
-        return 0
+        eligible = self._eligible()
+        return self.replicas[eligible[0]].n_triples if eligible else 0
 
     def dump(self) -> list[tuple[int, int, int]]:
         eligible = self._eligible()
@@ -358,30 +320,24 @@ class ReplicaSet:
         write perturbs the vector, so cached results keyed on it can
         only be invalidated too eagerly, never kept stale.
         """
-        with self._lock:
-            dirty = list(self._dirty)
-        vector = []
-        for rid, replica in enumerate(self.replicas):
-            if not replica.alive:
-                vector.append(("down", replica.incarnation))
-            elif dirty[rid]:
-                vector.append(("dirty", replica.incarnation))
-            else:
-                vector.append((replica.incarnation, replica.cache_generation()))
-        return tuple(vector)
+        return tuple(
+            ("dirty", r.incarnation)
+            if r.alive and self._stale(rid)
+            else generation_entry(r)
+            for rid, r in enumerate(self.replicas)
+        )
 
     def stats(self) -> dict:
         with self._lock:
-            out = {
-                "alive": self.alive,
-                "primary": self._primary,
-                "dirty": list(self._dirty),
-                "restarts": list(self._restarts),
-                "failed_restarts": list(self._failed_restarts),
-                "incarnation": self.incarnation,
-            }
-            out.update(self._counters)
-        out["replicas"] = [r.stats() for r in self.replicas]
+            out = dict(self._counters, primary=self._primary)
+        incarnation = self.incarnation
+        out.update(
+            alive=self.alive,
+            incarnation=incarnation,
+            restarts=list(incarnation),
+            dirty=[self._stale(rid) for rid in range(len(self.replicas))],
+            replicas=[r.stats() for r in self.replicas],
+        )
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,9 +3,11 @@
 A :class:`ShardedRingIndex` splits a graph's triples by
 ``shard_of(subject)`` — a splitmix64 finalizer, so shard assignment is
 stable across processes and independent of Python's salted ``hash`` —
-and runs each partition behind its own
+and serves each partition through one
+:class:`~repro.serving.endpoint.EngineEndpoint`: an
 :class:`~repro.serving.endpoint.InProcessEndpoint` (engine + private
-broker).  Because the ring is succinct, N shards cost barely more than
+broker), that same endpoint in a child process, or a replica set of
+either.  Because the ring is succinct, N shards cost barely more than
 one index over the union; what the split buys is *blast-radius
 containment*: a crashed or wedged shard takes out only its partition,
 and the coordinator (:mod:`repro.serving.coordinator`) degrades to the
@@ -36,7 +38,6 @@ so per-shard solutions need no translation before merging.
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 from typing import Optional
 
@@ -44,7 +45,8 @@ import numpy as np
 
 from repro.core.dynamic import DynamicRingIndex
 from repro.graph.dataset import Graph
-from repro.serving.endpoint import InProcessEndpoint
+from repro.serving.endpoint import InProcessEndpoint, generation_entry
+from repro.serving.replica import ReplicaSet
 
 __all__ = [
     "shard_of",
@@ -181,42 +183,35 @@ def _replica_dirs(directory: Path, sid: int, replicas: int) -> list[Path]:
     return [shard_dir / f"replica-{rid}" for rid in range(replicas)]
 
 
+def _one_shard(members: list):
+    """A shard's endpoint: its only member, or a set of its replicas."""
+    return members[0] if len(members) == 1 else ReplicaSet(members)
+
+
 def _build_durable_shard(
     dirs: list[Path],
     initial: Optional[Graph],
     processes: bool,
     broker_options: Optional[dict],
     wal_options: dict,
-    replica_options: Optional[dict],
 ):
-    """One durable shard: an endpoint per replica dir, wrapped when N > 1."""
-    endpoints = []
+    """One durable shard: an endpoint per replica dir."""
+    members = []
     for d in dirs:
-        if processes:
-            if initial is not None:
-                # The child always opens through ``recover``, so the
-                # store must exist before the first spawn.
-                from repro.reliability.wal import DurableDynamicRing
+        factory = _durable_factory(d, initial, wal_options)
+        if not processes:
+            members.append(InProcessEndpoint(factory, broker_options))
+            continue
+        from repro.serving.process import ProcessEndpoint
 
-                DurableDynamicRing.create(
-                    d, initial, **_create_options(wal_options)
-                ).close(checkpoint=True)
-            from repro.serving.process import ProcessEndpoint
-
-            endpoints.append(
-                ProcessEndpoint(
-                    d, store_options=wal_options, broker_options=broker_options
-                )
-            )
-        else:
-            endpoints.append(
-                InProcessEndpoint(_durable_factory(d, initial, wal_options), broker_options)
-            )
-    if len(endpoints) == 1:
-        return endpoints[0]
-    from repro.serving.replica import ReplicaSet
-
-    return ReplicaSet(endpoints, **(replica_options or {}))
+        if initial is not None:
+            # The child opens the store through ``recover``, so it must
+            # exist before the first spawn.
+            factory().close(checkpoint=True)
+        members.append(
+            ProcessEndpoint(d, store_options=wal_options, broker_options=broker_options)
+        )
+    return _one_shard(members)
 
 
 class ShardedRingIndex:
@@ -239,7 +234,6 @@ class ShardedRingIndex:
         self.endpoints = endpoints
         self._universe = universe
         self.directory = directory
-        self._write_lock = threading.Lock()
 
     # -- constructors --------------------------------------------------------
 
@@ -252,26 +246,18 @@ class ShardedRingIndex:
         broker_options: Optional[dict] = None,
         *,
         replicas: int = 1,
-        replica_options: Optional[dict] = None,
     ) -> "ShardedRingIndex":
         """In-memory shards over a hash-partition of ``graph``."""
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        parts = partition_graph(graph, n_shards)
         endpoints = []
-        for part in parts:
-            members = [
-                InProcessEndpoint(
-                    _memory_factory(part, buffer_threshold), broker_options
+        for part in partition_graph(graph, n_shards):
+            factory = _memory_factory(part, buffer_threshold)
+            endpoints.append(
+                _one_shard(
+                    [InProcessEndpoint(factory, broker_options) for _ in range(replicas)]
                 )
-                for _ in range(replicas)
-            ]
-            if replicas == 1:
-                endpoints.append(members[0])
-            else:
-                from repro.serving.replica import ReplicaSet
-
-                endpoints.append(ReplicaSet(members, **(replica_options or {})))
+            )
         return cls(endpoints, _universe_of(graph))
 
     @classmethod
@@ -284,7 +270,6 @@ class ShardedRingIndex:
         *,
         replicas: int = 1,
         processes: bool = False,
-        replica_options: Optional[dict] = None,
         **wal_options,
     ) -> "ShardedRingIndex":
         """Durable shards under ``directory`` (one WAL'd store each)."""
@@ -308,7 +293,6 @@ class ShardedRingIndex:
                 processes,
                 broker_options,
                 wal_options,
-                replica_options,
             )
             for sid, part in enumerate(parts)
         ]
@@ -321,7 +305,6 @@ class ShardedRingIndex:
         broker_options: Optional[dict] = None,
         *,
         processes: Optional[bool] = None,
-        replica_options: Optional[dict] = None,
         **wal_options,
     ) -> "ShardedRingIndex":
         """Reopen a durable sharded index from its manifest + WALs.
@@ -346,7 +329,6 @@ class ShardedRingIndex:
                 processes,
                 broker_options,
                 wal_options,
-                replica_options,
             )
             for sid in range(manifest["n_shards"])
         ]
@@ -418,13 +400,7 @@ class ShardedRingIndex:
         restart changes the incarnation or the marker — either way the
         vector differs and every cached result keyed on it is stale.
         """
-        vector = []
-        for ep in self.endpoints:
-            if not ep.alive:
-                vector.append(("down", ep.incarnation))
-            else:
-                vector.append((ep.incarnation, ep.cache_generation()))
-        return tuple(vector)
+        return tuple(generation_entry(ep) for ep in self.endpoints)
 
     # -- introspection -------------------------------------------------------
 

@@ -1,25 +1,27 @@
 """Shard supervision: health checks and automatic restart.
 
 A :class:`ShardSupervisor` is a daemon thread that periodically probes
-every endpoint of a :class:`~repro.serving.sharding.ShardedRingIndex`
-(``alive`` + ``health_check``) and restarts any shard found dead.  For
-durable shards a restart goes through the factory's
-``DurableDynamicRing.recover`` path, so the shard comes back with every
-acknowledged write and a bumped ``incarnation`` — the coordinator's
-half-open breaker probes then find a healthy engine and re-close the
-circuit, and the cache layer's shard-generation vector changes so no
-stale entry survives the crash.
+every member endpoint of a
+:class:`~repro.serving.sharding.ShardedRingIndex` (``alive`` +
+``health_check``) and restarts any member found dead.  A member is a
+solo shard's endpoint, or each replica of a
+:class:`~repro.serving.replica.ReplicaSet`: the supervisor is the one
+restart policy, with one flap cap, whatever the transport.  For durable
+shards a restart goes through the factory's
+``DurableDynamicRing.recover`` path (a respawn through WAL recovery for
+a process shard), so the member comes back with every acknowledged
+write and a bumped ``incarnation`` — the coordinator's half-open
+breaker probes then find a healthy engine and re-close the circuit, and
+the cache layer's shard-generation vector changes so no stale entry
+survives the crash.  A restarted replica is stale by its new
+incarnation, so each sweep ends by asking the set to catch it up.
 
 The actual restart goes through the module-level :func:`restart_shard`
 (fault site ``shard.restart``), so chaos drills can make *recovery
 itself* fail and assert the supervisor degrades to counting the failure
-rather than dying.
-
-Endpoints exposing ``repair()`` (replica sets) are delegated to instead:
-the set restarts its own dead members under per-replica flap caps —
-respawning :class:`~repro.serving.process.ProcessEndpoint` members
-through WAL recovery with an incarnation bump, reaping the dead process
-first — and then catches up any replica that missed writes.
+rather than dying.  A restart counts only when the member's incarnation
+moved: restarting a member that is alive but fails its probe is a no-op
+in every transport, and must not spend the flap cap.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from repro.serving.replica import ReplicaSet
 from repro.serving.sharding import ShardedRingIndex
 
 __all__ = ["ShardSupervisor", "restart_shard"]
@@ -35,6 +38,11 @@ __all__ = ["ShardSupervisor", "restart_shard"]
 def restart_shard(endpoint) -> None:
     """Restart one dead endpoint (fault site ``shard.restart``)."""
     endpoint.restart()
+
+
+def _members(endpoint) -> list:
+    """The endpoints a shard restarts: a set's replicas, else itself."""
+    return endpoint.replicas if isinstance(endpoint, ReplicaSet) else [endpoint]
 
 
 class ShardSupervisor:
@@ -47,8 +55,8 @@ class ShardSupervisor:
     interval:
         Seconds between sweeps.
     max_restarts:
-        Per-shard cap on automatic restarts (``None`` = unbounded); a
-        shard that keeps dying past the cap is left down — flapping
+        Per-member cap on automatic restarts (``None`` = unbounded); a
+        member that keeps dying past the cap is left down — flapping
         engines must not turn the supervisor into a crash loop.
     """
 
@@ -65,7 +73,8 @@ class ShardSupervisor:
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self._checks = 0
-        self._restarts = [0] * shards.n_shards
+        #: Per shard, restarts per member.
+        self._restarts = [[0] * len(_members(ep)) for ep in shards.endpoints]
         self._failed_restarts = [0] * shards.n_shards
 
     # -- lifecycle -----------------------------------------------------------
@@ -96,7 +105,7 @@ class ShardSupervisor:
     # -- the sweep -----------------------------------------------------------
 
     def sweep(self) -> int:
-        """One supervision pass; returns how many shards were restarted.
+        """One supervision pass; returns how many members were restarted.
 
         Public so tests (and synchronous callers) can drive supervision
         deterministically without the background thread.
@@ -105,35 +114,33 @@ class ShardSupervisor:
         with self._lock:
             self._checks += 1
         for sid, endpoint in enumerate(self.shards.endpoints):
-            repair = getattr(endpoint, "repair", None)
-            if repair is not None:
-                # Replica sets own their member lifecycle (per-replica
-                # flap caps, catch-up); the supervisor just drives the
-                # pass and counts outcomes — repair() never raises.
-                revived = repair()
-                if revived:
-                    with self._lock:
-                        self._restarts[sid] += revived
-                    restarted += revived
-                continue
-            if endpoint.alive and endpoint.health_check():
-                continue
-            with self._lock:
-                if (
-                    self.max_restarts is not None
-                    and self._restarts[sid] >= self.max_restarts
-                ):
-                    continue
-            try:
-                restart_shard(endpoint)
-            except Exception:
-                with self._lock:
-                    self._failed_restarts[sid] += 1
-                continue
-            with self._lock:
-                self._restarts[sid] += 1
-            restarted += 1
+            for mid, member in enumerate(_members(endpoint)):
+                restarted += self._revive(sid, mid, member)
+            if isinstance(endpoint, ReplicaSet):
+                endpoint.catch_up()
         return restarted
+
+    def _revive(self, sid: int, mid: int, member) -> int:
+        if member.alive and member.health_check():
+            return 0
+        with self._lock:
+            if (
+                self.max_restarts is not None
+                and self._restarts[sid][mid] >= self.max_restarts
+            ):
+                return 0
+        incarnation = member.incarnation
+        try:
+            restart_shard(member)
+        except Exception:
+            with self._lock:
+                self._failed_restarts[sid] += 1
+            return 0
+        if member.incarnation == incarnation:
+            return 0  # alive but unhealthy: restart was a no-op
+        with self._lock:
+            self._restarts[sid][mid] += 1
+        return 1
 
     def _loop(self) -> None:
         while not self._stop.is_set():
@@ -150,10 +157,11 @@ class ShardSupervisor:
             return {
                 "running": self._thread is not None,
                 "checks": self._checks,
-                "restarts": list(self._restarts),
+                "restarts": [sum(counts) for counts in self._restarts],
                 "failed_restarts": list(self._failed_restarts),
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self._thread is not None else "stopped"
-        return f"ShardSupervisor({state}, restarts={sum(self._restarts)})"
+        restarts = sum(map(sum, self._restarts))
+        return f"ShardSupervisor({state}, restarts={restarts})"

@@ -1,4 +1,4 @@
-"""ReplicaSet semantics: routing, failover, dirty tracking, repair."""
+"""ReplicaSet semantics: routing, failover, staleness tracking, catch-up."""
 
 from concurrent.futures import Future
 
@@ -18,13 +18,12 @@ from tests.serving.conftest import WORKLOAD, random_graph
 pytestmark = pytest.mark.serving
 
 
-def make_set(graph, n=2, **opts):
+def make_set(graph, n=2):
     return ReplicaSet(
         [
             InProcessEndpoint(_memory_factory(graph, 256), {"workers": 1})
             for _ in range(n)
-        ],
-        **opts,
+        ]
     )
 
 
@@ -144,8 +143,8 @@ class TestWritesAndRepair:
             rs.insert(4, 0, 5)
             assert rs.stats()["write_misses"] >= 1
             assert rs.stats()["dirty"][1] is True
-            restarted = rs.repair()
-            assert restarted == 1
+            rs.restart()
+            assert rs.replicas[1].incarnation == 1
             assert rs.stats()["dirty"][1] is False
             assert rs.stats()["catch_ups"] >= 1
             assert set(rs.replicas[0].dump()) == set(rs.replicas[1].dump())
@@ -159,21 +158,23 @@ class TestWritesAndRepair:
             rs.kill(0)
             rs.insert(6, 1, 7)  # only replica 1 takes it; 0 stays dirty
             reference.insert(6, 1, 7)
-            rs.repair()
+            rs.restart()
             want = list(reference.evaluate(WORKLOAD[1], timeout=30.0))
             assert list(rs.evaluate(WORKLOAD[1], timeout=30.0)) == want
         finally:
             rs.shutdown()
 
-    def test_flap_cap_stops_restarting(self, graph):
-        rs = make_set(graph, max_restarts=1)
+    def test_member_restarted_directly_is_stale_until_caught_up(self, graph):
+        rs = make_set(graph)
         try:
+            rs.insert(8, 1, 9)
+            rs.kill(1)
+            rs.replicas[1].restart()  # in-memory: back without the write
+            assert rs.stats()["dirty"] == [False, True]
             rs.kill(0)
-            assert rs.repair() == 1
-            rs.kill(0)
-            assert rs.repair() == 0  # cap reached: left down
-            assert not rs.replicas[0].alive
-            assert rs.alive  # the other replica still serves
+            assert not rs.alive, "a stale replica must not answer"
+            with pytest.raises(EndpointDown):
+                rs.evaluate(WORKLOAD[1], timeout=5.0)
         finally:
             rs.shutdown()
 
@@ -185,7 +186,7 @@ class TestWritesAndRepair:
             down = rs.cache_generation()
             assert down != before
             assert down[1][0] == "down"
-            rs.repair()  # revive; catch-up clears dirty
+            rs.restart()  # revive; catch-up clears dirty
             after = rs.cache_generation()
             assert after[1][0] not in ("down", "dirty")
         finally:

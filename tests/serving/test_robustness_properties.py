@@ -6,15 +6,16 @@
    query against entirely dead shards returns (flagged partial) within
    the caller's timeout plus scheduling slack.
 2. **Failover is invisible in the bytes** — under any schedule of
-   kills, repairs, and writes that leaves at least one clean live
-   replica, a :class:`ReplicaSet` answers byte-identically to a single
-   never-killed copy receiving the same writes.
+   kills, restarts (of the set, or of one member behind its back), and
+   writes that leaves at least one clean live replica, a
+   :class:`ReplicaSet` answers byte-identically to a single never-killed
+   copy receiving the same writes.
 """
 
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serving import (
@@ -72,13 +73,24 @@ def test_retry_backoff_never_exceeds_parent_deadline(
 
 _STEP = st.one_of(
     st.tuples(st.just("kill"), st.integers(0, 2)),
-    st.tuples(st.just("repair"), st.just(0)),
+    st.tuples(st.just("restart"), st.just(0)),
+    st.tuples(st.just("restart member"), st.integers(0, 2)),
     st.tuples(st.just("write"), st.integers(0, N_NODES * N_NODES - 1)),
     st.tuples(st.just("query"), st.integers(0, len(WORKLOAD) - 1)),
 )
 
 
 @given(steps=st.lists(_STEP, max_size=10))
+@example(  # a member restarted directly comes back without the write
+    steps=[
+        ("write", 0),
+        ("kill", 1),
+        ("restart member", 1),
+        ("kill", 0),
+        ("kill", 2),
+        ("query", 1),
+    ]
+)
 @settings(max_examples=10, deadline=None)
 def test_failover_byte_identical_to_single_copy(steps):
     rs = ReplicaSet(
@@ -96,8 +108,10 @@ def test_failover_byte_identical_to_single_copy(steps):
                 # left the contract is a typed failure, not an answer.
                 if [r for r in rs._eligible() if r != arg]:
                     rs.kill(arg)
-            elif kind == "repair":
-                rs.repair()
+            elif kind == "restart":
+                rs.restart()
+            elif kind == "restart member":
+                rs.replicas[arg].restart()
             elif kind == "write":
                 s, o = divmod(arg, N_NODES)
                 rs.insert(s, 1, o)
@@ -108,7 +122,7 @@ def test_failover_byte_identical_to_single_copy(steps):
                 want = single.evaluate(bgp, timeout=30.0)
                 assert list(got) == list(want)
                 assert not got.truncated
-        rs.repair()
+        rs.restart()
         final = rs.evaluate(WORKLOAD[1], timeout=30.0)
         assert list(final) == list(single.evaluate(WORKLOAD[1], timeout=30.0))
     finally:
