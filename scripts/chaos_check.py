@@ -28,13 +28,15 @@ Two **durability drills** then attack the crash-safe dynamic ring
   assert recovery lands on the exact acknowledged prefix (or fails
   loudly with a typed error when the header itself is gone).
 
-A **parallel drill** then attacks the shared-memory worker pool
+A **parallel drill** then attacks the forked worker pool
 (:mod:`repro.parallel`):
 
 - **killed worker** — SIGKILL a worker right after its slices are
   dispatched; the driver must rescue the orphaned slices by re-running
   them serially and still return the *exact* ordered serial answer
-  (``serial_rescues``/``respawns`` observable in the pool stats);
+  (``serial_rescues``/``respawns`` observable in the pool stats); a
+  last query that kills nothing must then be served whole by the
+  respawned workers, from the ring they inherited;
 - **fault sites** — ``parallel.spawn`` failing at construction must
   degrade the index to serial execution (correct answers, no pool);
   ``parallel.slice_merge`` failing mid-query must surface as a typed
@@ -459,7 +461,7 @@ def drill_wal_truncation(points: int, seed: int) -> list[str]:
     return failures
 
 
-# -- parallel drills (shared-memory worker pool) ------------------------------
+# -- parallel drills (forked worker pool) -------------------------------------
 
 #: The WORKLOAD queries that actually fan out (≥2 shared variables);
 #: ``single`` is all-lonely and legitimately bypasses the pool.
@@ -473,7 +475,10 @@ def drill_parallel_kill(rounds: int, seed: int) -> list[str]:
     serially, and return the exact ordered serial answer — a kill may
     cost latency, never correctness.  Across the drill the pool stats
     must show the rescue path actually fired (``serial_rescues`` > 0)
-    and the pool healed itself (``respawns`` > 0).
+    and the pool healed itself (``respawns`` > 0).  A last query kills
+    nothing: workers forked after the kills must serve every slice
+    from the ring they inherited — exact rows, no new rescue, and
+    ``completed`` up by the slice count.
     """
     rng = random.Random(seed)
     failures: list[str] = []
@@ -526,8 +531,37 @@ def drill_parallel_kill(rounds: int, seed: int) -> list[str]:
                 "parallel drill: no worker was ever respawned "
                 "(respawns == 0)"
             )
+        failures += _parallel_after_respawn(index, reference)
     finally:
         index.close()
+    return failures
+
+
+def _parallel_after_respawn(index, reference) -> list[str]:
+    """One query with no kill, after the kill rounds: the respawned
+    pool must answer it exactly with its workers alone."""
+    name = PARALLEL_WORKLOAD[0]
+    label = f"  after respawn {name:8s}"
+    before = index.pool_stats()
+    query_stats: dict = {}
+    rows = [dict(mu) for mu in index.evaluate(dict(WORKLOAD)[name],
+                                              stats=query_stats)]
+    after = index.pool_stats()
+    slices = query_stats.get("slices", 0)
+    failures = []
+    if rows != reference[name]:
+        failures.append(f"{label}: {len(rows)} rows != serial "
+                        f"{len(reference[name])} (or out of order)")
+    if after["serial_rescues"] != before["serial_rescues"]:
+        failures.append(f"{label}: a slice was rescued with no worker killed")
+    completed = after["completed"] - before["completed"]
+    if slices < 2:
+        failures.append(f"{label}: the query ran serially, no slice fanned out")
+    elif completed != slices:
+        failures.append(f"{label}: workers completed {completed} of "
+                        f"{slices} slices")
+    print(f"{label}: {'FAILED' if failures else 'exact ordered answer'} "
+          f"({len(rows)} rows, {slices} slices served by workers)")
     return failures
 
 

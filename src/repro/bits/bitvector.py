@@ -16,8 +16,7 @@ scans at most ``WORDS_PER_SUPERBLOCK`` words.
 The scalar operations read the three arrays through zero-copy
 ``memoryview``s (:attr:`BitVector._views`): indexing one yields a plain
 Python ``int`` — no numpy scalar, no ``int()`` — and works unchanged over
-RAM arrays, shared-memory views and the read-only ``np.memmap`` of a
-frozen pack.  :class:`~repro.sequences.wavelet_matrix.WaveletMatrix`
+RAM arrays and the read-only ``np.memmap`` of a frozen pack.  :class:`~repro.sequences.wavelet_matrix.WaveletMatrix`
 borrows the same views for its fused level loops.
 
 Besides the scalar operations the class exposes the **batch kernels**
@@ -165,8 +164,8 @@ class BitVector:
     ) -> "BitVector":
         """Adopt prebuilt payload + counter buffers without copying.
 
-        The buffers may be views into shared memory or a ``np.memmap``
-        over the frozen on-disk layout — this is the copy-free
+        The buffers may be arrays read from a frozen pack or a
+        ``np.memmap`` over its on-disk layout — this is the copy-free
         ``mmap_mode`` constructor.  Only O(1) shape/dtype validation is
         performed; use :func:`repro.reliability.integrity.verify_index`
         (or ``verify=True`` on the frozen open path) for content checks.

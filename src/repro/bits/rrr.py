@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.bits.bitvector import BitVector, _select_in_word
+from repro.bits.bitvector import _select_in_word
 from repro.bits.packed import PackedIntArray, bits_needed
 
 SUPERBLOCK_BLOCKS = 32
@@ -351,10 +351,3 @@ def _reverse_bits(value: int, width: int) -> int:
         out = (out << 1) | (value & 1)
         value >>= 1
     return out
-
-
-def best_bitvector(arr: np.ndarray, compressed: bool, block_size: int = 15):
-    """Factory used by the wavelet matrix: plain or RRR backend."""
-    if compressed:
-        return RRRBitVector.from_bool_array(arr, block_size)
-    return BitVector.from_bool_array(arr)

@@ -78,7 +78,7 @@ class PackedCounts:
     def from_raw(
         cls, cumulative: np.ndarray, *, validate: bool = True
     ) -> "PackedCounts":
-        """Adopt a cumulative array without copying (mmap / shm views).
+        """Adopt a cumulative array without copying (e.g. a pack's mmap view).
 
         With ``validate=False`` the O(σ) monotonicity scan is skipped —
         the frozen open path defers it to the layout verifier so a

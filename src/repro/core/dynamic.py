@@ -536,9 +536,8 @@ class DynamicRingIndex(BaseLTJSystem):
         # are immutable, so their memos could never serve a *wrong*
         # answer — but the component set just changed under them, and
         # bumping the generation here guarantees no cached leap predates
-        # the current epoch even if a future ring variant (shared-memory
-        # re-attach, in-place patching) breaks that immutability
-        # assumption.  Cost: one counter bump + dict clear per ring.
+        # the current epoch even if a future ring variant (in-place
+        # patching) breaks that immutability assumption.  Cost: one counter bump + dict clear per ring.
         for ring in self._rings:
             ring.invalidate_leap_memo()
         self._epoch += 1

@@ -27,13 +27,13 @@ torn pack an O(1) detection *before* any array is touched; the sidecar
 table makes full layout validation possible without materializing a
 single array (:func:`verify_frozen_layout`).
 
-The array naming and ordering are exactly those of the shared-memory
-export (:mod:`repro.parallel.shm`), which proved these structures are
-plain exportable buffers; both paths share :func:`collect_ring_arrays`
-and the ``from_components`` constructors.  Unlike a shm segment, a pack
-outlives its creating process and is the unit the streaming bulk
-builder (:mod:`repro.graph.bulkload`) writes directly, level by level,
-without ever holding the full triple set.
+A plain ring bottoms out in exactly these buffers:
+:func:`collect_ring_arrays` walks them for the writer, and the
+``from_components`` constructors reassemble a ring over the views the
+reader hands back, copy-free.  A pack outlives its creating process and
+is the unit the streaming bulk builder (:mod:`repro.graph.bulkload`)
+writes directly, level by level, without ever holding the full triple
+set.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ class RingLayoutError(ValueError):
 def collect_ring_arrays(ring: Ring) -> tuple[dict, dict[str, np.ndarray]]:
     """Walk the ring; return (meta scalars, path -> source array).
 
-    The single source of truth for the flat-buffer layout shared by the
-    shared-memory export and the frozen pack: paths are
+    The single source of truth for the frozen pack's flat-buffer
+    layout: paths are
     ``wm{zone}.l{level}.words`` / ``.super`` / ``.rel`` and ``c{attr}``,
     in this exact order.  Raises :class:`RingLayoutError` on any
     component whose state is not a set of flat numpy arrays (RRR
@@ -569,8 +569,6 @@ def open_frozen_ring(
         compressed=False,
         leap_memo_size=int(manifest.get("leap_memo_size", 1 << 16)),
     )
-    ring._pack_path = path  # provenance: lets owners re-open / report
-    ring._pack_mmap = bool(mmap)
     return ring, manifest
 
 

@@ -82,8 +82,8 @@ class Ring:
         # the same ranges as it cycles through the iterators) hit instead
         # of re-descending the wavelet matrix.  The generation counter
         # scopes the cache: owners that swap or mutate the backing state
-        # (the dynamic ring's compaction, a re-attached shared-memory
-        # segment) call :meth:`invalidate_leap_memo`, after which no key
+        # (the dynamic ring's compaction) call
+        # :meth:`invalidate_leap_memo`, after which no key
         # of an earlier generation can ever be served again.
         # ``leap_memo_size=0`` disables memoisation.
         self._leap_memo: OrderedDict[
@@ -133,10 +133,9 @@ class Ring:
     ) -> "Ring":
         """Assemble a ring from prebuilt zone sequences and C components.
 
-        The copy-free path shared by the shared-memory attach
-        (:func:`repro.parallel.shm.attach_ring`), the frozen
-        ``mmap_mode`` open (:mod:`repro.core.frozen`) and the streaming
-        bulk builder: ``seq`` maps zones to wavelet matrices, ``counts``
+        The copy-free path shared by the frozen pack reader (eager or
+        memory-mapped, :mod:`repro.core.frozen`) and the streaming bulk
+        builder: ``seq`` maps zones to wavelet matrices, ``counts``
         maps attributes to C components.  Nothing is copied; the result
         has a fresh leap memo at generation 0.
         """
@@ -364,7 +363,7 @@ class Ring:
 
         Called by owners whose mutation paths could otherwise leave the
         memo answering for a state the index no longer has (the dynamic
-        ring's update/compaction paths, shared-memory re-attachment).
+        ring's update/compaction paths).
         Entries of older generations become unreachable immediately —
         the memo is also cleared so they don't occupy LRU capacity.
         """

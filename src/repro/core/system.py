@@ -310,8 +310,8 @@ class RingIndex(BaseLTJSystem):
     def from_ring(
         cls, ring: Ring, graph: Graph, **engine_options
     ) -> "RingIndex":
-        """Wrap a prebuilt ring (memmapped, shm-attached or streamed)
-        without re-running index construction."""
+        """Wrap a prebuilt ring (memmapped, eagerly read from a pack or
+        streamed) without re-running index construction."""
         index = cls.__new__(cls)
         BaseLTJSystem.__init__(index, graph, **engine_options)
         index._ring = ring

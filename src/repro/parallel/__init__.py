@@ -1,13 +1,12 @@
-"""Shared-memory parallel query execution.
+"""Parallel query execution over one read-only ring.
 
 The ring is a frozen read-only structure (three wavelet matrices plus
-three cumulative-count arrays), so a pool of worker *processes* can map
-one copy of it and run disjoint pieces of the same LTJ search — the
-parallelisation the paper's single-index-order design invites.
+three cumulative-count arrays), so a pool of forked worker *processes*
+can read the parent's own copy and run disjoint pieces of the same LTJ
+search — the parallelisation the paper's single-index-order design
+invites.  Nothing is exported or copied: a worker inherits the ring
+through ``fork`` and touches the parent's pages.
 
-- :mod:`repro.parallel.shm` — export the ring's numpy backing arrays
-  into one ``multiprocessing.shared_memory`` segment; zero-copy
-  re-attach on the worker side.
 - :mod:`repro.parallel.slices` — split the first join variable's value
   domain into balanced, boundary-snapped ``[a, b)`` slices.
 - :mod:`repro.parallel.pool` — the one process pool (:class:`TaskPool`):
@@ -19,27 +18,15 @@ parallelisation the paper's single-index-order design invites.
   merges their blocks deterministically.
 """
 
-from repro.parallel.shm import (
-    RingHandle,
-    SharedRing,
-    ShmExportError,
-    attach_ring,
-    export_ring,
-)
 from repro.parallel.slices import SlicePlan, plan_slices
 from repro.parallel.pool import TaskError, TaskPool, merge_blocks
 from repro.parallel.system import ParallelRingIndex
 
 __all__ = [
     "ParallelRingIndex",
-    "RingHandle",
-    "SharedRing",
-    "ShmExportError",
     "SlicePlan",
     "TaskError",
     "TaskPool",
-    "attach_ring",
-    "export_ring",
     "merge_blocks",
     "plan_slices",
 ]

@@ -28,9 +28,10 @@ is the flag *or* the caller's budget passed to :meth:`TaskPool.run`
 the pool trips the flag, and every worker stops at its next budget
 check.
 
-Workers are forked: they inherit the parent's imports and any module
-attribute a fault injector patched, which is how armed sites fire
-inside them.
+Workers are forked: they inherit the parent's imports, any module
+attribute a fault injector patched (which is how armed sites fire
+inside them) and the module state their executor reads, such as the
+ring registry of :mod:`repro.parallel.system`.
 """
 
 from __future__ import annotations
@@ -168,8 +169,9 @@ class TaskPool:
 
     One batch runs at a time (an internal lock); concurrent callers
     queue up, which matches the broker's admission model one layer
-    above.  Workers are long-lived, so whatever an executor memoises
-    per process (a slice task's attached ring) is paid once per worker.
+    above.  Workers are long-lived and forked, so whatever the parent
+    set up before the pool started (a slice task's ring) is already
+    theirs.
     A task that raises surfaces as :class:`TaskError` after the whole
     batch has settled — callers get deterministic all-or-error
     semantics, and file outputs written with ``"wb"`` truncation make

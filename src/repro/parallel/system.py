@@ -1,8 +1,14 @@
 """:class:`ParallelRingIndex` — the pool-backed drop-in ring system.
 
-Construction builds the ordinary serial :class:`RingIndex`, exports its
-ring into shared memory once, and starts a :class:`TaskPool` whose
-executor is :func:`run_slice`.  At query time the driver:
+Construction builds the ordinary serial :class:`RingIndex` (or wraps a
+prebuilt ring), registers the ring in this module's :data:`_RINGS`
+under an integer token, and only then starts a :class:`TaskPool` whose
+executor is :func:`run_slice`.  The pool's workers are forked, so each
+one already holds the ring: the arrays sit at the parent's addresses,
+in the pages the parent has (RAM, or the pack file's mapping), and a
+slice task carries the token, never index data.  Workers respawned
+after a crash are forked later from the same parent and inherit the
+same ring.  At query time the driver:
 
 1. computes the elimination order (the same cardinality-guided §4.3
    order the serial engine would use — every slice task carries it
@@ -17,16 +23,15 @@ executor is :func:`run_slice`.  At query time the driver:
 
 A worker killed mid-query costs latency, never rows: the pool re-runs
 its slices in this process through the same :func:`run_slice`, over
-this index's own ring.  Whenever fanning out is impossible or pointless
-— no shared join variable, fewer than two non-empty slices, an
-unexportable ring, a pool that cannot run — the query silently runs on
-the inherited serial engine instead: parallelism is an optimisation,
-never a requirement.
+the same registered ring.  Whenever fanning out is impossible or
+pointless — no shared join variable, fewer than two non-empty slices, a
+pool that cannot run — the query silently runs on the inherited serial
+engine instead: parallelism is an optimisation, never a requirement.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 from typing import Iterable, Optional, Sequence
 
 from repro.core.interface import QueryCancelled, QueryTimeout
@@ -43,24 +48,22 @@ from repro.parallel.pool import (
     TaskPool,
     cancel_token,
 )
-from repro.parallel.shm import PackHandle, attach_ring, export_ring
 from repro.parallel.slices import plan_slices
 from repro.reliability.budget import ResourceBudget
 
 _SLICE_EXECUTOR = "repro.parallel.system:run_slice"
 
-#: ``handle -> ring`` of this process.  A worker attaches each handle
-#: once; the exporting index registers its own ring, so an inline rescue
-#: never attaches a second copy.  Forked children start empty and map
-#: the shared segment (or pack) themselves.
+#: ``token -> ring`` of every open :class:`ParallelRingIndex`.  Filled
+#: before the index's pool forks, so workers (and their respawns) find
+#: the ring here by inheritance; the inline rescue reads the same entry.
 _RINGS: dict = {}
-os.register_at_fork(after_in_child=_RINGS.clear)
+_TOKENS = itertools.count()
 
 
 def run_slice(task) -> Block:
     """Run one slice task: the serial engine restricted to one slice.
 
-    ``task`` is ``(handle, bgp, var_order, first_range, spec)``; ``spec``
+    ``task`` is ``(token, bgp, var_order, first_range, spec)``; ``spec``
     holds the engine options, the sub-budget (``timeout``, ``max_ops``,
     ``tick_mask``; cancellation comes from the pool's
     :func:`~repro.parallel.pool.cancel_token`), the row cap
@@ -69,10 +72,8 @@ def run_slice(task) -> Block:
     statuses, never exceptions, so a slice's partial rows reach the
     prefix merge.
     """
-    handle, bgp, var_order, first_range, spec = task
-    ring = _RINGS.get(handle)
-    if ring is None:
-        ring = _RINGS[handle] = attach_ring(handle)
+    token, bgp, var_order, first_range, spec = task
+    ring = _RINGS[token]
     engine = LeapfrogTrieJoin(
         lambda pattern: RingIterator(ring, pattern), ring.n, **spec["engine"]
     )
@@ -122,15 +123,15 @@ class ParallelRingIndex(RingIndex):
     Parameters
     ----------
     workers:
-        Worker processes to spawn (each attaches the shared ring
-        zero-copy).
+        Worker processes to fork (each inherits the ring; nothing is
+        copied).
     num_slices:
         Slices per query; defaults to ``2 * workers`` so the fastest
         worker picks up slack from skewed slices.
 
-    Only the plain (uncompressed, plain-counts) ring is shareable;
-    requesting a compressed one raises
-    :class:`~repro.parallel.shm.ShmExportError` at construction.
+    Any ring fans out — plain, compressed (C-Ring) or memory-mapped —
+    since workers read the parent's own copy.  The constructor builds a
+    plain ring; :meth:`from_ring` wraps any other.
     """
 
     name = "ParallelRing"
@@ -146,8 +147,7 @@ class ParallelRingIndex(RingIndex):
         super().__init__(
             graph, compressed=False, leap_memo_size=leap_memo_size, **engine_options
         )
-        self._shared = export_ring(self._ring)
-        self._start_pool(self._shared.handle, workers, num_slices, engine_options)
+        self._start_pool(workers, num_slices, engine_options)
 
     @classmethod
     def from_ring(
@@ -162,30 +162,22 @@ class ParallelRingIndex(RingIndex):
         """Parallel driver over a prebuilt ring (no index construction).
 
         This is how ``ParallelRingIndex.load(path, mmap=True)`` serves a
-        frozen pack: a pack-backed ring skips the shm export entirely —
-        workers map the pack *file* (:class:`~repro.parallel.shm.PackHandle`)
-        and the page cache is the shared memory, so a 100 GB index fans
-        out across workers in O(working set) RAM.  Rings without a pack
-        behind them (shm-attached, hand-built) export as usual.
+        frozen pack: the forked workers inherit the parent's mapping of
+        the pack, so a 100 GB index fans out across workers in
+        O(working set) RAM, and they keep reading the file that was
+        opened even if a new pack is later published at the same path.
         """
         index = RingIndex.from_ring.__func__(cls, ring, graph, **engine_options)
-        pack_path = getattr(ring, "_pack_path", None)
-        if pack_path is not None and getattr(ring, "_pack_mmap", False):
-            index._shared = None
-            handle = PackHandle(pack_path)
-        else:
-            index._shared = export_ring(ring)
-            handle = index._shared.handle
-        index._start_pool(handle, workers, num_slices, engine_options)
+        index._start_pool(workers, num_slices, engine_options)
         return index
 
-    def _start_pool(self, handle, workers, num_slices, engine_options) -> None:
-        """Start the slice pool over ``handle``, every task running the
-        parent's engine configuration; a pool that cannot start leaves
-        the index degraded (every query runs serially)."""
-        self._handle = handle
+    def _start_pool(self, workers, num_slices, engine_options) -> None:
+        """Register the ring, then fork the slice pool, every task
+        running the parent's engine configuration; a pool that cannot
+        start leaves the index degraded (every query runs serially)."""
+        self._token = next(_TOKENS)
         self._engine_options = dict(engine_options)
-        _RINGS[handle] = self._ring
+        _RINGS[self._token] = self._ring
         self._workers = max(1, int(workers))
         self._num_slices = int(num_slices) if num_slices else 2 * self._workers
         try:
@@ -213,14 +205,11 @@ class ParallelRingIndex(RingIndex):
         return 0
 
     def close(self) -> None:
-        """Stop the workers and release the shared segment."""
+        """Stop the workers and drop the ring's registration."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if _RINGS.get(self._handle) is self._ring:
-            del _RINGS[self._handle]
-        if self._shared is not None:
-            self._shared.close()
+        _RINGS.pop(self._token, None)
 
     def __enter__(self) -> "ParallelRingIndex":
         return self
@@ -304,7 +293,7 @@ class ParallelRingIndex(RingIndex):
             "max_solutions": sub_solutions,
             "pin_first": pin_first,
         }
-        tasks = [(self._handle, bgp, order, slc, spec) for slc in plan.slices]
+        tasks = [(self._token, bgp, order, slc, spec) for slc in plan.slices]
         try:
             blocks = pool.run(tasks, budget=budget)
         except (PoolUnavailable, TaskError):

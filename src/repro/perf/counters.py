@@ -30,7 +30,6 @@ not thread-safe — enable it from one measuring thread at a time.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -102,11 +101,6 @@ def measuring(reset: bool = True) -> Iterator[KernelCounters]:
         yield KERNEL_COUNTERS
     finally:
         KERNEL_COUNTERS.enabled = previous
-
-
-def timed_record(kernel: str, ops: int, started: float) -> None:
-    """Record ``kernel`` with wall time since ``started`` (perf_counter)."""
-    KERNEL_COUNTERS.record(kernel, ops, time.perf_counter() - started)
 
 
 def event(kernel: str, ops: int = 1) -> None:

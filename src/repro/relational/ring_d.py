@@ -82,9 +82,6 @@ class RelationRing:
     def arity(self) -> int:
         return self._d
 
-    def position_of(self, attr: int) -> int:
-        return self._position_of[attr]
-
     def run_for(self, bound_attrs: frozenset[int]) -> Optional[tuple[int, int]]:
         """``(start_position, length)`` if the attributes form a
         cyclically contiguous run in this ring's order, else ``None``."""

@@ -141,10 +141,6 @@ class WALRecord:
     def triple(self) -> Triple:
         return (self.s, self.p, self.o)
 
-    @property
-    def op_name(self) -> str:
-        return _OP_NAMES.get(self.op, f"op{self.op}")
-
 
 @dataclass
 class ReplayReport:

@@ -121,8 +121,8 @@ class WaveletMatrix:
     ) -> "WaveletMatrix":
         """Adopt prebuilt per-level bitvectors without re-partitioning.
 
-        The copy-free assembly path shared by the shared-memory attach,
-        the frozen ``mmap_mode`` open and the streaming bulk builder:
+        The copy-free assembly path shared by the frozen pack reader
+        (eager or ``mmap_mode``) and the streaming bulk builder:
         ``levels[l]`` is the level-``l`` bitvector (plain or RRR) and
         ``zeros[l]`` its zero count, exactly as ``__init__`` would have
         produced them.  Buffers are adopted as-is (views stay views).

@@ -103,15 +103,6 @@ class ShardReport:
         self.failovers = tuple(sorted(failovers))
         self.complete = not self.failed
 
-    def as_dict(self) -> dict:
-        return {
-            "answered": list(self.answered),
-            "failed": list(self.failed),
-            "retries": self.retries,
-            "failovers": list(self.failovers),
-            "complete": self.complete,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "complete" if self.complete else "partial"
         return (

@@ -2,7 +2,7 @@
 
 The memo key carries the ring's *leap generation*: owners whose
 mutation paths swap or rebuild backing state (the dynamic ring's
-compaction, shared-memory re-attachment) bump it, after which no entry
+compaction) bump it, after which no entry
 cached under an earlier generation can ever be served again — even if
 the entry is still physically in the dict.  These tests pin that
 contract with a sentinel wavelet matrix: a memo hit must *not* consult

@@ -4,19 +4,27 @@
 the same set — under every outcome the serial engine can have: clean
 completion, op-budget exhaustion, wall-clock timeout, external
 cancellation (all with correct ``partial=True`` prefixes), a worker
-SIGKILLed mid-query, and a pool that never came up at all.
+SIGKILLed mid-query, and a pool that never came up at all.  Workers
+read the ring they inherited through ``fork``: the parent's arrays, at
+the parent's addresses, whatever the ring's layout.
 """
 
+import os
+import pickle
 import threading
 import time
 
 import pytest
 
-from repro.core import QueryTimeout, RingIndex
+from repro.core import CompressedRingIndex, QueryTimeout, RingIndex
 from repro.core.interface import QueryCancelled, QueryExecutionError
+from repro.core.iterators import RingIterator
+from repro.core.ltj import LeapfrogTrieJoin
 from repro.graph import BasicGraphPattern, TriplePattern, Var
 from repro.graph.generators import random_graph
-from repro.parallel import ParallelRingIndex
+from repro.graph.model import O, P, S
+from repro.parallel import ParallelRingIndex, TaskPool
+from repro.parallel import system as parallel_system
 from repro.reliability.budget import CancellationToken, ResourceBudget
 from repro.reliability.faults import Fault, InjectedFault, inject_faults
 
@@ -28,6 +36,32 @@ TRIANGLE = BasicGraphPattern(
 )
 STAR = BasicGraphPattern([TriplePattern(X, 0, Y), TriplePattern(X, 1, Z)])
 LONELY_ONLY = BasicGraphPattern([TriplePattern(X, 0, Y)])
+CYCLE = BasicGraphPattern(
+    [TriplePattern(X, 0, Y), TriplePattern(Y, 1, Z), TriplePattern(Z, 2, X)]
+)
+
+ADDRESSES = "tests.parallel.test_parallel_system:_ring_addresses"
+ANSWERS = "tests.parallel.test_parallel_system:_ring_answers"
+
+
+def _ring_addresses(token):
+    """Pool task: this process's id and the data address of every
+    wavelet level's ``_words`` and of each C array of a registered ring."""
+    ring = parallel_system._RINGS[token]
+    arrays = [
+        bv._words for zone in (S, P, O) for bv in ring.zone_sequence(zone)._bits
+    ] + [ring.counts(attr).raw() for attr in (S, P, O)]
+    return os.getpid(), [a.__array_interface__["data"][0] for a in arrays]
+
+
+def _ring_answers(token):
+    """Pool task: this process's id, and the size, first and last
+    triple and the ``PATH`` rows of a registered ring, read through a
+    fresh engine over that ring alone."""
+    ring = parallel_system._RINGS[token]
+    engine = LeapfrogTrieJoin(lambda t: RingIterator(ring, t), ring.n)
+    triples = [ring.triple(i) for i in (0, 1, ring.n - 1)]
+    return os.getpid(), ring.n, triples, list(engine.evaluate(PATH))
 
 
 @pytest.fixture(scope="module")
@@ -248,25 +282,97 @@ def test_close_is_idempotent_and_degrades(graph, serial):
     index.close()
 
 
-def test_attach_is_zero_copy_shells_only():
-    """The handle a worker attaches from is tiny and *constant-size* —
-    index data never rides through pickling (the segment carries it)."""
-    import pickle
+def _slice_tasks(index, bgp):
+    """The slice tasks one evaluation of ``bgp`` hands the pool."""
+    tasks = []
+    run = index.pool.run
 
+    def recording(payloads, budget=None):
+        tasks.extend(payloads)
+        return run(payloads, budget=budget)
+
+    index.pool.run = recording
+    try:
+        index.evaluate(bgp)
+    finally:
+        del index.pool.run
+    return tasks
+
+
+def test_attach_is_zero_copy_shells_only():
+    """A slice task names the ring by token and carries no index data:
+    its pickle has the same size for a 2 K- and a 16 K-triple index, up
+    to the few bytes the wider slice bounds take."""
     sizes = {}
     for n in (2000, 16000):
         big = random_graph(n, n_nodes=n // 10, n_predicates=8, seed=7)
-        index = ParallelRingIndex(big, workers=1)
+        index = ParallelRingIndex(big, workers=1, num_slices=4)
         try:
-            sizes[n] = (
-                len(pickle.dumps(index._shared.handle)),
-                index._shared.size,
-            )
+            tasks = _slice_tasks(index, PATH)
+            assert len(tasks) == 4
+            sizes[n] = max(len(pickle.dumps(task)) for task in tasks)
         finally:
             index.close()
-    (small_handle, small_seg), (big_handle, big_seg) = sizes[2000], sizes[16000]
-    assert big_seg > 4 * small_seg, "segment must scale with the index"
-    assert big_handle < 2 * small_handle, (
-        "handle must stay metadata-sized while the index grows"
+    assert abs(sizes[16000] - sizes[2000]) <= 4, sizes
+
+
+def test_workers_read_the_parents_arrays(parallel):
+    """Every worker, a respawned one too, reads the ring at the
+    parent's addresses: inherited through fork, never copied or
+    re-opened."""
+    token = parallel._token
+    _, expected = _ring_addresses(token)
+    pool = TaskPool(ADDRESSES, workers=2)
+    try:
+        first = pool.run([token] * 4)
+        pool._kill_after_dispatch = 0
+        pool.run([token] * 4)
+        stats = pool.stats()
+        assert stats["respawns"] == 1
+        after = pool.run([token] * 4)
+        assert pool.stats()["serial_rescues"] == stats["serial_rescues"]
+    finally:
+        pool.close()
+    for pid, addresses in first + after:
+        assert pid != os.getpid(), "task ran in the parent, not a worker"
+        assert addresses == expected
+    assert {pid for pid, _ in after} - {pid for pid, _ in first}, (
+        "a worker forked after the kill must serve the last batch"
     )
-    assert big_seg > 10 * big_handle
+
+
+def test_worker_ring_answers_identically(graph, serial, parallel):
+    """The ring a worker finds under the index's token is a whole ring:
+    same size and triples as the serial one, and an engine built on it
+    alone answers exactly like the serial index."""
+    pool = TaskPool(ANSWERS, workers=2)
+    try:
+        results = pool.run([parallel._token] * 2)
+    finally:
+        pool.close()
+    reference = list(serial.evaluate(PATH))
+    assert reference
+    expected = [serial.ring.triple(i) for i in (0, 1, graph.n_triples - 1)]
+    for pid, n, triples, rows in results:
+        assert pid != os.getpid(), "task ran in the parent, not a worker"
+        assert n == serial.ring.n
+        assert triples == expected
+        assert rows == reference
+
+
+def test_compressed_ring_fans_out():
+    """A C-Ring (RRR bitvectors, Elias–Fano counts) has no flat buffers
+    to hand over, but workers inherit it like any other ring."""
+    graph = random_graph(3000, n_nodes=200, n_predicates=3, seed=3)
+    compressed = CompressedRingIndex(graph)
+    index = ParallelRingIndex.from_ring(compressed.ring, graph, workers=2)
+    try:
+        stats: dict = {}
+        rows = list(index.evaluate(CYCLE, stats=stats))
+        pool = index.pool_stats()
+    finally:
+        index.close()
+    assert rows == list(compressed.evaluate(CYCLE))
+    assert stats["slices"] == 4
+    assert pool["completed"] == 4
+    assert pool["serial_rescues"] == 0

@@ -10,10 +10,10 @@ boundary equal to ``n`` index one word past the end), ``sigma == 1``,
 non-power-of-two ``sigma``, ``lo == hi``, ``c >= sigma`` and
 negative/overlong arguments — today's clamping is the contract.
 
-The same checks run over three backings of one ring — RAM arrays, a
-frozen pack opened with ``mmap=True`` (read-only views) and a shared-
-memory attach — and over RRR levels, which the same loops ask through
-their level objects.
+The same checks run over three backings of one ring — RAM arrays and
+a frozen pack opened with ``mmap=True`` (read-only views) or read
+eagerly into one buffer — and over RRR levels, which the same loops ask
+through their level objects.
 """
 
 from bisect import bisect_right
@@ -28,7 +28,6 @@ from repro.core.ltj import BATCH_CROSSOVER
 from repro.core.ring import Ring
 from repro.graph.dataset import Graph
 from repro.graph.model import O, P, S
-from repro.parallel.shm import attach_ring, detach_ring, export_ring
 from repro.perf.counters import measuring
 from repro.sequences.wavelet_matrix import WaveletMatrix
 
@@ -327,39 +326,35 @@ def graphs(draw):
 @given(graphs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_three_backings_agree(tmp_path_factory, graph, seed):
-    """RAM arrays, a read-only memory-mapped pack and a shared-memory
-    attach serve the same fused loops over the same words."""
+    """RAM arrays, a read-only memory-mapped pack and an eagerly read
+    pack serve the same fused loops over the same words."""
     ram = Ring(graph)
     path = tmp_path_factory.mktemp("fused") / "ring.ring"
     write_frozen_ring(ram, path, n_nodes=graph.n_nodes,
                       n_predicates=graph.n_predicates)
     mapped, _ = open_frozen_ring(path, mmap=True)
-    with export_ring(ram) as shared:
-        attached = attach_ring(shared.handle)
-        try:
-            t = graph.triples
-            columns = {
-                S: t[:, O],
-                P: t[np.lexsort((t[:, S], t[:, O], t[:, P]))][:, S],
-                O: t[np.lexsort((t[:, P], t[:, S], t[:, O]))][:, P],
-            }
-            for ring in (ram, mapped, attached):
-                for zone, column in columns.items():
-                    wm = ring.zone_sequence(zone)
-                    assert all(lv[-1] is None for lv in wm._loop)
-                    check_against_brute_force(wm, column, wm.sigma, seed)
-                # Zones S and P both hold node ids: one level count.
-                for zones in ((S,), (S, P), (P, S, P)):
-                    check_intersections(
-                        [ring.zone_sequence(z) for z in zones],
-                        [columns[z] for z in zones], seed,
-                    )
-                    check_batched_intersections(
-                        [ring.zone_sequence(z) for z in zones],
-                        [columns[z] for z in zones], seed, BLOCK_SIZES[1:3],
-                    )
-                assert ring.triples().tolist() == t.tolist()
-            for bv in mapped.zone_sequence(S)._bits:
-                assert all(view.readonly for view in bv._views)
-        finally:
-            detach_ring(attached)
+    eager, _ = open_frozen_ring(path, mmap=False)
+    t = graph.triples
+    columns = {
+        S: t[:, O],
+        P: t[np.lexsort((t[:, S], t[:, O], t[:, P]))][:, S],
+        O: t[np.lexsort((t[:, P], t[:, S], t[:, O]))][:, P],
+    }
+    for ring in (ram, mapped, eager):
+        for zone, column in columns.items():
+            wm = ring.zone_sequence(zone)
+            assert all(lv[-1] is None for lv in wm._loop)
+            check_against_brute_force(wm, column, wm.sigma, seed)
+        # Zones S and P both hold node ids: one level count.
+        for zones in ((S,), (S, P), (P, S, P)):
+            check_intersections(
+                [ring.zone_sequence(z) for z in zones],
+                [columns[z] for z in zones], seed,
+            )
+            check_batched_intersections(
+                [ring.zone_sequence(z) for z in zones],
+                [columns[z] for z in zones], seed, BLOCK_SIZES[1:3],
+            )
+        assert ring.triples().tolist() == t.tolist()
+    for bv in mapped.zone_sequence(S)._bits:
+        assert all(view.readonly for view in bv._views)

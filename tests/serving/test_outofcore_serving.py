@@ -3,7 +3,7 @@
 PR 9 threads ``mmap=True`` from ``RingIndex.load`` up through the
 durable store (``DurableDynamicRing.recover``), the sharded tier
 (``ShardedRingIndex.recover``) and the parallel pool
-(``ParallelRingIndex.load`` over a :class:`~repro.parallel.shm.PackHandle`).
+(``ParallelRingIndex.load``, whose forked workers inherit the mapping).
 These tests pin the property that matters at every level: the
 memmapped server answers *exactly* like the in-RAM one.
 """
@@ -22,7 +22,6 @@ from repro.graph.bulkload import bulk_build_sharded
 from repro.graph.dataset import Graph
 from repro.graph.generators import random_graph
 from repro.parallel import ParallelRingIndex
-from repro.parallel.shm import PackHandle
 from repro.reliability.integrity import IndexIntegrityError
 from repro.reliability.wal import (
     DurableDynamicRing,
@@ -241,37 +240,47 @@ class TestShardedMmapRecover:
         assert eager[0], "scan must return rows"
 
 
-class TestParallelPackHandle:
-    def test_parallel_load_skips_shm_export(self, graph, tmp_path):
+class TestParallelPack:
+    def test_mmap_parallel_load_answers_like_ram(self, graph, tmp_path):
         pack = str(tmp_path / "index.ring")
         RingIndex(graph).save_frozen(pack)
         index = ParallelRingIndex.load(pack, mmap=True, workers=2)
         try:
-            # A pack-backed ring must not be copied into a segment:
-            # the workers map the file, the page cache is the sharing.
-            assert index._shared is None
-            reference = _rows(RingIndex(graph), JOIN)
-            assert _rows(index, JOIN) == reference
+            assert _rows(index, JOIN) == _rows(RingIndex(graph), JOIN)
+            assert index.pool_stats()["completed"] >= 2
         finally:
             index.close()
 
-    def test_eager_parallel_load_still_exports(self, graph, tmp_path):
+    def test_eager_parallel_load_answers_like_ram(self, graph, tmp_path):
         pack = str(tmp_path / "index.ring")
         RingIndex(graph).save_frozen(pack)
         index = ParallelRingIndex.load(pack, mmap=False, workers=2)
         try:
-            assert index._shared is not None
             assert _rows(index, JOIN) == _rows(RingIndex(graph), JOIN)
+            assert index.pool_stats()["completed"] >= 2
         finally:
             index.close()
 
-    def test_pack_handle_attach_round_trip(self, graph, tmp_path):
-        from repro.parallel.shm import attach_ring
-
+    def test_pack_rebuilt_at_the_same_path_stays_unseen(self, tmp_path):
+        """Workers answer from the pack the index opened: publishing a
+        new pack at the same path (``os.replace``, the pack writer's
+        normal case) reaches neither them nor the parent."""
+        cycle = BasicGraphPattern(
+            [TriplePattern(X, 0, Y), TriplePattern(Y, 1, Z),
+             TriplePattern(Z, 2, X)]
+        )
+        a = random_graph(3000, n_nodes=200, n_predicates=3, seed=3)
+        b = random_graph(3000, n_nodes=200, n_predicates=3, seed=4)
+        want, other = _rows(RingIndex(a), cycle), _rows(RingIndex(b), cycle)
+        assert want != other
         pack = str(tmp_path / "index.ring")
-        RingIndex(graph).save_frozen(pack)
-        ring = attach_ring(PackHandle(pack))
-        assert ring.n == graph.n_triples
-        direct = RingIndex(graph)
-        attached = RingIndex.from_ring(ring, graph)
-        assert _rows(attached, JOIN) == _rows(direct, JOIN)
+        RingIndex(a).save_frozen(pack)
+        index = ParallelRingIndex.load(pack, mmap=True, workers=2)
+        try:
+            RingIndex(b).save_frozen(pack)
+            assert _rows(index, cycle) == want
+            stats = index.pool_stats()
+            assert stats["completed"] == 4
+            assert stats["serial_rescues"] == 0
+        finally:
+            index.close()
