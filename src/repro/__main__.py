@@ -293,7 +293,7 @@ def cmd_verify(args) -> None:
         f"contents : {report['n_triples']} triples, "
         f"{report['n_nodes']} nodes, {report['n_predicates']} predicates"
         + (" (compressed)" if report["compressed"] else "")
-        + (" (dynamic)" if report.get("kind") == "dynamic" else "")
+        + (f" ({report['kind']})" if report.get("kind") in ("dynamic", "sharded") else "")
     )
     for check in report["checks"]:
         print(f"  ok: {check}")

@@ -51,10 +51,13 @@ from repro.graph.dataset import Graph
 from repro.graph.dictionary import Dictionary
 from repro.graph.model import O, P, S
 from repro.reliability.integrity import (
+    SPOT_CHECK_SAMPLES,
     IndexIntegrityError,
     file_checksum,
     manifest_path,
     read_manifest,
+    verify_checksum,
+    verify_ring_structure,
 )
 from repro.sequences.wavelet_matrix import WaveletMatrix
 
@@ -462,15 +465,7 @@ def verify_frozen_layout(
     checks.append("wavelet/C shape arithmetic")
 
     if deep:
-        expected = manifest.get("sha256")
-        if expected is not None:
-            actual = file_checksum(path)
-            if actual != expected:
-                fail(
-                    f"checksum mismatch (expected {expected[:12]}…, got "
-                    f"{actual[:12]}…): pack corrupted"
-                )
-            checks.append("sha256 checksum")
+        checks += verify_checksum(path, manifest.get("sha256"))
     return checks
 
 
@@ -493,8 +488,9 @@ def open_frozen_ring(
     mmap: bool = True,
     verify: bool = True,
     deep_verify: bool = False,
-) -> tuple[Ring, dict]:
-    """Open a frozen pack as a fully functional :class:`Ring`.
+    samples: int = SPOT_CHECK_SAMPLES,
+) -> tuple[Ring, list[str]]:
+    """The one reader of a frozen pack; returns the ring and the checks run.
 
     ``mmap=True`` backs every array with a read-only ``np.memmap`` view
     — nothing is materialized, the OS pages in what queries touch;
@@ -502,18 +498,19 @@ def open_frozen_ring(
     views over a RAM buffer.  ``verify=True`` runs the O(1)+arithmetic
     layout validation before any array is interpreted (torn/truncated
     packs raise :class:`IndexIntegrityError` here, never return wrong
-    answers); ``deep_verify=True`` additionally streams the SHA-256 —
-    that reads the whole file, so it defeats the point of a cold mmap
-    open and is reserved for explicit ``repro verify`` runs and eager
-    loads.
+    answers), streams the SHA-256 when the open is eager (the file is
+    read anyway) or ``deep_verify`` is set (``repro verify``: it reads
+    the whole file, defeating a cold mmap open), and finally runs
+    :func:`~repro.reliability.integrity.verify_ring_structure` against
+    the manifest's ``n_triples``.
     """
     path = str(path)
     if manifest is None:
         manifest = read_manifest(path)
     if not is_frozen_manifest(manifest):
         raise IndexIntegrityError(path, "manifest is not a frozen-ring pack")
-    if verify:
-        verify_frozen_layout(path, manifest, deep=deep_verify)
+    deep = deep_verify or not mmap
+    checks = verify_frozen_layout(path, manifest, deep=deep) if verify else []
     try:
         buf = _open_memmap(path) if mmap else _read_eager(path)
     except IndexIntegrityError:
@@ -569,7 +566,12 @@ def open_frozen_ring(
         compressed=False,
         leap_memo_size=int(manifest.get("leap_memo_size", 1 << 16)),
     )
-    return ring, manifest
+    if verify:
+        checks.append("memmap open" if mmap else "eager open")
+        checks.extend(
+            verify_ring_structure(ring, expected_n=n, samples=samples, path=path)
+        )
+    return ring, checks
 
 
 def manifest_dictionary(manifest: dict) -> Optional[Dictionary]:
@@ -633,12 +635,6 @@ class FrozenGraph(Graph):
     @property
     def triples(self) -> np.ndarray:
         """Decode the whole triple set from the ring (materializes!)."""
-        ring = self._frozen_ring
-        n = ring.n
-        if n == 0:
+        if self._frozen_ring.n == 0:
             return np.empty((0, 3), dtype=np.int64)
-        cols = ring.decode_range(S, 0, n, 3)
-        out = np.empty((n, 3), dtype=np.int64)
-        for attr in (S, P, O):
-            out[:, attr] = cols[attr]
-        return out
+        return self._frozen_ring.triples()

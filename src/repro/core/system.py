@@ -414,12 +414,13 @@ class RingIndex(BaseLTJSystem):
         """Inverse of :meth:`save` / :meth:`save_frozen`, with integrity
         checks.
 
-        With ``verify=True`` (default) the payload checksum is compared
-        against the manifest, deserialization failures become typed
-        :class:`~repro.reliability.integrity.IndexIntegrityError`\\ s,
-        and the rebuilt ring runs its structural self-check — a
-        corrupted or truncated index is *never* silently served.
-        Legacy sidecars without a checksum skip the hash comparison.
+        Both formats open through the one reader ``repro verify`` also
+        runs (:func:`~repro.reliability.integrity.open_npz_index`,
+        :func:`~repro.core.frozen.open_frozen_ring`; §8.2 of
+        ``docs/INTERNALS.md`` lists their checks per mode), so a
+        corrupted or truncated index raises a typed
+        :class:`~repro.reliability.integrity.IndexIntegrityError` and is
+        *never* silently served.  ``verify=False`` skips the checks.
         Extra ``options`` (e.g. ``policy=...``) go to the constructor —
         engine configuration is per-process, not part of the manifest.
 
@@ -430,79 +431,33 @@ class RingIndex(BaseLTJSystem):
         legacy ``.npz`` index raises ``ValueError`` — zip archives are
         not mappable; re-save with :meth:`save_frozen` first.
         """
-        from repro.reliability.integrity import (
-            checked_load_graph,
-            read_manifest,
-            verify_file,
-            verify_ring_structure,
+        from repro.core.frozen import (
+            FrozenGraph,
+            is_frozen_manifest,
+            manifest_dictionary,
+            open_frozen_ring,
         )
+        from repro.reliability.integrity import open_npz_index, read_manifest
 
         manifest = read_manifest(path)
-        from repro.core.frozen import is_frozen_manifest
-
         if is_frozen_manifest(manifest):
-            return cls._load_frozen(
-                path, manifest, verify=verify, mmap=mmap, **options
+            ring, _ = open_frozen_ring(path, manifest, mmap=mmap, verify=verify)
+            graph = FrozenGraph(
+                ring,
+                int(manifest["n_nodes"]),
+                int(manifest["n_predicates"]),
+                dictionary=manifest_dictionary(manifest),
             )
+            return cls.from_ring(ring, graph, **options)
         if mmap:
             raise ValueError(
                 f"{path}: mmap load requires a frozen-ring pack; this is a "
                 "legacy .npz index — re-save it with save_frozen() or "
                 "`repro build --frozen`"
             )
-        if verify:
-            verify_file(path, manifest)
-        graph = checked_load_graph(path)
-        compressed = bool((manifest or {}).get("compressed", False))
-        index = cls(graph, compressed=compressed, **options)
-        if verify:
-            expected_n = (manifest or {}).get("n_triples", graph.n_triples)
-            verify_ring_structure(
-                index.ring,
-                graph=graph,
-                expected_n=expected_n,
-                path=path,
-            )
-        return index
-
-    @classmethod
-    def _load_frozen(
-        cls, path, manifest, *, verify: bool, mmap: bool, **options
-    ) -> "RingIndex":
-        """Open a frozen pack (mmap or eager) behind :meth:`load`.
-
-        Eager opens keep the classic deep-verification contract (full
-        SHA-256 — the file is read anyway); mmap opens run the O(1)
-        layout validation plus the structural spot-check, touching only
-        the pages the spot-check needs.
-        """
-        from repro.core.frozen import (
-            FrozenGraph,
-            manifest_dictionary,
-            open_frozen_ring,
+        index, _ = open_npz_index(
+            path, manifest, verify=verify, index_cls=cls, **options
         )
-        from repro.reliability.integrity import verify_ring_structure
-
-        ring, manifest = open_frozen_ring(
-            path,
-            manifest,
-            mmap=mmap,
-            verify=verify,
-            deep_verify=verify and not mmap,
-        )
-        graph = FrozenGraph(
-            ring,
-            int(manifest["n_nodes"]),
-            int(manifest["n_predicates"]),
-            dictionary=manifest_dictionary(manifest),
-        )
-        index = cls.from_ring(ring, graph, **options)
-        if verify:
-            verify_ring_structure(
-                ring,
-                expected_n=int(manifest["n_triples"]),
-                path=path,
-            )
         return index
 
 

@@ -1341,16 +1341,10 @@ def bulk_build_sharded(
 
         # The universe payload every shard's durable store embeds
         # (written once, copied per shard by its build task).
-        from repro.graph.io import save_graph
-        from repro.reliability.integrity import write_manifest
+        from repro.reliability.wal import write_universe
 
-        universe = Graph(
-            np.zeros((0, 3), dtype=np.int64),
-            n_nodes=N, n_predicates=Pn, dictionary=dictionary,
-        )
         upath = os.path.join(workdir, "universe.npz")
-        save_graph(universe, upath)
-        write_manifest(upath, compressed=False, graph=universe)
+        write_universe(upath, N, Pn, dictionary)
 
         shutil.rmtree(tmp_dir, ignore_errors=True)
         os.makedirs(tmp_dir)

@@ -1,23 +1,27 @@
 """Checksummed index persistence and structural self-checks.
 
-``Ring.save``/``load`` used to deserialize a truncated or bit-flipped
-``.npz`` into an index that silently returned wrong answers.  This
-module makes corruption a *typed, loud* failure instead:
+Every on-disk artifact has exactly one reader, and both its loader and
+``repro verify`` call it, so the two can never disagree on what is
+valid.  Each reader returns what it opened plus the checks it ran, and
+raises :class:`IndexIntegrityError` — never a silently wrong index:
 
-- **manifest** — ``save`` writes a JSON sidecar (``<path>.config.json``)
-  carrying a format version, the ring configuration, the graph's shape
-  (``n_triples``/``n_nodes``/``n_predicates``) and the SHA-256 of the
-  ``.npz`` payload;
-- **file check** — ``load`` re-hashes the payload and compares; any
-  flipped or missing byte raises :class:`IndexIntegrityError` before a
-  single query runs;
-- **structural self-check** — after rebuild, the ring itself is
-  validated: ``C``-array monotonicity and endpoints, wavelet-matrix
-  level lengths and alphabets, ``n_triples`` cross-consistency with the
-  manifest, and deterministic spot-check triple round-trips
-  (``ring.triple(i)`` must equal the source row and ``contains`` it);
-- **CLI** — ``python -m repro verify <index>`` runs the full battery
-  and reports each check.
+- **``.npz`` index** — :func:`open_npz_index` (graph payload via
+  :func:`read_npz_graph`: existence, SHA-256 against the JSON sidecar
+  ``<path>.config.json``, deserialization, the sidecar's
+  ``n_triples``/``n_nodes``/``n_predicates``), then the rebuilt ring's
+  :func:`verify_ring_structure`;
+- **frozen pack** — :func:`repro.core.frozen.open_frozen_ring` (layout,
+  SHA-256 when eager or asked, ring structure);
+- **durable store** — :func:`repro.reliability.wal.read_store`
+  (universe, checkpoint packs, agreement with the WAL);
+- **sharded layout** — :func:`repro.serving.sharding.read_shards_manifest`
+  (typed ``SHARDS.json``), then the store reader per member directory.
+
+:func:`verify_ring_structure` validates the ring itself: ``C``-array
+monotonicity and endpoints, wavelet-matrix level lengths and
+alphabets, ``n_triples`` against the manifest, and deterministic
+spot-check triple round-trips.  :func:`verify_index` (``python -m repro
+verify``) dispatches a path to its reader with every check on.
 
 Legacy sidecars (``{"compressed": ...}`` only) still load; they simply
 skip the checksum comparison and rely on the structural checks.
@@ -36,7 +40,7 @@ from repro.graph import io as graph_io
 from repro.graph.dataset import Graph
 
 MANIFEST_VERSION = 1
-_SPOT_CHECK_SAMPLES = 32
+SPOT_CHECK_SAMPLES = 32
 
 
 class IndexIntegrityError(Exception):
@@ -111,39 +115,96 @@ def read_manifest(path) -> Optional[dict]:
     return meta
 
 
-def verify_file(path, manifest: Optional[dict] = None) -> None:
-    """Existence + checksum check of the ``.npz`` payload."""
+def verify_checksum(path, expected: Optional[str], payload=None) -> list[str]:
+    """Compare the SHA-256 of ``payload`` (default ``path``) with the
+    sidecar's ``expected`` digest; a sidecar without one skips the check."""
+    if expected is None:
+        return []
+    actual = file_checksum(payload or path)
+    if actual != expected:
+        raise IndexIntegrityError(
+            path,
+            f"checksum mismatch (expected {expected[:12]}…, "
+            f"got {actual[:12]}…): file corrupted or truncated",
+        )
+    return ["sha256 checksum"]
+
+
+def read_npz_graph(
+    path, manifest: Optional[dict] = None, *, verify: bool = True
+) -> tuple[Graph, list[str]]:
+    """The one reader of a graph ``.npz`` payload; returns the graph and
+    the checks run.  With ``verify`` the payload must exist and match the
+    sidecar's SHA-256 and shape; deserialization failures are typed
+    either way."""
     payload = resolve_payload(path)
-    if not os.path.exists(payload):
-        raise IndexIntegrityError(path, "index file does not exist")
     if manifest is None:
         manifest = read_manifest(path)
-    expected = (manifest or {}).get("sha256")
-    if expected is not None:
-        actual = file_checksum(payload)
-        if actual != expected:
-            raise IndexIntegrityError(
-                path,
-                f"checksum mismatch (expected {expected[:12]}…, "
-                f"got {actual[:12]}…): file corrupted or truncated",
-            )
-
-
-def checked_load_graph(path) -> Graph:
-    """``load_graph`` with every failure surfaced as an integrity error.
-
-    Looked up through the module (not a bound import) so the fault
-    registry's ``io.load`` hook applies here too.
-    """
-    payload = resolve_payload(path)
+    checks: list[str] = []
+    if verify:
+        if not os.path.exists(payload):
+            raise IndexIntegrityError(path, "index file does not exist")
+        checks.append("payload exists")
+        checks += verify_checksum(path, (manifest or {}).get("sha256"), payload)
     try:
-        return graph_io.load_graph(payload)
+        # Through the module, so the fault registry's ``io.load`` hook applies.
+        graph = graph_io.load_graph(payload)
     except IndexIntegrityError:
         raise
     except Exception as exc:
         raise IndexIntegrityError(
             path, f"cannot deserialize index: {exc}"
         ) from exc
+    checks.append("deserialization")
+    if verify and manifest is not None:
+        for key, actual in (
+            ("n_triples", graph.n_triples),
+            ("n_nodes", graph.n_nodes),
+            ("n_predicates", graph.n_predicates),
+        ):
+            expected = manifest.get(key)
+            if expected is not None and expected != actual:
+                raise IndexIntegrityError(
+                    path,
+                    f"{key} mismatch: manifest says {expected}, "
+                    f"payload has {actual}",
+                )
+        checks.append("manifest cross-consistency")
+    return graph, checks
+
+
+def open_npz_index(
+    path,
+    manifest: Optional[dict],
+    *,
+    verify: bool = True,
+    samples: int = SPOT_CHECK_SAMPLES,
+    index_cls=None,
+    **options,
+):
+    """The one reader of a ``.npz`` index (``manifest`` is its sidecar,
+    ``None`` for a legacy index), behind ``RingIndex.load`` and
+    :func:`verify_index`: :func:`read_npz_graph`, then the ring is
+    rebuilt as ``index_cls(graph, **options)`` (default
+    :class:`~repro.core.system.RingIndex`) and, with ``verify``,
+    checked against the stored rows.  Returns the index and the checks.
+    """
+    if index_cls is None:
+        from repro.core.system import RingIndex as index_cls
+    graph, checks = read_npz_graph(path, manifest, verify=verify)
+    compressed = bool((manifest or {}).get("compressed", False))
+    index = index_cls(graph, compressed=compressed, **options)
+    if verify:
+        checks.extend(
+            verify_ring_structure(
+                index.ring,
+                graph=graph,
+                expected_n=graph.n_triples,
+                samples=samples,
+                path=path,
+            )
+        )
+    return index, checks
 
 
 # -- structural self-checks ---------------------------------------------------------
@@ -154,7 +215,7 @@ def verify_ring_structure(
     *,
     graph: Optional[Graph] = None,
     expected_n: Optional[int] = None,
-    samples: int = _SPOT_CHECK_SAMPLES,
+    samples: int = SPOT_CHECK_SAMPLES,
     path="<in-memory ring>",
 ) -> list[str]:
     """Validate a ring's internal invariants; returns the checks run.
@@ -243,97 +304,45 @@ def verify_ring_structure(
     return checks
 
 
-def verify_index(path, samples: int = _SPOT_CHECK_SAMPLES) -> dict:
+def verify_index(path, samples: int = SPOT_CHECK_SAMPLES) -> dict:
     """Full battery over a persisted index; the ``repro verify`` engine.
 
-    Returns a report dict (``checks`` run, graph shape, configuration).
-    Raises :class:`IndexIntegrityError` on any failure.  A *directory*
-    is treated as a durable dynamic index (WAL + checkpoints) and
-    dispatched to :func:`repro.reliability.wal.verify_dynamic_dir`.
+    Runs the artifact's own reader — the one its loader runs — with
+    every check on (a frozen pack's SHA-256 included, over a map), or
+    the store / sharded-layout battery for a directory.  Returns a
+    report dict (``checks`` run, graph shape, configuration); raises
+    :class:`IndexIntegrityError` on any failure.
     """
     if os.path.isdir(str(path)):
+        from repro.serving.sharding import MANIFEST_NAME, verify_sharded_dir
+
+        if os.path.exists(os.path.join(str(path), MANIFEST_NAME)):
+            return verify_sharded_dir(path, samples=samples)
         from repro.reliability.wal import verify_dynamic_dir
 
         return verify_dynamic_dir(path, samples=samples)
 
-    from repro.core.system import RingIndex
-
-    report: dict = {"path": str(path), "checks": []}
     manifest = read_manifest(path)
     if manifest is not None and manifest.get("kind") == "frozen-ring":
-        return _verify_frozen_pack(path, manifest, samples, report)
-    report["manifest"] = "present" if manifest else "absent (legacy index)"
-    verify_file(path, manifest)
-    report["checks"].append("payload exists")
-    if manifest and manifest.get("sha256"):
-        report["checks"].append("sha256 checksum")
+        from repro.core.frozen import open_frozen_ring
 
-    graph = checked_load_graph(path)
-    report["checks"].append("deserialization")
-    if manifest is not None:
-        for key, actual in (
-            ("n_triples", graph.n_triples),
-            ("n_nodes", graph.n_nodes),
-            ("n_predicates", graph.n_predicates),
-        ):
-            expected = manifest.get(key)
-            if expected is not None and expected != actual:
-                raise IndexIntegrityError(
-                    path,
-                    f"{key} mismatch: manifest says {expected}, "
-                    f"payload has {actual}",
-                )
-        report["checks"].append("manifest cross-consistency")
-
-    compressed = bool((manifest or {}).get("compressed", False))
-    index = RingIndex(graph, compressed=compressed)
-    report["checks"].extend(
-        verify_ring_structure(
-            index.ring,
-            graph=graph,
-            expected_n=graph.n_triples,
-            samples=samples,
-            path=path,
+        ring, checks = open_frozen_ring(
+            path, manifest, mmap=True, deep_verify=True, samples=samples
         )
-    )
-    report.update(
-        n_triples=graph.n_triples,
-        n_nodes=graph.n_nodes,
-        n_predicates=graph.n_predicates,
-        compressed=compressed,
-    )
-    return report
-
-
-def _verify_frozen_pack(
-    path, manifest: dict, samples: int, report: dict
-) -> dict:
-    """Frozen-pack arm of :func:`verify_index`.
-
-    Layout arithmetic + streamed SHA-256 first (no array is ever
-    materialized — a 100 GB pack verifies in O(read) bytes and O(1)
-    memory), then the structural spot checks over a memory-mapped open,
-    which pages in only the bits the sampled triples touch.
-    """
-    from repro.core.frozen import open_frozen_ring, verify_frozen_layout
-
-    report["manifest"] = "present"
-    report["kind"] = "frozen-ring"
-    report["checks"].extend(verify_frozen_layout(path, manifest, deep=True))
-    ring, _ = open_frozen_ring(path, manifest, mmap=True, verify=False)
-    report["checks"].append("memmap open")
-    report["checks"].extend(
-        verify_ring_structure(
-            ring,
-            expected_n=int(manifest["n_triples"]),
-            samples=samples,
-            path=path,
-        )
-    )
-    report.update(
-        n_triples=int(manifest["n_triples"]),
-        n_nodes=int(manifest["n_nodes"]),
-        n_predicates=int(manifest["n_predicates"]),
-        compressed=False,
-    )
-    return report
+        n_nodes, n_predicates = manifest["n_nodes"], manifest["n_predicates"]
+        n_triples, compressed, kind = ring.n, False, "frozen-ring"
+    else:
+        index, checks = open_npz_index(path, manifest, samples=samples)
+        graph = index.graph
+        n_nodes, n_predicates = graph.n_nodes, graph.n_predicates
+        n_triples, compressed, kind = graph.n_triples, index.ring.compressed, "npz"
+    return {
+        "path": str(path),
+        "kind": kind,
+        "manifest": "present" if manifest else "absent (legacy index)",
+        "checks": checks,
+        "n_triples": n_triples,
+        "n_nodes": int(n_nodes),
+        "n_predicates": int(n_predicates),
+        "compressed": compressed,
+    }

@@ -12,7 +12,7 @@ already follows becomes production-viable:
   truncating a torn tail (a record cut short by the crash, or whose
   CRC no longer matches) rather than deserialising garbage — a torn
   record was by construction never acknowledged;
-- **checkpoints** (:func:`write_checkpoint` / :func:`load_checkpoint`)
+- **checkpoints** (:func:`write_checkpoint` / :func:`read_store`)
   — each static ring persists once, as its frozen pack
   (:mod:`repro.core.frozen`: the ring's own arrays plus a SHA-256
   sidecar — the ring is the data, no triple is decoded or rebuilt),
@@ -22,10 +22,11 @@ already follows becomes production-viable:
   when the one-line ``CURRENT`` pointer file is atomically replaced —
   a crash mid-checkpoint leaves the previous checkpoint (plus the full
   WAL) authoritative;
-- **recovery** (:meth:`DurableDynamicRing.recover`) — open the current
-  checkpoint's packs, eagerly or memory-mapped (pack checksums + the
-  PR-1 structural self-checks),
-  replay the WAL tail on top, reopen the log for appending.  Replay
+- **recovery** (:meth:`DurableDynamicRing.recover`) — open the log
+  (truncating a torn tail), read the universe and the current
+  checkpoint's packs, eagerly or memory-mapped, through
+  :func:`read_store` — the reader ``repro verify`` runs too — replay
+  the WAL tail on top and keep the log open for appending.  Replay
   skips records the checkpoint already contains (same WAL generation,
   offset below the checkpoint's high-water mark) and re-applies the
   rest; records are set-idempotent, so landing exactly on the last
@@ -67,12 +68,10 @@ from repro.core.ring import Ring
 from repro.graph import io as graph_io
 from repro.graph.dataset import Graph
 from repro.reliability.integrity import (
+    SPOT_CHECK_SAMPLES,
     IndexIntegrityError,
-    checked_load_graph,
     manifest_path,
-    read_manifest,
-    verify_file,
-    verify_ring_structure,
+    read_npz_graph,
     write_manifest,
 )
 
@@ -328,22 +327,6 @@ class WriteAheadLog:
 # -- checkpoints -----------------------------------------------------------------
 
 
-@dataclass
-class CheckpointState:
-    """A loaded (and verified) checkpoint."""
-
-    directory: str
-    epoch: int
-    rings: list[Ring]
-    buffer: set[Triple]
-    tombstones: set[Triple]
-    n_nodes: int
-    n_predicates: int
-    wal_generation: int
-    wal_offset: int
-    checks: list[str] = field(default_factory=list)
-
-
 def current_checkpoint_dir(directory) -> Optional[str]:
     """Resolve the ``CURRENT`` pointer, or ``None`` before any checkpoint."""
     pointer = os.path.join(str(directory), CURRENT_POINTER)
@@ -526,24 +509,66 @@ def install_frozen_checkpoint(
     )
 
 
-def load_checkpoint(
-    directory, verify: bool = True, mmap: bool = False
-) -> Optional[CheckpointState]:
-    """Load the current checkpoint; ``None`` when none was ever taken.
+def write_universe(path, n_nodes: int, n_predicates: int, dictionary=None) -> None:
+    """Write a store's ``universe.npz`` (id universes + dictionary, no
+    triples) and its checksummed sidecar, as :func:`read_store` reads it."""
+    universe = Graph(
+        np.zeros((0, 3), dtype=np.int64),
+        n_nodes=n_nodes, n_predicates=n_predicates, dictionary=dictionary,
+    )
+    graph_io.save_graph(universe, path)
+    write_manifest(path, compressed=False, graph=universe)
 
-    Every ring opens one way, through its frozen pack: eagerly (one
-    sequential read) or, with ``mmap=True``, memory-mapped — recovery
-    RSS then grows with the pages queries touch, not with checkpoint
-    size.  With ``verify=True`` an eager open streams each pack's
-    SHA-256 against its sidecar on top of the layout check; a mapped
-    open keeps to the O(1) layout check (full checksums would read
-    every page, defeating the cold map).  Both then cross-check
-    ``n_triples`` against the manifest and run the structural
-    self-checks from :mod:`repro.reliability.integrity`.
+
+@dataclass
+class StoreState:
+    """A durable store's on-disk base, as :func:`read_store` found it."""
+
+    universe: Graph
+    checks: list[str]
+    epoch: Optional[int] = None  # the checkpoint's; None before the first
+    rings: list[Ring] = field(default_factory=list)
+    buffer: set[Triple] = field(default_factory=set)
+    tombstones: set[Triple] = field(default_factory=set)
+    replay_from: int = 0  # WAL records below this offset are checkpointed
+
+
+def read_store(
+    directory,
+    wal: ReplayReport,
+    *,
+    verify: bool = True,
+    mmap: bool = False,
+    samples: int = SPOT_CHECK_SAMPLES,
+) -> StoreState:
+    """The one reader of a durable store directory.
+
+    Reads ``universe.npz`` and the current checkpoint — each ring
+    through its pack reader, eagerly (SHA-256 checked) or, with
+    ``mmap=True``, mapped so RSS grows with the pages queries touch —
+    and checks both against ``wal``, a replay report of the store's
+    log: universes, generation (not older than the checkpoint's) and
+    the offset replay resumes at.  Recovery passes the report of
+    :meth:`WriteAheadLog.open` (which truncates a torn tail), ``repro
+    verify`` that of the read-only :func:`replay`.
     """
+    from repro.core.frozen import open_frozen_ring
+
+    upath = os.path.join(str(directory), UNIVERSE_FILE)
+    universe, universe_checks = read_npz_graph(upath, verify=verify)
+    store = StoreState(universe, [f"{UNIVERSE_FILE}: " + ", ".join(universe_checks)])
+    if (wal.n_nodes, wal.n_predicates) != (universe.n_nodes, universe.n_predicates):
+        raise IndexIntegrityError(
+            wal.path,
+            f"WAL universes ({wal.n_nodes}, {wal.n_predicates}) disagree "
+            f"with {UNIVERSE_FILE} "
+            f"({universe.n_nodes}, {universe.n_predicates})",
+        )
+    store.checks.append("WAL header universes")
+
     cpdir = current_checkpoint_dir(directory)
     if cpdir is None:
-        return None
+        return store
     mpath = os.path.join(cpdir, CHECKPOINT_MANIFEST)
     try:
         with open(mpath) as f:
@@ -557,24 +582,20 @@ def load_checkpoint(
             mpath,
             f"unsupported checkpoint version {manifest.get('format_version')!r}",
         )
-    n_nodes = int(manifest["n_nodes"])
-    n_predicates = int(manifest["n_predicates"])
-    state = CheckpointState(
-        directory=cpdir,
-        epoch=int(manifest["epoch"]),
-        rings=[],
-        buffer={tuple(int(v) for v in t) for t in manifest.get("buffer", [])},
-        tombstones={
-            tuple(int(v) for v in t) for t in manifest.get("tombstones", [])
-        },
-        n_nodes=n_nodes,
-        n_predicates=n_predicates,
-        wal_generation=int(manifest.get("wal_generation", 0)),
-        wal_offset=int(manifest.get("wal_offset", HEADER_SIZE)),
-    )
-    from repro.core.frozen import open_frozen_ring
-
-    deep = verify and not mmap
+    generation = int(manifest.get("wal_generation", 0))
+    if wal.generation < generation:
+        raise IndexIntegrityError(
+            wal.path,
+            f"WAL generation {wal.generation} is older than the "
+            f"checkpoint's {generation}",
+        )
+    if wal.generation == generation:
+        store.replay_from = int(manifest.get("wal_offset", HEADER_SIZE))
+    store.epoch = int(manifest["epoch"])
+    store.buffer = {tuple(int(v) for v in t) for t in manifest.get("buffer", [])}
+    store.tombstones = {
+        tuple(int(v) for v in t) for t in manifest.get("tombstones", [])
+    }
     for entry in manifest.get("rings", []):
         pack = entry.get("pack")
         if pack is None:
@@ -587,8 +608,8 @@ def load_checkpoint(
                 "from its source graph",
             )
         ppath = os.path.join(cpdir, pack)
-        ring, _ = open_frozen_ring(
-            ppath, mmap=mmap, verify=verify, deep_verify=deep
+        ring, checks = open_frozen_ring(
+            ppath, mmap=mmap, verify=verify, samples=samples
         )
         if ring.n != int(entry["n_triples"]):
             raise IndexIntegrityError(
@@ -596,20 +617,16 @@ def load_checkpoint(
                 f"checkpoint pack has {ring.n} triples, "
                 f"manifest says {entry['n_triples']}",
             )
-        if verify:
-            state.checks.append(
-                f"frozen pack {pack}: layout"
-                + (" + sha256 checksum" if deep else " (memmapped)")
-            )
-            state.checks.extend(
-                verify_ring_structure(ring, expected_n=ring.n, path=ppath)
-            )
-        state.rings.append(ring)
-    state.checks.append(
-        f"checkpoint epoch {state.epoch}: {len(state.rings)} ring(s), "
-        f"{len(state.buffer)} buffered, {len(state.tombstones)} tombstoned"
+        if checks:
+            store.checks.append(f"frozen pack {pack}: " + ", ".join(checks))
+        store.rings.append(ring)
+    store.checks.append(
+        f"checkpoint epoch {store.epoch}: {len(store.rings)} ring(s), "
+        f"{len(store.buffer)} buffered, {len(store.tombstones)} tombstoned; "
+        f"WAL generation {wal.generation} (checkpoint's {generation}), "
+        f"replay from offset {store.replay_from}"
     )
-    return state
+    return store
 
 
 def prune_checkpoints(directory, keep: Optional[str]) -> None:
@@ -714,15 +731,10 @@ class DurableDynamicRing:
         if os.path.exists(wal_path):
             raise WALError(wal_path, "directory already holds a durable index")
 
-        universe = Graph(
-            np.zeros((0, 3), dtype=np.int64),
-            n_nodes=graph.n_nodes,
-            n_predicates=graph.n_predicates,
-            dictionary=graph.dictionary,
+        write_universe(
+            os.path.join(directory, UNIVERSE_FILE),
+            graph.n_nodes, graph.n_predicates, graph.dictionary,
         )
-        upath = os.path.join(directory, UNIVERSE_FILE)
-        graph_io.save_graph(universe, upath)
-        write_manifest(upath, compressed=False, graph=universe)
 
         index = DynamicRingIndex(
             graph,
@@ -753,65 +765,37 @@ class DurableDynamicRing:
     ) -> tuple["DurableDynamicRing", RecoveryReport]:
         """Rebuild the last durably acknowledged state from disk.
 
-        checkpoint → WAL-tail replay → structural verification; a torn
-        WAL tail is truncated (those operations were never
-        acknowledged), a corrupt checkpoint or unreadable WAL header
-        raises :class:`IndexIntegrityError` loudly.  The checkpointed
-        rings open from their frozen packs — read whole and SHA-256
-        checked by default, memory-mapped with ``mmap=True`` (see
-        :func:`load_checkpoint`).
+        WAL open → :func:`read_store` → WAL-tail replay; a torn WAL
+        tail is truncated (those operations were never acknowledged),
+        a corrupt checkpoint, unreadable WAL header or any store check
+        ``repro verify`` would fail raises :class:`IndexIntegrityError`
+        loudly.  The checkpointed rings open from their frozen packs —
+        read whole and SHA-256 checked by default, memory-mapped with
+        ``mmap=True``.
         """
         directory = str(directory)
-        upath = os.path.join(directory, UNIVERSE_FILE)
-        if verify:
-            verify_file(upath, read_manifest(upath))
-        universe = checked_load_graph(upath)
-
-        state = load_checkpoint(directory, verify=verify, mmap=mmap)
-        wal_path = os.path.join(directory, WAL_FILE)
-        wal, rep = WriteAheadLog.open(wal_path, fsync=fsync)
-
-        if rep.n_nodes != universe.n_nodes or rep.n_predicates != universe.n_predicates:
+        wal, rep = WriteAheadLog.open(
+            os.path.join(directory, WAL_FILE), fsync=fsync
+        )
+        try:
+            store = read_store(directory, rep, verify=verify, mmap=mmap)
+        except BaseException:
             wal.close()
-            raise IndexIntegrityError(
-                wal_path,
-                f"WAL universes ({rep.n_nodes}, {rep.n_predicates}) disagree "
-                f"with {UNIVERSE_FILE} "
-                f"({universe.n_nodes}, {universe.n_predicates})",
-            )
-
-        skip_below = 0
-        if state is not None:
-            if rep.generation == state.wal_generation:
-                skip_below = state.wal_offset
-            elif rep.generation < state.wal_generation:
-                wal.close()
-                raise IndexIntegrityError(
-                    wal_path,
-                    f"WAL generation {rep.generation} is older than the "
-                    f"checkpoint's {state.wal_generation}",
-                )
-            index = DynamicRingIndex.from_components(
-                universe,
-                state.rings,
-                state.buffer,
-                state.tombstones,
-                buffer_threshold=buffer_threshold,
-                epoch=state.epoch,
-                auto_compact=auto_compact,
-                policy=policy,
-            )
-        else:
-            index = DynamicRingIndex(
-                universe,
-                buffer_threshold=buffer_threshold,
-                auto_compact=auto_compact,
-                policy=policy,
-            )
+            raise
+        index = DynamicRingIndex.from_components(
+            store.universe,
+            store.rings,
+            store.buffer,
+            store.tombstones,
+            buffer_threshold=buffer_threshold,
+            epoch=store.epoch or 0,
+            auto_compact=auto_compact,
+            policy=policy,
+        )
 
         replayed = skipped = 0
         for record in rep.records:
-            if record.offset < skip_below:
+            if record.offset < store.replay_from:
                 skipped += 1
                 continue
             if record.op == OP_INSERT:
@@ -823,14 +807,14 @@ class DurableDynamicRing:
         durable = cls(directory, index, wal, checkpoint_bytes=checkpoint_bytes)
         report = RecoveryReport(
             directory=directory,
-            checkpoint_epoch=state.epoch if state is not None else None,
-            rings_loaded=len(state.rings) if state is not None else 0,
+            checkpoint_epoch=store.epoch,
+            rings_loaded=len(store.rings),
             records_replayed=replayed,
             records_skipped=skipped,
             wal_dropped_bytes=rep.dropped_bytes,
             wal_corrupt_reason=rep.corrupt_reason,
             n_triples=index.n_triples,
-            checks=(state.checks if state is not None else [])
+            checks=store.checks
             + [f"WAL replay: {replayed} applied, {skipped} skipped"],
         )
         return durable, report
@@ -1003,37 +987,30 @@ class DurableDynamicRing:
 # -- offline verification (``repro verify <dir>``) -------------------------------
 
 
-def verify_dynamic_dir(directory, samples: int = 32) -> dict:
+def verify_dynamic_dir(directory, samples: int = SPOT_CHECK_SAMPLES) -> dict:
     """Non-destructive integrity battery over a durable index directory.
 
-    Checks the universe payload, the current checkpoint (manifest
-    cross-consistency, per-pack SHA-256 + structural self-checks) and
-    every WAL frame's CRC; a torn WAL tail is *reported* (it is exactly
-    what recovery would truncate), while checksum or manifest damage
-    raises :class:`IndexIntegrityError`.
+    Runs recovery's own reader (:func:`read_store`) over a read-only
+    :func:`replay` of the WAL, then checks the live-set arithmetic of
+    checkpoint + replayable tail.  A torn WAL tail is *reported* (it is
+    exactly what recovery would truncate); anything recovery would
+    refuse raises the same :class:`IndexIntegrityError`.
     """
     directory = str(directory)
-    report: dict = {"path": directory, "kind": "dynamic", "checks": []}
-
-    upath = os.path.join(directory, UNIVERSE_FILE)
-    verify_file(upath, read_manifest(upath))
-    universe = checked_load_graph(upath)
-    report["checks"].append("universe payload + checksum")
-    report["n_nodes"] = universe.n_nodes
-    report["n_predicates"] = universe.n_predicates
-
-    state = load_checkpoint(directory, verify=True)
-    if state is None:
-        report["manifest"] = "no checkpoint yet (WAL-only index)"
-        base = 0
-    else:
-        report["manifest"] = f"checkpoint epoch {state.epoch}"
-        report["checks"].extend(state.checks)
-        base = sum(r.n for r in state.rings) + len(state.buffer) - len(
-            state.tombstones
-        )
-
     rep = replay(os.path.join(directory, WAL_FILE))
+    store = read_store(directory, rep, samples=samples)
+    report: dict = {
+        "path": directory,
+        "kind": "dynamic",
+        "checks": store.checks,
+        "n_nodes": store.universe.n_nodes,
+        "n_predicates": store.universe.n_predicates,
+        "manifest": (
+            "no checkpoint yet (WAL-only index)"
+            if store.epoch is None
+            else f"checkpoint epoch {store.epoch}"
+        ),
+    }
     report["checks"].append(
         f"WAL frames: {len(rep.records)} record(s), CRC clean through "
         f"offset {rep.valid_bytes}"
@@ -1043,31 +1020,23 @@ def verify_dynamic_dir(directory, samples: int = 32) -> dict:
             f"{rep.dropped_bytes} torn byte(s) at tail "
             f"({rep.corrupt_reason}) — recoverable, never acknowledged"
         )
-    if universe.n_nodes != rep.n_nodes or universe.n_predicates != rep.n_predicates:
-        raise IndexIntegrityError(
-            rep.path, "WAL universes disagree with universe.npz"
-        )
-    report["checks"].append("WAL header universes")
 
     # Exact live count: checkpoint state + the replayable WAL tail.
-    skip_below = 0
     live: set[Triple] = set()
-    if state is not None:
-        if rep.generation == state.wal_generation:
-            skip_below = state.wal_offset
-        for ring in state.rings:
-            live.update(map(tuple, ring.triples().tolist()))
-        live |= state.buffer
-        live -= state.tombstones
-        if len(live) != base:
-            raise IndexIntegrityError(
-                state.directory,
-                f"checkpoint components yield {len(live)} live triples, "
-                f"manifest arithmetic says {base}",
-            )
+    for ring in store.rings:
+        live.update(map(tuple, ring.triples().tolist()))
+    live |= store.buffer
+    live -= store.tombstones
+    base = sum(r.n for r in store.rings) + len(store.buffer) - len(store.tombstones)
+    if len(live) != base:
+        raise IndexIntegrityError(
+            directory,
+            f"checkpoint components yield {len(live)} live triples, "
+            f"manifest arithmetic says {base}",
+        )
     replayable = 0
     for record in rep.records:
-        if record.offset < skip_below:
+        if record.offset < store.replay_from:
             continue
         replayable += 1
         if record.op == OP_INSERT:

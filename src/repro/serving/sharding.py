@@ -38,6 +38,7 @@ so per-shard solutions need no translation before merging.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Optional
 
@@ -45,6 +46,7 @@ import numpy as np
 
 from repro.core.dynamic import DynamicRingIndex
 from repro.graph.dataset import Graph
+from repro.reliability.integrity import SPOT_CHECK_SAMPLES, IndexIntegrityError
 from repro.serving.endpoint import InProcessEndpoint, generation_entry
 from repro.serving.replica import ReplicaSet
 
@@ -53,6 +55,8 @@ __all__ = [
     "shard_vector",
     "partition_graph",
     "write_shards_manifest",
+    "read_shards_manifest",
+    "verify_sharded_dir",
     "ShardedRingIndex",
 ]
 
@@ -69,11 +73,13 @@ def write_shards_manifest(
     replicas: int = 1,
     transport: str = "inproc",
 ) -> dict:
-    """Write ``SHARDS.json`` for a durable sharded layout.
+    """Publish ``SHARDS.json`` for a durable sharded layout.
 
     Shared by :meth:`ShardedRingIndex.create_durable` and the bulk
     builder's sharded emit (:func:`repro.graph.bulkload.bulk_build_sharded`),
-    so both produce manifests :meth:`ShardedRingIndex.recover` accepts.
+    so both produce manifests :func:`read_shards_manifest` accepts.
+    Written to a ``.tmp`` file and renamed into place, so a reader
+    sees either no manifest or a whole one.
     """
     manifest = {
         "version": 2,
@@ -83,8 +89,75 @@ def write_shards_manifest(
         "replicas": int(replicas),
         "transport": transport,
     }
-    (Path(directory) / MANIFEST_NAME).write_text(json.dumps(manifest))
+    path = Path(directory) / MANIFEST_NAME
+    tmp = path.with_name(MANIFEST_NAME + ".tmp")
+    tmp.write_text(json.dumps(manifest))
+    os.replace(tmp, path)
     return manifest
+
+
+def read_shards_manifest(directory) -> dict:
+    """The one reader of ``SHARDS.json``; returns it normalised (version-1
+    manifests mean in-process, one replica).  A torn, foreign or
+    incomplete manifest raises
+    :class:`~repro.reliability.integrity.IndexIntegrityError` naming the
+    file."""
+    path = Path(directory) / MANIFEST_NAME
+    try:
+        raw = json.loads(path.read_text())
+        manifest = {
+            "version": raw["version"],
+            "n_shards": int(raw["n_shards"]),
+            "n_nodes": int(raw["n_nodes"]),
+            "n_predicates": int(raw["n_predicates"]),
+            "replicas": int(raw.get("replicas", 1)),
+            "transport": raw.get("transport", "inproc"),
+        }
+    except KeyError as exc:
+        raise IndexIntegrityError(path, f"shard manifest lacks {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise IndexIntegrityError(path, f"unreadable shard manifest: {exc}") from exc
+    if (
+        manifest["version"] not in (1, 2)
+        or min(manifest["n_shards"], manifest["replicas"]) < 1
+        or manifest["transport"] not in ("inproc", "process")
+    ):
+        raise IndexIntegrityError(path, f"unsupported shard manifest {raw}")
+    return manifest
+
+
+def verify_sharded_dir(directory, samples: int = SPOT_CHECK_SAMPLES) -> dict:
+    """``repro verify`` over a sharded layout: :func:`read_shards_manifest`,
+    then :func:`~repro.reliability.wal.verify_dynamic_dir` on every shard
+    and replica directory, each member's checks prefixed by its path."""
+    from repro.reliability.wal import verify_dynamic_dir
+
+    directory = Path(directory)
+    manifest = read_shards_manifest(directory)
+    report: dict = {
+        "path": str(directory),
+        "kind": "sharded",
+        "manifest": f"{MANIFEST_NAME}: {manifest['n_shards']} shard(s) x "
+        f"{manifest['replicas']} replica(s), {manifest['transport']}",
+        "checks": [],
+        "n_triples": 0,
+        "n_nodes": manifest["n_nodes"],
+        "n_predicates": manifest["n_predicates"],
+        "compressed": False,
+    }
+    tails = []
+    for sid in range(manifest["n_shards"]):
+        for rid, member in enumerate(
+            _replica_dirs(directory, sid, manifest["replicas"])
+        ):
+            name = member.relative_to(directory).as_posix()
+            sub = verify_dynamic_dir(member, samples=samples)
+            report["checks"] += [f"{name}: {c}" for c in sub["checks"]]
+            tails += [f"{name}: {sub['wal_tail']}"] if "wal_tail" in sub else []
+            report["n_triples"] += sub["n_triples"] if rid == 0 else 0
+    if tails:
+        report["wal_tail"] = "; ".join(tails)
+    return report
 
 
 def shard_of(subject: int, n_shards: int) -> int:
@@ -313,10 +386,9 @@ class ShardedRingIndex:
         created with (version-1 manifests mean in-process, one replica).
         """
         directory = Path(directory)
-        manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        replicas = int(manifest.get("replicas", 1))
+        manifest = read_shards_manifest(directory)
         if processes is None:
-            processes = manifest.get("transport") == "process"
+            processes = manifest["transport"] == "process"
         universe = Graph(
             np.empty((0, 3), dtype=np.int64),
             n_nodes=manifest["n_nodes"],
@@ -324,7 +396,7 @@ class ShardedRingIndex:
         )
         endpoints = [
             _build_durable_shard(
-                _replica_dirs(directory, sid, replicas),
+                _replica_dirs(directory, sid, manifest["replicas"]),
                 None,
                 processes,
                 broker_options,

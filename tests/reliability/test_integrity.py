@@ -103,6 +103,24 @@ class TestCorruption:
         with pytest.raises(IndexIntegrityError):
             RingIndex.load(path)
 
+    def test_sidecar_shape_refused_by_load_as_by_verify(self, tmp_path):
+        # The payload's checksum still matches; only the sidecar's
+        # n_nodes lies.  Load and verify share one reader and both refuse.
+        graph = random_graph(200, n_nodes=40, n_predicates=3, seed=7)
+        path = str(tmp_path / "idx")
+        RingIndex(graph).save(path)
+        manifest = read_manifest(path)
+        assert manifest["n_nodes"] == 40
+        manifest["n_nodes"] = 41
+        with open(manifest_path(path), "w") as f:
+            json.dump(manifest, f)
+        for opener in (RingIndex.load, verify_index):
+            with pytest.raises(
+                IndexIntegrityError,
+                match="n_nodes mismatch: manifest says 41, payload has 40",
+            ):
+                opener(path)
+
     def test_verify_index_flags_corruption(self, saved_index):
         path, _ = saved_index
         payload = _payload(path)

@@ -9,6 +9,7 @@ of serving a silently wrong index.
 
 import os
 import random
+import shutil
 
 import numpy as np
 import pytest
@@ -284,6 +285,31 @@ class TestVerifyDir:
         report = verify_dynamic_dir(workdir)
         assert "torn" in report["wal_tail"]
         assert report["n_triples"] == 1
+
+    def test_stale_wal_refused_by_verify_as_by_recover(self, tmp_path):
+        # A generation-0 WAL put back behind a generation-1 checkpoint:
+        # recovery and verify share one store reader, so they refuse it
+        # with the same error.
+        workdir = tmp_path / "d"
+        store = DurableDynamicRing.create(workdir, universe())
+        store.insert(1, 0, 2)
+        shutil.copy(workdir / WAL_FILE, tmp_path / "wal-gen0")
+        store.checkpoint()
+        store.insert(3, 0, 4)
+        store.checkpoint()
+        store.insert(5, 1, 6)
+        store.close()
+        shutil.copy(tmp_path / "wal-gen0", workdir / WAL_FILE)
+        from repro.reliability.integrity import verify_index
+
+        with pytest.raises(IndexIntegrityError) as recovered:
+            DurableDynamicRing.recover(workdir)
+        with pytest.raises(IndexIntegrityError) as verified:
+            verify_index(workdir)
+        assert "WAL generation 0 is older than the checkpoint's 1" in str(
+            recovered.value
+        )
+        assert str(verified.value) == str(recovered.value)
 
     def test_verify_index_dispatches_directories(self, tmp_path):
         from repro.reliability.integrity import verify_index

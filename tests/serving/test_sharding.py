@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from repro.reliability.integrity import IndexIntegrityError, verify_index
+from repro.serving import sharding
 from repro.serving.sharding import (
     MANIFEST_NAME,
     ShardedRingIndex,
     partition_graph,
     shard_of,
     shard_vector,
+    write_shards_manifest,
 )
 from tests.serving.conftest import random_graph
 
@@ -141,3 +144,75 @@ class TestDurableLifecycle:
             shards.restart_shard(0)
             assert shards.n_triples == n, "acked write lost across crash"
             assert shards.endpoints[0].incarnation == 1
+
+
+class TestShardLayoutFiles:
+    """``SHARDS.json`` has one typed reader; ``verify`` walks the layout."""
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_verify_reports_every_member_store(self, tmp_path, graph, replicas):
+        with ShardedRingIndex.create_durable(
+            tmp_path / "d", graph, 2, replicas=replicas
+        ) as shards:
+            shards.insert(3, 1, 4)
+            n = shards.n_triples
+        report = verify_index(tmp_path / "d")
+        assert report["kind"] == "sharded"
+        assert report["n_triples"] == n
+        assert report["n_nodes"] == graph.n_nodes
+        members = (
+            ["shard-00", "shard-01"]
+            if replicas == 1
+            else [f"shard-0{s}/replica-{r}" for s in (0, 1) for r in (0, 1)]
+        )
+        for member in members:
+            assert any(
+                c.startswith(f"{member}: live-set arithmetic")
+                for c in report["checks"]
+            ), member
+
+    def test_cli_verify_sharded_layout(self, tmp_path, graph, capsys):
+        from repro.__main__ import main
+
+        with ShardedRingIndex.create_durable(tmp_path / "d", graph, 2):
+            pass
+        main(["verify", str(tmp_path / "d")])
+        out = capsys.readouterr().out
+        assert "(sharded)" in out
+        assert "ok: shard-01: " in out
+        assert out.rstrip().endswith("index integrity: OK")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"version": 2, "n_shards": 2', "unreadable shard manifest"),
+            (
+                '{"version": 2, "n_shards": 2, "n_nodes": 5}',
+                "shard manifest lacks 'n_predicates'",
+            ),
+        ],
+    )
+    def test_damaged_manifest_is_typed(self, tmp_path, graph, text, reason):
+        with ShardedRingIndex.create_durable(tmp_path / "d", graph, 2):
+            pass
+        path = tmp_path / "d" / MANIFEST_NAME
+        path.write_text(text)
+        for opener in (ShardedRingIndex.recover, verify_index):
+            with pytest.raises(IndexIntegrityError, match=reason) as info:
+                opener(tmp_path / "d")
+            assert info.value.path == str(path)
+
+    def test_manifest_published_by_rename(self, tmp_path, monkeypatch):
+        write_shards_manifest(tmp_path, n_shards=2, n_nodes=5, n_predicates=1)
+
+        def crash(*args):
+            raise OSError("crash before rename")
+
+        monkeypatch.setattr(sharding.os, "replace", crash)
+        with pytest.raises(OSError):
+            write_shards_manifest(
+                tmp_path, n_shards=3, n_nodes=7, n_predicates=2
+            )
+        # A crash mid-publish leaves the previous manifest whole.
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert manifest["n_shards"] == 2
