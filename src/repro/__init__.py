@@ -25,6 +25,7 @@ from repro.core import (
     QueryExecutionError,
     QueryResult,
     QueryTimeout,
+    Request,
     RingIndex,
 )
 from repro.core.dynamic import DynamicRingIndex
@@ -58,6 +59,7 @@ __all__ = [
     "QueryExecutionError",
     "QueryResult",
     "QueryTimeout",
+    "Request",
     "ResourceBudget",
     "RingIndex",
     "Triple",

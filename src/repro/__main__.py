@@ -46,7 +46,7 @@ import json
 import sys
 import time
 
-from repro.core import CompressedRingIndex, QueryTimeout, RingIndex
+from repro.core import CompressedRingIndex, QueryTimeout, Request, RingIndex
 from repro.core.interface import QueryCancelled, QueryExecutionError
 from repro.graph.dataset import Graph
 from repro.graph.ntriples import NTriplesError, load_ntriples
@@ -173,13 +173,13 @@ def cmd_build(args) -> None:
 
 def cmd_query(args) -> None:
     index = RingIndex.load(args.index, mmap=args.mmap, policy=args.policy)
-    solutions = index.evaluate(
+    solutions = index.evaluate(Request.of(
         args.query,
         limit=args.limit,
         timeout=args.timeout,
         decode=True,
         partial=args.partial,
-    )
+    ))
     if args.json:
         print(json.dumps(list(solutions), indent=2))
     else:
@@ -460,7 +460,8 @@ def cmd_stats(args) -> None:
     print(f"compressed ring    : {index.ring.compressed}")
 
 
-def main(argv=None) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser (every subcommand)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Ring-index graph store (SIGMOD 2021 reproduction).",
@@ -650,8 +651,11 @@ def main(argv=None) -> None:
     p.add_argument("--checkpoint", action="store_true",
                    help="fold the replayed tail into a fresh checkpoint")
     p.set_defaults(func=cmd_recover)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> None:
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except QueryTimeout:

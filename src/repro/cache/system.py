@@ -32,13 +32,19 @@ Design invariants (each one is load-bearing; see INTERNALS §10):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 from repro.cache.canonical import canonical_pattern, canonicalize
 from repro.cache.result_cache import DEFAULT_CAPACITY_BYTES, ResultCache
 from repro.cache.stats_cache import PlanStatsCache
-from repro.core.system import QueryResult
-from repro.graph.parser import parse_bgp
+from repro.core.system import (
+    Countable,
+    QueryResult,
+    Request,
+    admit_rows,
+    finish,
+)
+from repro.graph.parser import parse_bgp  # noqa: F401 - trace seam (ROADMAP item 15)
 from repro.reliability.budget import ResourceBudget
 
 
@@ -55,18 +61,15 @@ def generation_of(index) -> object:
     return 0
 
 
-class _KeyInfo:
+class _KeyInfo(NamedTuple):
     """One query's derived cache coordinates."""
 
-    __slots__ = ("key", "mapping", "generation")
-
-    def __init__(self, key, mapping, generation) -> None:
-        self.key = key
-        self.mapping = mapping
-        self.generation = generation
+    key: tuple
+    mapping: dict
+    generation: object
 
 
-class CachedQuerySystem:
+class CachedQuerySystem(Countable):
     """Serve repeated BGPs from a canonical result cache.
 
     Wraps ``index`` transparently: every attribute not defined here
@@ -169,9 +172,9 @@ class CachedQuerySystem:
     # -- key derivation -------------------------------------------------------
 
     def _key_info(
-        self, bgp, limit, budget, project
+        self, request: Request, budget: ResourceBudget
     ) -> Optional[_KeyInfo]:
-        """Derive the canonical cache coordinates of one submission.
+        """Derive the canonical cache coordinates of one request.
 
         ``None`` means "not cacheable here" (unknown constant, empty
         pattern, no LTJ engine to report a plan signature) — the caller
@@ -179,7 +182,7 @@ class CachedQuerySystem:
         """
         if self._plan_signature is None:
             return None
-        encoded = self._index.graph.encode_bgp(bgp)
+        encoded = self._index.graph.encode_bgp(request.bgp)
         if encoded is None:
             return None
         # Capture the generation BEFORE planning: if a write lands
@@ -196,16 +199,16 @@ class CachedQuerySystem:
         lonely_sig = tuple(
             canonical_pattern(p, mapping) for p in lonely_patterns
         )
-        if project is None:
+        if request.project is None:
             proj_sig = None
         else:
             # Unmapped projection variables never appear in solutions;
             # keying them by name only costs hits across renamings.
             proj_sig = tuple(
-                mapping.get(v, ("x", v.name)) for v in project
+                mapping.get(v, ("x", v.name)) for v in request.project
             )
-        caps = [limit]
-        if budget is not None and budget.max_solutions is not None:
+        caps = [request.limit]
+        if budget.max_solutions is not None:
             # admit_solution() is stateful: a shared batch budget has
             # already consumed part of its allowance.
             caps.append(max(0, budget.max_solutions - budget.solutions))
@@ -221,44 +224,39 @@ class CachedQuerySystem:
         )
         return _KeyInfo(key, mapping, generation)
 
-    def _safe_key_info(self, bgp, limit, budget, project):
+    def _safe_key_info(self, request, budget):
         try:
-            return self._key_info(bgp, limit, budget, project)
+            return self._key_info(request, budget)
         except Exception:
             self._degraded += 1
             return None
 
     # -- serve / store --------------------------------------------------------
 
-    def _serve(self, info: _KeyInfo, bgp, limit, timeout,
-               decode, cancellation, budget) -> Optional[QueryResult]:
+    def _serve(self, info: _KeyInfo, request: Request,
+               budget: ResourceBudget) -> Optional[QueryResult]:
+        token = budget.token
+        if token is not None and token.cancelled:
+            return None  # never answered: the evaluation path raises
         entry = self._cache.lookup(info.key, info.generation)
         if entry is None:
             return None
         inverse = {cid: v for v, cid in info.mapping.items()}
         out = QueryResult()
-        out.budget = budget or ResourceBudget(
-            timeout=timeout, max_solutions=limit, token=cancellation
+        out.budget = budget
+        # The entry holds exactly the rows under the key's caps, already
+        # projected; only the budget's solution count is left to charge.
+        admit_rows(
+            out,
+            ({inverse[cid]: value for cid, value in row} for row in entry.rows),
+            budget,
         )
-        for row in entry.rows:
-            out.append({inverse[cid]: value for cid, value in row})
-            if not out.budget.admit_solution():
-                break
         out.cached = True
-        if decode:
-            graph = self._index.graph
-            roles = graph.variable_roles(bgp)
-            out = QueryResult(
-                graph.decode_solution(s, roles) for s in out
-            )._copy_flags(out)
-        return out
+        return finish(self._index.graph, request, out)
 
-    def _safe_serve(self, info, bgp, limit, timeout,
-                    decode, cancellation, budget):
+    def _safe_serve(self, info, request, budget):
         try:
-            return self._serve(
-                info, bgp, limit, timeout, decode, cancellation, budget
-            )
+            return self._serve(info, request, budget)
         except Exception:
             # A corrupt or untranslatable entry must not poison the key.
             self._degraded += 1
@@ -288,63 +286,41 @@ class CachedQuerySystem:
     def evaluate(
         self,
         query,
-        limit: Optional[int] = None,
-        timeout: Optional[float] = None,
-        decode: bool = False,
-        project: Optional[Sequence] = None,
-        partial: bool = False,
+        *,
         cancellation=None,
         budget: Optional[ResourceBudget] = None,
-        **options,
+        var_order=None,
+        stats: Optional[dict] = None,
+        **fields,
     ) -> QueryResult:
         """:meth:`BaseQuerySystem.evaluate`, served from cache when a
         byte-identical complete result for an isomorphic query at the
         current generation is resident.  ``result.cached`` tells the
         caller which path answered."""
-        if options:
-            # var_order/stats/first_range change what the caller is
-            # really asking for — measured or steered runs stay uncached.
+        request = Request.of(query, **fields)
+        if var_order is not None or stats is not None:
+            # Steered or measured runs change what the caller is really
+            # asking for: they stay uncached.
             return self._index.evaluate(
-                query, limit=limit, timeout=timeout, decode=decode,
-                project=project, partial=partial,
-                cancellation=cancellation, budget=budget, **options,
+                request, cancellation=cancellation, budget=budget,
+                var_order=var_order, stats=stats,
             )
-        bgp = parse_bgp(query) if isinstance(query, str) else query
-        info = self._safe_key_info(bgp, limit, budget, project)
+        if budget is None:
+            budget = request.budget(cancellation)
+        info = self._safe_key_info(request, budget)
         if info is not None:
-            served = self._safe_serve(
-                info, bgp, limit, timeout, decode, cancellation, budget
-            )
+            served = self._safe_serve(info, request, budget)
             if served is not None:
                 return served
         result = self._index.evaluate(
-            bgp, limit=limit, timeout=timeout, decode=False,
-            project=project, partial=partial,
-            cancellation=cancellation, budget=budget,
+            request._replace(decode=False) if request.decode else request,
+            budget=budget,
         )
         if info is not None:
             self._safe_store(info, result)
-        if decode:
-            graph = self._index.graph
-            roles = graph.variable_roles(bgp)
-            result = QueryResult(
-                graph.decode_solution(s, roles) for s in result
-            )._copy_flags(result)
-        return result
+        return finish(self._index.graph, request, result)
 
-    def cache_probe(
-        self,
-        query,
-        *,
-        limit: Optional[int] = None,
-        timeout: Optional[float] = None,
-        decode: bool = False,
-        project: Optional[Sequence] = None,
-        partial: bool = False,
-        cancellation=None,
-        budget: Optional[ResourceBudget] = None,
-        **options,
-    ):
+    def cache_probe(self, request: Request, budget: ResourceBudget):
         """Broker fast path: ``(coalesce_key, served_result_or_None)``.
 
         A non-``None`` key identifies this submission's coalescing class
@@ -353,20 +329,12 @@ class CachedQuerySystem:
         byte-identical answer that cost no evaluation.  ``(None, None)``
         means the query is not cacheable and must run normally.
         """
-        if options:
-            return None, None
-        bgp = parse_bgp(query) if isinstance(query, str) else query
-        info = self._safe_key_info(bgp, limit, budget, project)
+        info = self._safe_key_info(request, budget)
         if info is None:
             return None, None
-        served = self._safe_serve(
-            info, bgp, limit, timeout, decode, cancellation, budget
+        return (info.key, info.generation), self._safe_serve(
+            info, request, budget
         )
-        return (info.key, info.generation), served
-
-    def count(self, query, timeout: Optional[float] = None, **options) -> int:
-        """Solution count through the cache (see base ``count``)."""
-        return len(self.evaluate(query, timeout=timeout, **options))
 
     # -- maintenance / introspection -----------------------------------------
 

@@ -10,7 +10,8 @@
   variable ordering and the §4.2 lonely-variables optimisation.
 - :class:`~repro.core.system.RingIndex` — the packaged query engine
   (build from a :class:`~repro.graph.Graph`, evaluate basic graph
-  patterns, measure space).
+  patterns, measure space); a query is one frozen
+  :class:`~repro.core.system.Request`.
 """
 
 from repro.core.interface import (
@@ -22,7 +23,7 @@ from repro.core.interface import (
 )
 from repro.core.ltj import LeapfrogTrieJoin
 from repro.core.ring import Ring
-from repro.core.system import CompressedRingIndex, QueryResult, RingIndex
+from repro.core.system import CompressedRingIndex, QueryResult, Request, RingIndex
 
 __all__ = [
     "CompressedRingIndex",
@@ -32,6 +33,7 @@ __all__ = [
     "QueryExecutionError",
     "QueryResult",
     "QueryTimeout",
+    "Request",
     "Ring",
     "RingIndex",
     "UnsupportedQueryError",

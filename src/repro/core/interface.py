@@ -84,18 +84,6 @@ class PatternIterator(Protocol):
         ...
 
 
-class GraphIndexProtocol(Protocol):
-    """What the benchmark harness requires of every system."""
-
-    name: str
-
-    def evaluate(self, bgp, limit=None, timeout=None, **kwargs):
-        ...
-
-    def size_in_bits(self) -> int:
-        ...
-
-
 def leap_based_values(iterator: PatternIterator, var: Var) -> Iterator[int]:
     """Default ``values`` implementation: repeated leaps.
 

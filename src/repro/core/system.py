@@ -1,15 +1,20 @@
 """Packaged query systems: build an index from a Graph, evaluate BGPs.
 
-:class:`BaseQuerySystem` fixes the query-time conventions the benchmark
-harness relies on (string or parsed BGPs, result ``limit`` as in the
-paper's experiments, per-query ``timeout``, optional label decoding);
-:class:`BaseLTJSystem` adds LTJ plumbing shared by the ring and the
-wco baselines.
+A query is one frozen :class:`Request` — the BGP plus the paper's
+protocol fields (``limit``, ``timeout``) and the serving options —
+built once at the edge by :meth:`Request.of` and handed down unchanged
+by every layer (broker, cache, coordinator, shard pipe).  Its budget
+comes from :meth:`Request.budget`; :func:`admit_rows` applies
+``project``/``limit`` and :func:`finish` decodes.
+``evaluate(query, limit=…, …)`` is the thin spelling on every surface.
+:class:`BaseQuerySystem` fixes the query-time conventions;
+:class:`BaseLTJSystem` adds LTJ plumbing shared by the ring and the wco
+baselines.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union  # noqa: F401
+from typing import Iterable, NamedTuple, Optional, Sequence, Union  # noqa: F401
 
 from repro.core.interface import (
     PatternIterator,
@@ -72,7 +77,97 @@ class QueryResult(list):
         return self
 
 
-class BaseQuerySystem:
+class Request(NamedTuple):
+    """One query as its caller asked it: frozen and picklable.
+
+    ``bgp`` is parsed; ``project`` is a tuple of variables or ``None``;
+    ``limit``, ``timeout`` (seconds) and ``max_ops`` are ``None`` when
+    unbounded.  Build it with :meth:`of`; derive variants (a per-shard
+    sub-query, a broker's default timeout) with ``_replace``.
+    """
+
+    bgp: BasicGraphPattern
+    limit: Optional[int] = None
+    project: Optional[tuple] = None
+    decode: bool = False
+    partial: bool = False
+    timeout: Optional[float] = None
+    max_ops: Optional[int] = None
+
+    @classmethod
+    def of(cls, query: Union[Query, "Request"], **fields) -> "Request":
+        """The one constructor: a string (parsed here) or a parsed BGP
+        plus any of the fields above, by keyword — an unknown keyword is
+        a ``TypeError`` at this call.  A request passes through as is."""
+        if isinstance(query, Request):
+            if fields:
+                raise TypeError(f"a Request carries its own fields: {fields}")
+            return query
+        if fields.get("project") is not None:
+            fields["project"] = tuple(fields["project"])
+        return cls(parse_bgp(query) if isinstance(query, str) else query, **fields)
+
+    def budget(self, token: Optional[CancellationToken] = None) -> ResourceBudget:
+        """The budget this request runs under: its ``timeout``,
+        ``max_ops`` and ``limit`` (as the solution cap), plus ``token``."""
+        return ResourceBudget(
+            timeout=self.timeout,
+            max_ops=self.max_ops,
+            max_solutions=self.limit,
+            token=token,
+        )
+
+
+def admit_rows(out: QueryResult, rows: Iterable[dict], budget: ResourceBudget,
+               limit: Optional[int] = None,
+               project: Optional[Sequence[Var]] = None) -> None:
+    """Append ``rows`` to ``out`` under ``project`` (restrict, then drop
+    duplicates), ``limit`` and ``budget``'s solution cap.
+
+    Stopping at the limit is not a truncation: ``out.truncated`` is left
+    for the interruptions (deadline, cancellation, failed shards)."""
+    seen: set[frozenset] = set()
+    for solution in rows:
+        if project is not None:
+            solution = {v: solution[v] for v in project if v in solution}
+            key = frozenset(solution.items())
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append(solution)
+        if not budget.admit_solution() or (
+            limit is not None and len(out) >= limit
+        ):
+            break
+
+
+def finish(graph: Graph, request: Request, result: QueryResult) -> QueryResult:
+    """``result`` as ``request`` asked for it: ``{name: label}`` rows
+    through the graph's dictionary when ``request.decode``, else as is."""
+    if not request.decode:
+        return result
+    roles = graph.variable_roles(request.bgp)
+    return QueryResult(
+        graph.decode_solution(s, roles) for s in result
+    )._copy_flags(result)
+
+
+class Countable:
+    """``count`` for anything with ``evaluate``: the number of rows."""
+
+    def count(self, query, **fields) -> int:
+        """Number of solutions (no limit unless one is asked for)."""
+        return len(self.evaluate(query, **fields))
+
+
+class Submitting(Countable):
+    """``evaluate`` for anything with ``submit``: wait on the future."""
+
+    def evaluate(self, query, **fields) -> QueryResult:
+        return self.submit(query, **fields).result()
+
+
+class BaseQuerySystem(Countable):
     """Common evaluate()/space conventions for every system."""
 
     name = "abstract"
@@ -116,86 +211,59 @@ class BaseQuerySystem:
 
     def evaluate(
         self,
-        query: Query,
-        limit: Optional[int] = None,
-        timeout: Optional[float] = None,
-        decode: bool = False,
-        project: Optional[Sequence[Var]] = None,
-        partial: bool = False,
+        query: Union[Query, Request],
+        *,
         cancellation: Optional[CancellationToken] = None,
         budget: Optional[ResourceBudget] = None,
-        **options,
+        var_order: Optional[Sequence[Var]] = None,
+        stats: Optional[dict] = None,
+        **fields,
     ) -> QueryResult:
-        """Evaluate a basic graph pattern.
+        """Evaluate a :class:`Request` (or ``query`` plus its fields).
 
-        Parameters mirror the paper's experimental protocol: ``limit``
-        (1000 in the paper) caps the number of solutions, ``timeout`` (in
-        seconds) aborts long evaluations by raising
-        :class:`~repro.core.interface.QueryTimeout`.
+        ``limit`` (1000 in the paper) caps the solutions; ``timeout``
+        (seconds) and ``max_ops`` abort with
+        :class:`~repro.core.interface.QueryTimeout`, unless
+        ``partial=True``, which returns the rows found so far with
+        ``result.truncated`` set.  ``project`` restricts solutions to its
+        variables and drops duplicates (SPARQL ``SELECT DISTINCT``, a §7
+        "further query operator"); ``decode=True`` returns ``{name:
+        label}`` rows instead of ``{Var: id}``.
 
-        Reliability controls (all optional):
-
-        - ``partial=True`` degrades gracefully: instead of discarding
-          the work done when the deadline (or a cancellation) fires, the
-          solutions found so far are returned with
-          ``result.truncated == True``;
-        - ``cancellation`` is an external
-          :class:`~repro.reliability.budget.CancellationToken` that
-          aborts evaluation with
-          :class:`~repro.core.interface.QueryCancelled`;
-        - ``budget`` supplies a pre-built
-          :class:`~repro.reliability.budget.ResourceBudget` (overriding
-          ``timeout``/``limit``/``cancellation``), e.g. one shared
-          across the queries of a batch.
-
-        Unexpected engine failures (corrupted reads, injected faults)
-        are wrapped into
-        :class:`~repro.core.interface.QueryExecutionError` with the
-        failing BGP attached — callers only ever see
+        In-process handles, never request fields: ``cancellation`` (a
+        :class:`~repro.reliability.budget.CancellationToken`, raising
+        :class:`~repro.core.interface.QueryCancelled`), ``budget`` (a
+        pre-built, possibly shared budget overriding ``timeout``/
+        ``max_ops``/``cancellation``) and ``var_order``/``stats``, which
+        steer and measure the engine.  Unexpected engine failures are
+        wrapped into :class:`~repro.core.interface.QueryExecutionError`
+        with the failing BGP attached, so callers only ever see
         :class:`~repro.core.interface.QueryError` subclasses or correct
         results.
-
-        ``project`` restricts solutions to the given variables with
-        duplicate elimination (SPARQL ``SELECT DISTINCT`` semantics — one
-        of the §7 "further query operators", layered on top of the
-        index).  ``decode=True`` returns ``{name: label}`` dictionaries
-        through the graph's dictionary; otherwise solutions are
-        ``{Var: id}``.
         """
-        bgp = parse_bgp(query) if isinstance(query, str) else query
+        request = Request.of(query, **fields)
+        bgp = request.bgp
         encoded = self._graph.encode_bgp(bgp)
         if encoded is None:  # a constant is absent from the graph
             return QueryResult()
         if budget is None:
-            budget = ResourceBudget(
-                timeout=timeout, max_solutions=limit, token=cancellation
-            )
+            budget = request.budget(cancellation)
+        limit, project = request.limit, request.project
         out = QueryResult()
         out.budget = budget
         if project is None:
             # Without projection dedup every raw row is admitted, so the
-            # consumption loop below pulls at most this many rows — a
-            # bound parallel drivers use to cap per-slice enumeration.
+            # consumption loop pulls at most this many rows — a bound
+            # parallel drivers use to cap per-slice enumeration.
             demands = [x for x in (limit, budget.max_solutions) if x is not None]
             budget.row_demand = min(demands) if demands else None
         else:
             budget.row_demand = None  # dedup may skip arbitrarily many rows
-        seen: set[frozenset] = set()
         try:
-            for solution in self._solutions(encoded, budget, **options):
-                if project is not None:
-                    solution = {v: solution[v] for v in project if v in solution}
-                    key = frozenset(solution.items())
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                out.append(solution)
-                if not budget.admit_solution() or (
-                    limit is not None and len(out) >= limit
-                ):
-                    break
+            rows = self._solutions(encoded, budget, var_order=var_order, stats=stats)
+            admit_rows(out, rows, budget, limit, project)
         except (QueryTimeout, QueryCancelled) as exc:
-            if not partial:
+            if not request.partial:
                 raise
             out.truncated = True
             out.interrupted_by = (
@@ -209,21 +277,7 @@ class BaseQuerySystem:
                 f"{type(exc).__name__}: {exc}",
                 bgp=bgp,
             ) from exc
-        if decode:
-            roles = self._graph.variable_roles(bgp)
-            out = QueryResult(
-                self._graph.decode_solution(s, roles) for s in out
-            )._copy_flags(out)
-        return out
-
-    def count(
-        self,
-        query: Query,
-        timeout: Optional[float] = None,
-        **options,
-    ) -> int:
-        """Number of solutions (no limit)."""
-        return len(self.evaluate(query, timeout=timeout, **options))
+        return finish(self._graph, request, out)
 
     def bytes_per_triple(self) -> float:
         """The space unit of the paper's Tables 1 and 2."""
@@ -478,7 +532,12 @@ __all__ = [
     "BaseLTJSystem",
     "BaseQuerySystem",
     "CompressedRingIndex",
+    "Countable",
     "QueryResult",
     "QueryTimeout",
+    "Request",
     "RingIndex",
+    "Submitting",
+    "admit_rows",
+    "finish",
 ]

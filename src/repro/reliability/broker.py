@@ -37,7 +37,8 @@ from typing import Optional
 from concurrent.futures import Future
 
 from repro.core.interface import QueryError
-from repro.reliability.budget import CancellationToken, ResourceBudget
+from repro.core.system import Request, Submitting
+from repro.reliability.budget import CancellationToken
 
 DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_DEPTH = 64
@@ -48,18 +49,23 @@ class QueryRejected(QueryError):
 
 
 class _Job:
+    """One admitted request, its budget (derived from it) and its token."""
+
     __slots__ = (
-        "query", "options", "future", "budget", "token", "deadline_at",
+        "request", "future", "budget", "token", "deadline_at",
         "coalesce_key", "followers",
     )
 
-    def __init__(self, query, options, budget, token, deadline_at):
-        self.query = query
-        self.options = options
+    def __init__(self, request, token):
+        self.request = request
         self.future: Future = Future()
-        self.budget = budget
         self.token = token
-        self.deadline_at = deadline_at
+        self.budget = request.budget(token)
+        self.deadline_at = (
+            time.monotonic() + request.timeout
+            if request.timeout is not None
+            else None
+        )
         #: Canonical cache key when this job leads a coalescing class.
         self.coalesce_key = None
         #: Concurrent submissions of the same canonical query, parked
@@ -67,13 +73,13 @@ class _Job:
         self.followers: list["_Job"] = []
 
 
-class QueryBroker:
+class QueryBroker(Submitting):
     """Bounded, watched, concurrent query intake for one index.
 
     Parameters
     ----------
     index:
-        Anything with ``evaluate(query, budget=..., **options)``.
+        Anything with ``evaluate(request, budget=...)``.
     workers:
         Worker threads evaluating admitted queries.
     queue_depth:
@@ -226,40 +232,29 @@ class QueryBroker:
         self,
         query,
         *,
-        timeout: Optional[float] = None,
-        limit: Optional[int] = None,
-        max_ops: Optional[int] = None,
-        **options,
+        cancellation: Optional[CancellationToken] = None,
+        **fields,
     ) -> Future:
-        """Admit a query; returns a :class:`Future` of its QueryResult.
+        """Admit a :class:`~repro.core.system.Request` (or ``query`` plus
+        its fields); returns a :class:`Future` of its QueryResult.
 
+        The job's budget and watchdog deadline both come from the request
+        (``timeout`` defaulting to the broker's), so a pre-built
+        ``budget=`` is a ``TypeError``; ``cancellation`` cancels the job.
         Raises :class:`QueryRejected` *synchronously* when the queue is
-        full — load shedding is an admission-time decision, not a
-        deferred failure.
+        full — load shedding is an admission-time decision.
         """
+        request = Request.of(query, **fields)
         if not self._started or self._stop.is_set():
             raise QueryRejected("broker is not running")
-        effective_timeout = timeout if timeout is not None else self._default_timeout
-        token = CancellationToken()
-        budget = ResourceBudget(
-            timeout=effective_timeout,
-            max_ops=max_ops,
-            max_solutions=limit,
-            token=token,
-        )
-        deadline_at = (
-            time.monotonic() + effective_timeout
-            if effective_timeout is not None
-            else None
-        )
-        options = dict(options)
-        options.setdefault("limit", limit)
-        job = _Job(query, options, budget, token, deadline_at)
+        if request.timeout is None and self._default_timeout is not None:
+            request = request._replace(timeout=self._default_timeout)
+        job = _Job(request, CancellationToken(parent=cancellation))
         with self._stats_lock:
             self._stats["submitted"] += 1
         if self._probe is not None:
             try:
-                key, served = self._probe(query, budget=budget, **options)
+                key, served = self._probe(request, job.budget)
             except Exception:
                 key, served = None, None  # fail open: run normally
             if served is not None:
@@ -338,10 +333,6 @@ class QueryBroker:
                 self._stats["coalesce_fanout"] += len(followers)
         return followers
 
-    def evaluate(self, query, **kwargs):
-        """Blocking convenience: ``submit(...).result()``."""
-        return self.submit(query, **kwargs).result()
-
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict:
@@ -393,9 +384,7 @@ class QueryBroker:
         started = time.monotonic()
         followers: list[_Job] = []
         try:
-            result = self._index.evaluate(
-                job.query, budget=job.budget, **job.options
-            )
+            result = self._index.evaluate(job.request, budget=job.budget)
         except BaseException as exc:  # typed QueryErrors included
             followers = self._release_followers(job)
             with self._stats_lock:
@@ -421,7 +410,7 @@ class QueryBroker:
         """Answer parked followers after their leader finished.
 
         Each follower re-evaluates through the (cached) index under its
-        *own* options and budget: when the leader stored a complete
+        *own* request and budget: when the leader stored a complete
         result this is an O(rows) cache hit translated to the
         follower's variables; when the leader failed, timed out, or
         produced an uncacheable (truncated) result, the follower falls

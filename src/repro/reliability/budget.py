@@ -46,20 +46,24 @@ class CancellationToken:
     Hand the token to ``evaluate(..., cancellation=token)`` and call
     :meth:`cancel` from any thread; the engine raises
     :class:`~repro.core.interface.QueryCancelled` at its next
-    cooperative check.
+    cooperative check.  A token made with a ``parent`` reads as
+    cancelled once the parent is; cancelling it leaves the parent alone.
     """
 
-    __slots__ = ("_event",)
+    __slots__ = ("_event", "_parent")
 
-    def __init__(self) -> None:
+    def __init__(self, parent: Optional["CancellationToken"] = None) -> None:
         self._event = threading.Event()
+        self._parent = parent
 
     def cancel(self) -> None:
         self._event.set()
 
     @property
     def cancelled(self) -> bool:
-        return self._event.is_set()
+        return self._event.is_set() or (
+            self._parent is not None and self._parent.cancelled
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "live"

@@ -65,6 +65,7 @@ import numpy as np
 
 from repro.core.dynamic import DEFAULT_BUFFER_THRESHOLD, DynamicRingIndex, Triple
 from repro.core.ring import Ring
+from repro.core.system import Countable
 from repro.graph import io as graph_io
 from repro.graph.dataset import Graph
 from repro.reliability.integrity import (
@@ -678,7 +679,7 @@ class RecoveryReport:
         )
 
 
-class DurableDynamicRing:
+class DurableDynamicRing(Countable):
     """A :class:`DynamicRingIndex` whose updates survive crashes.
 
     Every ``insert``/``delete`` is WAL-appended and fsync'd before it
@@ -942,9 +943,6 @@ class DurableDynamicRing:
 
     def evaluate(self, query, **kwargs):
         return self._index.evaluate(query, **kwargs)
-
-    def count(self, query, **kwargs) -> int:
-        return self._index.count(query, **kwargs)
 
     def explain(self, query):
         return self._index.explain(query)

@@ -8,10 +8,11 @@ correct* for subject-hash shards:
    sub-query any shard can answer from its own partition alone.  A
    pattern whose subject is a constant routes to the single owning
    shard; every other pattern fans out to all shards.  Dispatches go
-   through each shard's broker (bounded admission, watchdog) with a
-   per-shard sub-deadline derived from the parent
-   :class:`~repro.reliability.budget.ResourceBudget` via
-   :meth:`~repro.reliability.budget.ResourceBudget.sub_budget`.
+   through each shard's broker (bounded admission, watchdog) as a
+   sub-:class:`~repro.core.system.Request` — the one pattern, no limit,
+   and the deadline/op cap of a sub-budget of the parent
+   :class:`~repro.reliability.budget.ResourceBudget`
+   (:meth:`~repro.reliability.budget.ResourceBudget.sub_budget`).
 2. **Gather with failure handling** — every shard call is failable:
    transient errors (admission sheds, endpoint down, injected faults,
    shard-side stalls) are retried under a bounded
@@ -32,7 +33,7 @@ correct* for subject-hash shards:
    variable ids (:func:`repro.cache.canonical.canonicalize`), making
    the output deterministic, independent of gather timing and variable
    names, and therefore safe to cache byte-identically.  ``limit`` is
-   applied after the sort.
+   applied after the sort; stopping at it is not a truncation.
 
 **Partial-result contract.**  A shard that fails any of its sub-queries
 (after retries / breaker refusal) is excluded *entirely*: the result
@@ -59,10 +60,17 @@ from repro.core.interface import (
     QueryTimeout,
     UnsupportedQueryError,
 )
-from repro.core.system import QueryResult, RingIndex
+from repro.core.system import (
+    Countable,
+    QueryResult,
+    Request,
+    RingIndex,
+    admit_rows,
+    finish,
+)
 from repro.graph.dataset import Graph
 from repro.graph.model import BasicGraphPattern, Var
-from repro.graph.parser import parse_bgp
+from repro.graph.parser import parse_bgp  # noqa: F401 - trace seam (ROADMAP item 15)
 from repro.parallel.pool import merge_blocks
 from repro.reliability.budget import ResourceBudget
 from repro.serving.breaker import CircuitBreaker, RetryPolicy
@@ -118,9 +126,9 @@ class ShardReport:
 # ``shard.dispatch`` / ``shard.gather``).
 
 
-def dispatch_shard(endpoint, query, *, timeout, max_ops, options):
-    """Submit one sub-query to one shard endpoint (fault site)."""
-    return endpoint.submit(query, timeout=timeout, max_ops=max_ops, **options)
+def dispatch_shard(endpoint, request):
+    """Submit one sub-request to one shard endpoint (fault site)."""
+    return endpoint.submit(request)
 
 
 def gather_block(future, timeout):
@@ -140,7 +148,7 @@ class _GatherInterrupted(Exception):
         self.reason = reason
 
 
-class ShardCoordinator:
+class ShardCoordinator(Countable):
     """Fault-tolerant scatter-gather front of a :class:`ShardedRingIndex`.
 
     Exposes the :meth:`~repro.core.system.BaseQuerySystem.evaluate`
@@ -225,24 +233,18 @@ class ShardCoordinator:
     def evaluate(
         self,
         query,
-        limit: Optional[int] = None,
-        timeout: Optional[float] = None,
-        decode: bool = False,
-        project: Optional[Sequence[Var]] = None,
-        partial: bool = False,
+        *,
         cancellation=None,
         budget: Optional[ResourceBudget] = None,
-        **options,
+        **fields,
     ) -> QueryResult:
         """Distributed :meth:`BaseQuerySystem.evaluate` (same contract,
         plus the partial-result semantics documented on the module)."""
         self._stats["queries"] += 1
-        bgp = parse_bgp(query) if isinstance(query, str) else query
-        encoded = self.graph.encode_bgp(bgp)
+        request = Request.of(query, **fields)
+        encoded = self.graph.encode_bgp(request.bgp)
         if budget is None:
-            budget = ResourceBudget(
-                timeout=timeout, max_solutions=limit, token=cancellation
-            )
+            budget = request.budget(cancellation)
         if encoded is None:  # a constant is absent from the dictionary
             out = QueryResult()
             out.budget = budget
@@ -251,7 +253,7 @@ class ShardCoordinator:
 
         failover_base = self._failover_snapshot()
         answered, failed, retries, triples, interrupted = self._scatter_gather(
-            encoded, budget, partial, options
+            encoded, budget, request.partial
         )
         failovers = [
             sid
@@ -260,13 +262,13 @@ class ShardCoordinator:
             )
             if after > before
         ]
-        if failed and not partial:
+        if failed and not request.partial:
             raise ShardUnavailable(
                 f"shards {sorted(failed)} unavailable and partial=False",
                 shard_ids=sorted(failed),
             )
 
-        out = self._local_join(encoded, triples, budget, limit, project, partial)
+        out = self._local_join(encoded, triples, budget, request)
         out.shards = ShardReport(answered, failed, retries, failovers)
         if interrupted is not None and out.interrupted_by is None:
             out.interrupted_by = interrupted
@@ -275,15 +277,7 @@ class ShardCoordinator:
             if out.interrupted_by is None:
                 out.interrupted_by = "shard-failure"
             self._stats["partial_results"] += 1
-        if decode:
-            roles = self.graph.variable_roles(bgp)
-            out = QueryResult(
-                self.graph.decode_solution(s, roles) for s in out
-            )._copy_flags(out)
-        return out
-
-    def count(self, query, timeout: Optional[float] = None, **options) -> int:
-        return len(self.evaluate(query, timeout=timeout, **options))
+        return finish(self.graph, request, out)
 
     def _failover_snapshot(self) -> list[int]:
         """Per-shard replica-failover counters (0 for plain endpoints)."""
@@ -293,7 +287,7 @@ class ShardCoordinator:
 
     # -- scatter / gather ------------------------------------------------------
 
-    def _scatter_gather(self, encoded, budget, partial, options):
+    def _scatter_gather(self, encoded, budget, partial):
         """Run every (pattern, shard) sub-query.
 
         Returns ``(answered, failed, retries, matched_triples,
@@ -301,8 +295,6 @@ class ShardCoordinator:
         sub-queries is excluded entirely (all its matches dropped) so
         the surviving data is the exact union of whole partitions.
         """
-        sub_options = dict(options)
-        sub_options.setdefault("limit", None)
         tasks = []  # [shard_id, single-pattern BGP, first-attempt future]
         for pattern in encoded.patterns:
             single = BasicGraphPattern([pattern])
@@ -316,16 +308,14 @@ class ShardCoordinator:
         # concurrently under its own broker before any gather blocks.
         for task in tasks:
             if task[0] not in failed:
-                task[2] = self._try_dispatch(task[0], task[1], budget, sub_options)
+                task[2] = self._try_dispatch(task[0], task[1], budget)
 
         rows_by_shard: dict[int, list] = {}
         for i, (sid, single, future) in enumerate(tasks):
             if sid in failed:
                 continue
             try:
-                rows, used = self._gather_with_retry(
-                    sid, single, future, budget, sub_options
-                )
+                rows, used = self._gather_with_retry(sid, single, future, budget)
             except (QueryTimeout, QueryCancelled) as exc:
                 if not partial:
                     raise
@@ -373,9 +363,10 @@ class ShardCoordinator:
             return [self.shards.shard_for(int(pattern.s))]
         return list(range(self.shards.n_shards))
 
-    def _try_dispatch(self, sid, single, budget, sub_options):
+    def _try_dispatch(self, sid, single, budget):
         """One dispatch attempt; ``None`` when refused or failed (the
-        gather phase owns retries for it)."""
+        gather phase owns retries for it).  The shard answers every match
+        of the one pattern or fails: no limit, never ``partial``."""
         breaker = self.breakers[sid]
         if not breaker.allow():
             self._stats["breaker_refusals"] += 1
@@ -385,10 +376,7 @@ class ShardCoordinator:
         try:
             return dispatch_shard(
                 self.shards.endpoints[sid],
-                single,
-                timeout=sub.timeout,
-                max_ops=sub.max_ops,
-                options=sub_options,
+                Request(single, timeout=sub.timeout, max_ops=sub.max_ops),
             )
         except _PERMANENT_ERRORS:
             raise
@@ -397,7 +385,7 @@ class ShardCoordinator:
             breaker.record_failure()
             return None
 
-    def _gather_with_retry(self, sid, single, future, budget, sub_options):
+    def _gather_with_retry(self, sid, single, future, budget):
         """Collect one sub-query, retrying transient failures.
 
         Returns ``(rows, retries_used)``; rows is ``None`` when the
@@ -443,7 +431,7 @@ class ShardCoordinator:
             budget.check()
             retries_used += 1
             self._stats["retries"] += 1
-            future = self._try_dispatch(sid, single, budget, sub_options)
+            future = self._try_dispatch(sid, single, budget)
 
     def _drain_finished(self, future, budget):
         """Non-blocking salvage of an already-completed first attempt
@@ -469,9 +457,7 @@ class ShardCoordinator:
 
     # -- local join ------------------------------------------------------------
 
-    def _local_join(
-        self, encoded, triples, budget, limit, project, partial
-    ) -> QueryResult:
+    def _local_join(self, encoded, triples, budget, request) -> QueryResult:
         """Join the gathered triples locally; canonically order rows."""
         if triples:
             arr = np.array(sorted(triples), dtype=np.int64)
@@ -486,39 +472,24 @@ class ShardCoordinator:
         sub = budget.sub_budget()
         # No limit here: a pre-sort cutoff would make the output depend
         # on engine enumeration order, breaking canonical determinism.
-        result = local.evaluate(encoded, budget=sub, partial=partial)
+        result = local.evaluate(encoded, budget=sub, partial=request.partial)
         budget.fold(sub)
 
         mapping = canonicalize(encoded).mapping
         order = sorted(mapping, key=lambda v: mapping[v])
-        keep = (
-            [v for v in order if v in set(project)] if project is not None else order
-        )
+        project = request.project
+        keep = [v for v in order if v in set(project)] if project is not None else order
         rows = sorted(
             ({v: row[v] for v in keep if v in row} for row in result),
             key=lambda row: tuple(row.get(v, -1) for v in keep),
         )
-        if project is not None:
-            deduped, seen = [], set()
-            for row in rows:
-                key = tuple(sorted((mapping[v], val) for v, val in row.items()))
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(row)
-            rows = deduped
-
         out = QueryResult()
         out.budget = budget
-        for row in rows:
-            out.append(row)
-            if not budget.admit_solution() or (
-                limit is not None and len(out) >= limit
-            ):
-                out.truncated = len(out) < len(rows)
-                break
+        admit_rows(
+            out, rows, budget, request.limit, None if project is None else keep
+        )
+        out.truncated = result.truncated
         out.interrupted_by = result.interrupted_by
-        if result.truncated:
-            out.truncated = True
         return out
 
     # -- introspection ---------------------------------------------------------

@@ -28,6 +28,7 @@ import threading
 from concurrent.futures import Future
 from typing import Callable, Optional, Protocol, runtime_checkable
 
+from repro.core.system import Request, Submitting
 from repro.reliability.broker import QueryBroker, QueryRejected
 
 __all__ = ["EngineEndpoint", "EndpointDown", "InProcessEndpoint", "generation_entry"]
@@ -46,13 +47,14 @@ class EndpointDown(QueryRejected):
 class EngineEndpoint(Protocol):
     """What the coordinator requires of a shard, transport aside.
 
-    ``submit`` mirrors :meth:`QueryBroker.submit` (synchronous typed
-    rejection, future of the result); ``alive``/``health_check`` feed
-    the breaker and the supervisor; ``incarnation`` distinguishes
-    restarts of the same shard for cache invalidation.
+    ``submit`` mirrors :meth:`QueryBroker.submit` for one
+    :class:`~repro.core.system.Request` (synchronous typed rejection,
+    future of the result); ``alive``/``health_check`` feed the breaker
+    and the supervisor; ``incarnation`` distinguishes restarts of the
+    same shard for cache invalidation.
     """
 
-    def submit(self, query, **kwargs) -> Future: ...
+    def submit(self, request: Request) -> Future: ...
 
     def health_check(self) -> bool: ...
 
@@ -74,7 +76,7 @@ def generation_entry(endpoint) -> tuple:
     return (endpoint.incarnation, endpoint.cache_generation())
 
 
-class InProcessEndpoint:
+class InProcessEndpoint(Submitting):
     """A supervised in-process shard: engine + private broker.
 
     Parameters
@@ -151,15 +153,15 @@ class InProcessEndpoint:
 
     # -- the EngineEndpoint surface ------------------------------------------
 
-    def submit(self, query, **kwargs) -> Future:
+    def submit(self, query, *, cancellation=None, **fields) -> Future:
+        """Submit a :class:`Request` (or ``query`` plus its fields) to
+        the shard's broker; ``cancellation`` cancels it in process."""
+        request = Request.of(query, **fields)
         with self._lock:
             broker = self._broker
         if broker is None:
             raise EndpointDown("shard engine is down")
-        return broker.submit(query, **kwargs)
-
-    def evaluate(self, query, **kwargs):
-        return self.submit(query, **kwargs).result()
+        return broker.submit(request, cancellation=cancellation)
 
     def health_check(self) -> bool:
         """Cheap liveness probe: broker running and engine reachable."""

@@ -33,6 +33,7 @@ import threading
 from typing import Optional
 
 from repro.core.interface import QueryError, QueryTimeout
+from repro.core.system import Request
 from repro.graph import parser
 from repro.graph.model import BasicGraphPattern, TriplePattern
 from repro.reliability.broker import QueryRejected
@@ -268,7 +269,7 @@ class StoreService:
             self.store.close(checkpoint=self.final_checkpoint)
 
     def evaluate(self, bgp):
-        result = self.broker.evaluate(bgp, decode=self.decode)
+        result = self.broker.evaluate(Request.of(bgp, decode=self.decode))
         trailer = f"@epoch {self.store.epoch}"
         if result.truncated:
             trailer += f" (truncated: {result.interrupted_by})"
@@ -330,9 +331,9 @@ class ShardService:
             self.coordinator.shards.shutdown(checkpoint=self.final_checkpoint)
 
     def evaluate(self, bgp):
-        result = self.coordinator.evaluate(
+        result = self.coordinator.evaluate(Request.of(
             bgp, timeout=self.default_timeout, decode=self.decode, partial=True
-        )
+        ))
         report = getattr(result, "shards", None)
         if report is None:
             # Only the cache layer answers without a shard report, and it

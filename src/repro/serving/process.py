@@ -16,7 +16,11 @@ Wire protocol (all messages are small picklable tuples):
 - parent → child: ``(req_id, method, args, kwargs)``, where ``method``
   names the child endpoint's method to call, one of :data:`RPC_METHODS`
   (``submit`` / ``insert`` / ``delete`` / ``dump`` / ``health_check`` /
-  ``cache_generation`` / ``stats`` / ``shutdown``);
+  ``cache_generation`` / ``stats`` / ``shutdown``).  A query is always
+  ``("submit", (request,), {})``: one frozen
+  :class:`~repro.core.system.Request`, built and checked in the parent,
+  so an unknown field is a ``TypeError`` before anything is written
+  and no in-process handle (token, budget) ever crosses;
 - child → parent: ``(req_id, "ok" | "err", result_or_exception)``.
   Responses may arrive out of order (``submit`` is answered from the
   broker's future callback), so the parent keeps a pending-future table
@@ -64,7 +68,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core.interface import QueryTimeout
-from repro.core.system import QueryResult
+from repro.core.system import QueryResult, Request, Submitting
 from repro.serving.endpoint import EndpointDown, InProcessEndpoint
 
 __all__ = [
@@ -221,7 +225,7 @@ def _shard_server_main(parent_end, conn, directory, store_options, broker_option
 # -- parent side -------------------------------------------------------------
 
 
-class ProcessEndpoint:
+class ProcessEndpoint(Submitting):
     """A shard served by its own OS process (EngineEndpoint transport).
 
     Parameters
@@ -494,13 +498,13 @@ class ProcessEndpoint:
 
     # -- the EngineEndpoint surface ------------------------------------------
 
-    def submit(self, query, **kwargs) -> Future:
+    def submit(self, query, **fields) -> Future:
+        """Send a :class:`Request` (or ``query`` plus its fields) to the
+        shard process; a future of its revived result."""
+        request = Request.of(query, **fields)
         # Labelled ``evaluate``: per-layer tracing times query RPCs by it.
-        payload = ("submit", (query,), kwargs)
+        payload = ("submit", (request,), {})
         return self._request("evaluate", payload, _revive_result)
-
-    def evaluate(self, query, **kwargs):
-        return self.submit(query, **kwargs).result()
 
     def health_check(self) -> bool:
         if not self.alive:

@@ -43,6 +43,7 @@ import threading
 from concurrent.futures import Future
 from typing import Optional, Sequence
 
+from repro.core.system import Request, Submitting
 from repro.serving.endpoint import EndpointDown, generation_entry
 
 __all__ = ["ReplicaSet", "promote_replica"]
@@ -61,7 +62,7 @@ def _is_replica_death(exc: BaseException) -> bool:
     )
 
 
-class ReplicaSet:
+class ReplicaSet(Submitting):
     """N same-partition endpoints behind one endpoint surface.
 
     ``replicas`` are the member endpoints (any :class:`EngineEndpoint`
@@ -122,12 +123,15 @@ class ReplicaSet:
 
     # -- reads (submit + transparent failover) --------------------------------
 
-    def submit(self, query, **kwargs) -> Future:
+    def submit(self, query, **fields) -> Future:
+        """Submit a :class:`Request` (or ``query`` plus its fields) to
+        the primary, failing over on replica death."""
+        request = Request.of(query, **fields)
         outer: Future = Future()
-        self._attempt(outer, query, kwargs, tried=set())
+        self._attempt(outer, request, tried=set())
         return outer
 
-    def _attempt(self, outer: Future, query, kwargs, tried: set) -> None:
+    def _attempt(self, outer: Future, request, tried: set) -> None:
         candidates = self._eligible(exclude=tried)
         if not candidates:
             outer.set_exception(
@@ -154,23 +158,23 @@ class ReplicaSet:
                 self._counters["failovers"] += 1
         tried.add(rid)
         try:
-            inner = self.replicas[rid].submit(query, **kwargs)
+            inner = self.replicas[rid].submit(request)
         except Exception as exc:
-            self._after_failure(outer, query, kwargs, tried, rid, exc)
+            self._after_failure(outer, request, tried, rid, exc)
             return
         inner.add_done_callback(
-            lambda f: self._on_inner_done(outer, query, kwargs, tried, rid, f)
+            lambda f: self._on_inner_done(outer, request, tried, rid, f)
         )
 
-    def _on_inner_done(self, outer, query, kwargs, tried, rid, inner) -> None:
+    def _on_inner_done(self, outer, request, tried, rid, inner) -> None:
         exc = inner.exception()
         if exc is None:
             if not outer.done():
                 outer.set_result(inner.result())
             return
-        self._after_failure(outer, query, kwargs, tried, rid, exc)
+        self._after_failure(outer, request, tried, rid, exc)
 
-    def _after_failure(self, outer, query, kwargs, tried, rid, exc) -> None:
+    def _after_failure(self, outer, request, tried, rid, exc) -> None:
         if not _is_replica_death(exc):
             if not outer.done():
                 outer.set_exception(exc)
@@ -196,10 +200,7 @@ class ReplicaSet:
                 return
         with self._lock:
             self._counters["failovers"] += 1
-        self._attempt(outer, query, kwargs, tried)
-
-    def evaluate(self, query, **kwargs):
-        return self.submit(query, **kwargs).result()
+        self._attempt(outer, request, tried)
 
     # -- writes (fan-out + dirty tracking) ------------------------------------
 

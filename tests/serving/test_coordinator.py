@@ -87,7 +87,7 @@ class TestCompletePath:
         full = list(coord.evaluate(JOIN))
         limited = coord.evaluate(JOIN, limit=3)
         assert list(limited) == full[:3]
-        assert limited.truncated
+        assert not limited.truncated, "stopping at the limit is not a truncation"
         assert limited.shards.complete, "limit is not a shard failure"
 
     def test_projection_dedupes(self, graph, sharded):

@@ -1,12 +1,13 @@
 """Process-isolated shard endpoints: RPC surface, death taxonomy, drain."""
 
 import os
+import pickle
 import signal
 import time
 
 import pytest
 
-from repro.core import QueryTimeout
+from repro.core import QueryTimeout, Request
 from repro.reliability.faults import Fault, InjectedFault, inject_faults
 from repro.reliability.wal import DurableDynamicRing, verify_dynamic_dir
 from repro.serving import (
@@ -89,6 +90,28 @@ class TestProcessEndpointRPC:
         assert endpoint.delete(*triple) is True
         assert endpoint.delete(*triple) is False  # absent
         assert endpoint.n_triples == base
+
+    def test_only_a_request_crosses_the_pipe(self, endpoint, monkeypatch):
+        sent = []
+        request_rpc = endpoint._request
+
+        def recording(kind, payload, transform=None):
+            sent.append(payload)
+            return request_rpc(kind, payload, transform)
+
+        monkeypatch.setattr(endpoint, "_request", recording)
+        with pytest.raises(TypeError, match="bogus"):
+            endpoint.submit(WORKLOAD[0], bogus=1)
+        assert sent == [], "an unknown field must fail before the pipe"
+        result = endpoint.evaluate(WORKLOAD[0], limit=2, timeout=30.0)
+        assert len(result) == 2 and not result.truncated
+        [(method, args, kwargs)] = sent
+        assert (method, kwargs) == ("submit", {})
+        [request] = args
+        assert isinstance(request, Request)
+        revived = pickle.loads(pickle.dumps(request))
+        assert revived.bgp.patterns == request.bgp.patterns
+        assert revived._replace(bgp=None) == request._replace(bgp=None)
 
     def test_child_side_timeout_is_typed(self, endpoint):
         with pytest.raises(QueryTimeout):
