@@ -1514,12 +1514,12 @@ def drill_outofcore(rounds: int, seed: int) -> list[str]:
     return failures
 
 
-# -- parallel-build drill (partitioned builds, killed build workers) ----------
+# -- parallel-build drill (pool-pass and sharded builds, killed workers) ------
 
 
 def drill_parallel_build(rounds: int, seed: int) -> list[str]:
-    """Fault and kill parallel build workers mid-partition.  The
-    partitioned-build contract:
+    """Fault and kill parallel build workers mid-task.  The
+    parallel-build contract:
 
     - a faulted ``build.worker`` task (the fault fires *inside* the
       forked worker and again in the inline rescue) surfaces as typed

@@ -497,10 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan/sort working-set bound for --stream "
                         "(default 1e6 triples)")
     p.add_argument("--workers", type=int, default=0,
-                   help="build-worker processes for the streaming path "
-                        "(implies --stream; >1 also partitions the scan "
-                        "by subject hash; output stays byte-identical "
-                        "to the serial build)")
+                   help="build-worker processes for the streaming "
+                        "path's wavelet and count passes (implies "
+                        "--stream; output stays byte-identical to the "
+                        "serial build)")
     p.add_argument("--merge-fanin", type=int, default=64,
                    help="max spill runs one k-way merge pass opens "
                         "(default 64; more runs fall back to recursive "

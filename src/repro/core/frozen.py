@@ -140,7 +140,6 @@ def collect_ring_arrays(ring: Ring) -> tuple[dict, dict[str, np.ndarray]]:
     meta = {
         "n": ring.n,
         "sigma": tuple(ring.sigma(a) for a in (S, P, O)),
-        "leap_memo_size": ring._leap_memo_size,
         "wm": wm_meta,
     }
     return meta, arrays
@@ -254,7 +253,6 @@ def write_pack_manifest(
         "n_triples": int(meta["n"]),
         "n_nodes": int(n_nodes),
         "n_predicates": int(n_predicates),
-        "leap_memo_size": int(meta["leap_memo_size"]),
         "wm": {
             str(zone): {
                 "n": int(wmm["n"]),
@@ -564,7 +562,6 @@ def open_frozen_ring(
         n=n,
         sigma=(n_nodes, n_predicates, n_nodes),
         compressed=False,
-        leap_memo_size=int(manifest.get("leap_memo_size", 1 << 16)),
     )
     if verify:
         checks.append("memmap open" if mmap else "eager open")

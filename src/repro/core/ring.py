@@ -41,6 +41,9 @@ ZoneState = tuple[int, int, int]  # (zone attribute, lo, hi) with [lo, hi)
 
 _MEMO_MISS = object()  # sentinel: None is a cacheable leap answer
 
+#: Capacity (entries) of each ring's LRU backward-leap memo.
+LEAP_MEMO_SIZE = 1 << 16
+
 
 def prev_attr(attr: int) -> int:
     """Attribute cyclically preceding ``attr`` (o before s, s before p…)."""
@@ -72,7 +75,6 @@ class Ring:
         compressed: bool = False,
         block_size: int = 15,
         succinct_counts: bool = False,
-        leap_memo_size: int = 1 << 16,
     ) -> None:
         triples = graph.triples
         self._n = len(triples)
@@ -85,13 +87,11 @@ class Ring:
         # (the dynamic ring's compaction) call
         # :meth:`invalidate_leap_memo`, after which no key
         # of an earlier generation can ever be served again.
-        # ``leap_memo_size=0`` disables memoisation.
         self._leap_memo: OrderedDict[
             tuple[int, int, int, int, int], Optional[int]
         ]
         self._leap_memo = OrderedDict()
         self._leap_generation = 0
-        self._leap_memo_size = leap_memo_size
         self._leap_memo_hits = 0
         self._leap_memo_misses = 0
         self._sigma = (graph.n_nodes, graph.n_predicates, graph.n_nodes)
@@ -129,7 +129,6 @@ class Ring:
         n: int,
         sigma: tuple[int, int, int],
         compressed: bool = False,
-        leap_memo_size: int = 1 << 16,
     ) -> "Ring":
         """Assemble a ring from prebuilt zone sequences and C components.
 
@@ -149,7 +148,6 @@ class Ring:
         ring._c = dict(counts)
         ring._leap_memo = OrderedDict()
         ring._leap_generation = 0
-        ring._leap_memo_size = int(leap_memo_size)
         ring._leap_memo_hits = 0
         ring._leap_memo_misses = 0
         return ring
@@ -258,8 +256,6 @@ class Ring:
         """Smallest value ``>= c`` of ``prev_attr(zone)`` co-occurring with
         the bound run: range-next-value on the zone's wavelet matrix,
         behind the LRU leap memo."""
-        if self._leap_memo_size <= 0:
-            return self._seq[zone].next_in_range(lo, hi, c)
         memo = self._leap_memo
         key = (self._leap_generation, zone, lo, hi, c)
         value = memo.get(key, _MEMO_MISS)
@@ -272,7 +268,7 @@ class Ring:
         self._leap_memo_misses += 1
         value = self._seq[zone].next_in_range(lo, hi, c)
         memo[key] = value
-        if len(memo) > self._leap_memo_size:
+        if len(memo) > LEAP_MEMO_SIZE:
             memo.popitem(last=False)
         return value
 
@@ -343,7 +339,7 @@ class Ring:
             "hits": self._leap_memo_hits,
             "misses": self._leap_memo_misses,
             "entries": len(self._leap_memo),
-            "capacity": self._leap_memo_size,
+            "capacity": LEAP_MEMO_SIZE,
             "generation": self._leap_generation,
         }
 

@@ -260,6 +260,9 @@ class BaseQuerySystem(Countable):
         else:
             budget.row_demand = None  # dedup may skip arbitrarily many rows
         try:
+            # A query shorter than one budget check interval would
+            # otherwise never consult a deadline or token spent on entry.
+            budget.poll()
             rows = self._solutions(encoded, budget, var_order=var_order, stats=stats)
             admit_rows(out, rows, budget, limit, project)
         except (QueryTimeout, QueryCancelled) as exc:
@@ -348,7 +351,6 @@ class RingIndex(BaseLTJSystem):
         compressed: bool = False,
         block_size: int = 15,
         succinct_counts: bool = False,
-        leap_memo_size: int = 1 << 16,
         **engine_options,
     ) -> None:
         super().__init__(graph, **engine_options)
@@ -357,7 +359,6 @@ class RingIndex(BaseLTJSystem):
             compressed=compressed,
             block_size=block_size,
             succinct_counts=succinct_counts,
-            leap_memo_size=leap_memo_size,
         )
 
     @classmethod

@@ -8,10 +8,7 @@ serves can be an order of magnitude larger than its RAM:
 1. **scan** — the source (N-Triples, id text, raw binary or any block
    iterable) is consumed in chunks of ``chunk_triples`` rows; each chunk
    is sorted, deduplicated and spilled to a run file (`build.spill`
-   fault site).  With ``workers > 1`` the chunk is first split by
-   splitmix64 subject hash (:func:`repro.serving.sharding.shard_vector`
-   — the same hash the serving tier routes queries with) into disjoint
-   per-partition spill streams;
+   fault site);
 2. **merge** — runs are merged in a *single pass* by a heap-free k-way
    merge with global duplicate elimination (`build.merge` fault site):
    every spill run is read exactly once as long as the run count stays
@@ -31,17 +28,19 @@ serves can be an order of magnitude larger than its RAM:
    counters via :meth:`BitVector.from_packed_words`);
 5. **C arrays** — streaming bincount passes over the canonical stream.
 
-**Parallel partitioned build** (``workers > 0``): the per-partition
-sort→merge→re-sort pipelines, the three per-zone wavelet constructions
-and the three count passes each run as independent *build tasks* on a
-:class:`~repro.parallel.pool.TaskPool` of worker processes (the pool
-parallel queries run on; dead workers' tasks are rescued inline).  Because the
-partitions are disjoint by subject and the key embeds the subject,
-k-way merging the per-partition sorted streams reproduces the global
-sorted stream — the driver stitches the workers' spooled arrays into
-one pack that is **byte-identical** to the serial build.
-:func:`bulk_build_sharded` keeps the partitions separate instead and
-emits a ready-to-serve ``SHARDS.json`` durable layout that
+Phases 4 and 5 dominate the build.  With ``workers > 0`` the three
+per-zone wavelet constructions and the three count passes run as six
+independent *build tasks* on a :class:`~repro.parallel.pool.TaskPool`
+of worker processes (the pool parallel queries run on; dead workers'
+tasks are rescued inline), and the driver stitches their spooled arrays
+into the pack in canonical order — **byte-identical** to the serial
+build.  One helper, :func:`_write_pack`, writes a pack from one
+partition's sorted spo, pos and osp streams either way.
+
+:func:`bulk_build_sharded` splits the scan by splitmix64 subject hash
+(:func:`repro.serving.sharding.shard_vector`, the hash the serving tier
+routes queries with) and builds each partition's pack as one task, into
+a ready-to-serve ``SHARDS.json`` durable layout that
 ``ShardedRingIndex.recover(mmap=True)`` loads with zero extra passes.
 
 The full triple set is never held in memory: peak RSS is dominated by
@@ -62,7 +61,8 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Iterable, Optional
+from contextlib import contextmanager
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -132,47 +132,33 @@ def _iter_file_int64(path: str, block: int):
             yield arr
 
 
-def _align64(blocks, transform=None):
-    """Re-chunk int64 blocks to multiples of 64 values (last may be
-    ragged) — so bit-packing lands on word boundaries."""
+def _iter_files_aligned(paths, block: int, transform=None):
+    """Blocks over files read *sequentially* (one logical stream split
+    across files, e.g. wavelet scratch partitions), re-chunked to
+    multiples of 64 values (the last may be ragged) so bit-packing lands
+    on word boundaries."""
+    block = max(64, block - block % 64)
     carry: Optional[np.ndarray] = None
-    for arr in blocks:
-        if transform is not None:
-            arr = transform(arr)
-        if carry is not None and carry.size:
-            arr = np.concatenate([carry, arr])
-        carry = None
-        cut = (arr.size // 64) * 64
-        if cut:
-            yield arr[:cut]
-        if cut < arr.size:
-            carry = arr[cut:]
+    for path in paths:
+        for arr in _iter_file_int64(path, block):
+            if transform is not None:
+                arr = transform(arr)
+            if carry is not None and carry.size:
+                arr = np.concatenate([carry, arr])
+            carry = None
+            cut = (arr.size // 64) * 64
+            if cut:
+                yield arr[:cut]
+            if cut < arr.size:
+                carry = arr[cut:]
     if carry is not None and carry.size:
         yield carry
-
-
-def _chain_files(paths, block: int):
-    for path in paths:
-        yield from _iter_file_int64(path, block)
-
-
-def _iter_files_aligned(paths, block: int, transform=None):
-    """64-aligned blocks over files read *sequentially* (one logical
-    stream split across files, e.g. wavelet scratch partitions)."""
-    block = max(64, block - block % 64)
-    yield from _align64(_chain_files(paths, block), transform)
-
-
-def _iter_merged_aligned(paths, block: int, transform=None):
-    """64-aligned blocks over disjoint sorted runs, k-way *merged* into
-    one globally sorted stream (e.g. per-partition zone streams)."""
-    yield from _align64(_iter_kway(paths, block, dedup=False), transform)
 
 
 class _RunReader:
     """Buffered reader over one sorted int64 run file."""
 
-    def __init__(self, path: str, block: int, counter: Optional[dict] = None):
+    def __init__(self, path: str, block: int, counter: dict):
         self._gen = _iter_file_int64(path, block)
         self._counter = counter
         self.buf = np.empty(0, dtype=np.int64)
@@ -185,8 +171,7 @@ class _RunReader:
             if nxt is None:
                 self._eof = True
             else:
-                if self._counter is not None:
-                    self._counter["bytes_read"] += nxt.nbytes
+                self._counter["bytes_read"] += nxt.nbytes
                 self.buf = nxt
 
     @property
@@ -214,16 +199,16 @@ def _dedup_block(part: np.ndarray, last: Optional[int]):
     return part, last
 
 
-def _iter_kway(paths, block: int, *, dedup: bool, counter: Optional[dict] = None):
-    """Single-pass k-way merge of sorted int64 runs, as sorted blocks.
+def _iter_kway(paths, block: int, counter: dict):
+    """Single-pass k-way merge of sorted int64 runs, as sorted,
+    globally deduplicated blocks.
 
     Block-synchronous rather than heap-based: each round every reader
     contributes its prefix at or below the smallest buffered maximum
     (``searchsorted``), the prefixes are concatenated and sorted once —
     all vectorized, no per-element Python.  ``block`` bounds the *total*
     buffered values across readers, so memory stays O(block) at any
-    fan-in.  With ``dedup`` the output stream is globally deduplicated.
-    ``counter["bytes_read"]`` (if given) accumulates bytes fetched from
+    fan-in.  ``counter["bytes_read"]`` accumulates bytes fetched from
     disk — the single-pass accounting the merge gate checks.
     """
     per = max(64, block // max(1, len(paths)))
@@ -240,48 +225,26 @@ def _iter_kway(paths, block: int, *, dedup: bool, counter: Optional[dict] = None
         part = np.concatenate(parts) if len(parts) > 1 else parts[0]
         if len(parts) > 1:
             part.sort()
-        if dedup:
-            part, last = _dedup_block(part, last)
+        part, last = _dedup_block(part, last)
         if part.size:
             yield part
         readers = [r for r in readers if not r.exhausted]
     if readers:
         (reader,) = readers
         while not reader.exhausted:
-            part = reader.take(reader.buf.size)
-            if dedup:
-                part, last = _dedup_block(part, last)
+            part, last = _dedup_block(reader.take(reader.buf.size), last)
             if part.size:
                 yield part
 
 
-def _merge_group(
-    paths, out_path: str, block: int, *, dedup: bool, counter: Optional[dict] = None
-) -> int:
+def _merge_group(paths, out_path: str, block: int, counter: dict) -> int:
     """k-way merge a group of runs into one file; returns output length."""
     written = 0
     with open(out_path, "wb") as fo:
-        for part in _iter_kway(paths, block, dedup=dedup, counter=counter):
+        for part in _iter_kway(paths, block, counter):
             _merge_chunk(fo, part)
             written += part.size
     return written
-
-
-def _merge_accumulate(
-    stats: Optional[dict], *, fanin: int, runs: int, bytes_in: int,
-    bytes_read: int, rounds: int,
-) -> None:
-    if stats is None:
-        return
-    stats["merge_fanin"] = fanin
-    stats["merge_runs_merged"] = stats.get("merge_runs_merged", 0) + runs
-    stats["merge_bytes_in"] = stats.get("merge_bytes_in", 0) + bytes_in
-    stats["merge_bytes_read"] = stats.get("merge_bytes_read", 0) + bytes_read
-    stats["merge_extra_pass_bytes"] = stats.get(
-        "merge_extra_pass_bytes", 0
-    ) + max(0, bytes_read - bytes_in)
-    stats["merge_rounds"] = max(stats.get("merge_rounds", 0), rounds)
-    stats["merge_passes"] = stats.get("merge_passes", 0) + 1
 
 
 def _merge_runs(
@@ -289,10 +252,9 @@ def _merge_runs(
     workdir: str,
     block: int,
     tag: str,
-    progress=None,
     *,
-    fanin: int = DEFAULT_MERGE_FANIN,
-    stats: Optional[dict] = None,
+    fanin: int,
+    stats: dict,
     keep_inputs: bool = False,
 ) -> tuple[str, int]:
     """k-way merge sorted runs down to one deduplicated file.
@@ -301,13 +263,13 @@ def _merge_runs(
     exactly once); beyond that, fan-in-bounded reduction rounds shrink
     the run set first.  ``keep_inputs`` protects the *input* run files
     from deletion (pool mode: a rescued task must be able to re-read
-    them); intermediates are always reclaimed.  Returns (path, length).
+    them); intermediates are always reclaimed.  The pass accounting is
+    folded into ``stats``.  Returns (path, length).
     """
     if not runs:
         empty = os.path.join(workdir, f"{tag}.empty.bin")
         open(empty, "wb").close()
         return empty, 0
-    fanin = max(2, int(fanin))
     protected = set(runs) if keep_inputs else set()
     n_runs = len(runs)
     bytes_in = sum(os.path.getsize(r) for r in runs)
@@ -316,8 +278,6 @@ def _merge_runs(
     generation = 0
     while len(runs) > fanin:
         rounds += 1
-        if progress:
-            progress(f"merge[{tag}]: reducing {len(runs)} runs (fan-in {fanin})")
         reduced: list[str] = []
         for i in range(0, len(runs), fanin):
             group = runs[i : i + fanin]
@@ -325,7 +285,7 @@ def _merge_runs(
                 reduced.append(group[0])
                 continue
             out = os.path.join(workdir, f"{tag}.g{generation}.{i // fanin}.bin")
-            _merge_group(group, out, block, dedup=True, counter=counter)
+            _merge_group(group, out, block, counter)
             for path in group:
                 if path not in protected:
                     os.unlink(path)
@@ -334,24 +294,29 @@ def _merge_runs(
         generation += 1
     out = runs[0]
     if len(runs) > 1:
-        if progress:
-            progress(f"merge[{tag}]: {len(runs)} runs, final pass")
         out = os.path.join(workdir, f"{tag}.merged.bin")
-        size = _merge_group(runs, out, block, dedup=True, counter=counter)
+        size = _merge_group(runs, out, block, counter)
         for path in runs:
             if path not in protected:
                 os.unlink(path)
     else:  # single run: already sorted + deduplicated at spill
         size = os.path.getsize(out) // 8
-    _merge_accumulate(
-        stats, fanin=fanin, runs=n_runs, bytes_in=bytes_in,
-        bytes_read=counter["bytes_read"], rounds=rounds,
-    )
+    bytes_read = counter["bytes_read"]
+    _merge_stats_into(stats, {
+        "merge_fanin": fanin,
+        "merge_runs_merged": n_runs,
+        "merge_bytes_in": bytes_in,
+        "merge_bytes_read": bytes_read,
+        "merge_extra_pass_bytes": max(0, bytes_read - bytes_in),
+        "merge_rounds": rounds,
+        "merge_passes": 1,
+    })
     return out, size
 
 
 def _merge_stats_into(stats: dict, mstats: dict) -> None:
-    """Fold one task's merge accounting into the build-level stats."""
+    """Fold one merge's (or task's) accounting into ``stats``: rounds
+    take the maximum, the fan-in is set, everything else adds up."""
     for key, value in mstats.items():
         if key == "merge_rounds":
             stats[key] = max(stats.get(key, 0), value)
@@ -497,12 +462,11 @@ def _scan_source(
 ):
     """Phase 1: chunked scan into per-partition sorted deduplicated runs.
 
-    With ``n_partitions > 1`` each pending chunk is split by splitmix64
-    subject hash before spilling, so every partition's runs hold a
-    disjoint subject subset — and because the triple key embeds the
-    subject, per-partition dedup *is* global dedup and merging the
-    per-partition sorted streams reproduces the global sorted stream.
-    Runs hold packed keys when the universes are pinned upfront (1/3 the
+    With ``n_partitions > 1`` (the sharded layout) each pending chunk is
+    split by splitmix64 subject hash before spilling, so every
+    partition's runs hold a disjoint subject subset — and because the
+    triple key embeds the subject, per-partition dedup *is* global
+    dedup.  Runs hold packed keys when the universes are pinned upfront (1/3 the
     bytes of rows), sorted rows otherwise (keys need N and P).
     Returns (runs_per_partition, dictionary, max_node, max_pred).
     """
@@ -619,47 +583,40 @@ def _resolve_universe(
 def _build_wavelet_streaming(
     sink,
     zone: int,
-    key_paths: list[str],
+    key_path: str,
     transform,
     n: int,
     sigma: int,
     workdir: str,
     chunk: int,
-    scratch_tag: Optional[str] = None,
+    scratch_tag: str,
 ) -> dict:
     """One zone's wavelet matrix, level by level, out of core.
 
-    ``key_paths`` is one sorted key stream or several disjoint sorted
-    partition streams: level 0 k-way *merges* them into the zone's
-    global order, while deeper levels read the previous level's two
-    scratch partitions *sequentially* — those are one logical sequence
-    split in two, not sorted runs to merge.  ``sink`` is a
-    :class:`PackWriter` or any object with its ``add_array`` shape (the
-    pool path spools to a scratch directory instead).  Returns the
-    zone's manifest metadata block.
+    Level 0 reads the zone's sorted key stream ``key_path`` through
+    ``transform`` (key → symbol); deeper levels read the previous
+    level's two scratch partitions ``<scratch_tag>.l<level>.part{0,1}``
+    sequentially.  ``sink`` is a :class:`PackWriter` or any object with
+    its ``add_array`` shape (the pool path spools to a scratch directory
+    instead).  Returns the zone's manifest metadata block.
     """
     levels = max(1, (sigma - 1).bit_length())
     zeros_list: list[int] = []
     level_meta: list[dict] = []
-    inputs = list(key_paths)
-    sources = set(inputs)
-    merged = len(inputs) > 1
-    input_transform = transform
-    prefix_tag = scratch_tag or f"wm{zone}"
+    inputs = [key_path]
     nwords = -(-max(n, 1) // 64)
     for level in range(levels):
         shift = levels - 1 - level
         words = np.zeros(nwords, dtype=np.uint64)
         wbytes = words.view(np.uint8)
-        zero_path = os.path.join(workdir, f"{prefix_tag}.l{level}.part0.bin")
-        one_path = os.path.join(workdir, f"{prefix_tag}.l{level}.part1.bin")
+        zero_path = os.path.join(workdir, f"{scratch_tag}.l{level}.part0.bin")
+        one_path = os.path.join(workdir, f"{scratch_tag}.l{level}.part1.bin")
         zeros = 0
         byte_pos = 0
         last_level = level == levels - 1
-        if merged:
-            blocks = _iter_merged_aligned(inputs, chunk, input_transform)
-        else:
-            blocks = _iter_files_aligned(inputs, chunk, input_transform)
+        blocks = _iter_files_aligned(
+            inputs, chunk, transform if level == 0 else None
+        )
         with open(zero_path, "wb") as zf, open(one_path, "wb") as of:
             for vals in blocks:
                 bits = ((vals >> shift) & 1).astype(np.uint8)
@@ -678,15 +635,12 @@ def _build_wavelet_streaming(
         sink.add_array(f"{prefix}.rel", bv._rel)
         zeros_list.append(zeros)
         level_meta.append({"n": n, "ones": bv._ones})
-        for path in inputs:
-            if path not in sources:
+        if level:
+            for path in inputs:
                 os.unlink(path)
         inputs = [zero_path, one_path]
-        merged = False
-        input_transform = None
     for path in inputs:
-        if path not in sources and os.path.exists(path):
-            os.unlink(path)
+        os.unlink(path)
     return {
         "n": n,
         "sigma": sigma,
@@ -696,9 +650,7 @@ def _build_wavelet_streaming(
     }
 
 
-def _counts_from_keys(
-    key_paths: list[str], chunk: int, decode, sigma: int
-) -> np.ndarray:
+def _counts_from_keys(key_path: str, chunk: int, decode, sigma: int) -> np.ndarray:
     """Streaming ``counts_from_column``: cumulative counts, length σ+1.
 
     Working memory is exactly one σ+1 accumulator plus O(chunk)
@@ -707,17 +659,14 @@ def _counts_from_keys(
     where a ``bincount`` per chunk would allocate a *second* σ-sized
     array every iteration — at σ = 3 M nodes that one temporary is
     24 MB, the difference between passing and blowing the build's
-    RSS-over-index gate.  The histogram is order-independent, so the
-    per-partition streams chain sequentially — no merge needed.  The
-    final prefix sum runs in place.
+    RSS-over-index gate.  The final prefix sum runs in place.
     """
     out = np.zeros(sigma + 1, dtype=np.int64)
     if sigma:
         acc = out[1:]
-        for path in key_paths:
-            for keys in _iter_file_int64(path, chunk):
-                values, counts = np.unique(decode(keys), return_counts=True)
-                acc[values] += counts
+        for keys in _iter_file_int64(key_path, chunk):
+            values, counts = np.unique(decode(keys), return_counts=True)
+            acc[values] += counts
         np.cumsum(acc, out=acc)
     return out
 
@@ -742,10 +691,9 @@ def _external_sort(
     run_values: int,
     io_block: int,
     tag: str,
-    progress=None,
     *,
-    fanin: int = DEFAULT_MERGE_FANIN,
-    stats: Optional[dict] = None,
+    fanin: int,
+    stats: dict,
 ) -> str:
     """Re-sort a key stream under a different key packing, out of core.
 
@@ -761,9 +709,7 @@ def _external_sort(
         run = os.path.join(workdir, f"{tag}.run{i}.bin")
         _spill_run(run, new_keys)
         runs.append(run)
-    path, _ = _merge_runs(
-        runs, workdir, io_block, tag, progress, fanin=fanin, stats=stats
-    )
+    path, _ = _merge_runs(runs, workdir, io_block, tag, fanin=fanin, stats=stats)
     return path
 
 
@@ -782,7 +728,6 @@ _POOL_HOOK = None
 
 
 def _partition_streams(
-    pid: int,
     runs: list[str],
     keyed: bool,
     n_nodes: int,
@@ -838,7 +783,6 @@ def _partition_streams(
         fanin=fanin, stats=mstats,
     )
     return {
-        "pid": pid,
         "n": n,
         "spo": spo_path,
         "pos": pos_path,
@@ -847,22 +791,12 @@ def _partition_streams(
     }
 
 
-def _partition_task(payload: dict) -> dict:
-    return _partition_streams(
-        payload["pid"], payload["runs"], payload["keyed"],
-        payload["n_nodes"], payload["n_predicates"],
-        payload["run_values"], payload["io_block"], payload["fanin"],
-        payload["workdir"], payload["tag"],
-        keep_inputs=payload.get("keep_inputs", False),
-    )
-
-
 class _ScratchSink:
     """PackWriter-shaped sink that spools arrays to a scratch directory.
 
     Build workers cannot append to the (single) pack concurrently, so a
-    wavelet/counts task streams its arrays here and the driver replays
-    them into the real :class:`PackWriter` in canonical order with
+    pass task streams its arrays here and the driver replays them into
+    the real :class:`PackWriter` in canonical order with
     :meth:`~repro.core.frozen.PackWriter.add_array_from_file` — a pure
     byte copy, so the stitched pack is identical to a serial build's.
     """
@@ -878,43 +812,122 @@ class _ScratchSink:
         self.table.append((name, fname, arr.dtype.str, int(arr.size)))
 
 
-def _wavelet_task(payload: dict) -> dict:
-    scratch = os.path.join(payload["workdir"], payload["scratch"])
+def _run_pass(sink, spec: dict) -> Optional[dict]:
+    """Write one pass of a pack into ``sink``: a zone's wavelet levels
+    (returns its manifest block) or one C array (returns ``None``)."""
+    if spec["kind"] == "wavelet":
+        mod = max(spec["sigma"], 1)  # a zone's keys end in its symbol
+        return _build_wavelet_streaming(
+            sink, spec["zone"], spec["path"], lambda keys: keys % mod,
+            spec["n"], spec["sigma"], spec["workdir"], spec["io_block"],
+            spec["tag"],
+        )
+    attr = spec["attr"]
+    decode = _count_decoder(attr, spec["n_nodes"], spec["n_predicates"])
+    sink.add_array(
+        f"c{attr}",
+        _counts_from_keys(spec["path"], spec["io_block"], decode, spec["sigma"]),
+    )
+    return None
+
+
+def _pass_task(spec: dict) -> dict:
+    """One pass as a pool task, spooled for the driver's stitch.
+    Re-runnable: it only reads the zone streams and truncates what it
+    writes."""
+    scratch = os.path.join(spec["workdir"], f"{spec['tag']}.arrays")
     os.makedirs(scratch, exist_ok=True)
     sink = _ScratchSink(scratch)
-    mod = payload["mod"]
-    meta = _build_wavelet_streaming(
-        sink, payload["zone"], payload["paths"],
-        lambda keys: keys % mod,
-        payload["n"], payload["sigma"], payload["workdir"],
-        payload["io_block"],
-    )
-    return {
-        "zone": payload["zone"],
-        "meta": meta,
-        "scratch": payload["scratch"],
-        "table": sink.table,
-    }
+    meta = _run_pass(sink, spec)
+    return {"meta": meta, "scratch": scratch, "table": sink.table}
 
 
-def _counts_task(payload: dict) -> dict:
-    scratch = os.path.join(payload["workdir"], payload["scratch"])
-    os.makedirs(scratch, exist_ok=True)
-    decode = _count_decoder(
-        payload["attr"], payload["n_nodes"], payload["n_predicates"]
-    )
-    c = _counts_from_keys(
-        payload["paths"], payload["io_block"], decode, payload["sigma"]
-    )
-    fname = f"c{payload['attr']}.arr"
-    c.tofile(os.path.join(scratch, fname))
-    return {
-        "attr": payload["attr"],
-        "scratch": payload["scratch"],
-        "file": fname,
-        "dtype": c.dtype.str,
-        "size": int(c.size),
+def _note_worker_peaks(stats: dict, results: list) -> None:
+    peaks = [r["peak_rss_bytes"] for r in results if r.get("peak_rss_bytes")]
+    if peaks:
+        stats["worker_peak_rss_bytes"] = max(peaks)
+
+
+def _write_pack(
+    out_path: str,
+    streams: dict,
+    *,
+    n_nodes: int,
+    n_predicates: int,
+    dictionary: Optional[Dictionary],
+    workdir: str,
+    io_block: int,
+    tag: str,
+    workers: int,
+    stats: dict,
+) -> dict:
+    """Phases 4+5 and the sidecar: write the pack of one partition.
+
+    ``streams`` is :func:`_partition_streams`' result.  The six passes
+    (three zone wavelets, three C arrays) run inline straight into the
+    :class:`PackWriter`, or with ``workers > 0`` as pool tasks whose
+    spooled arrays are then stitched into the pack in the same order —
+    the bytes are identical either way.  Scratch files are named after
+    ``tag``, so builds sharing a workdir never collide.  Returns the
+    manifest.
+    """
+    N, Pn = int(n_nodes), int(n_predicates)
+    n = streams["n"]
+    common = {
+        "n": n, "n_nodes": N, "n_predicates": Pn,
+        "workdir": workdir, "io_block": io_block,
     }
+    # Zone S holds objects (σ = N) in spo order, zone P subjects (σ = N)
+    # in pos order, zone O predicates (σ = P) in osp order.
+    wavelets = [
+        dict(common, kind="wavelet", zone=zone, path=streams[order],
+             sigma=sigma, tag=f"{tag}.wm{zone}")
+        for zone, order, sigma in ((S, "spo", N), (P, "pos", N), (O, "osp", Pn))
+    ]
+    counts = [
+        dict(common, kind="counts", attr=attr, path=streams["spo"],
+             sigma=(N, Pn, N)[attr], tag=f"{tag}.c{attr}")
+        for attr in (S, P, O)
+    ]
+    wm_meta: dict = {}
+    writer: Optional[PackWriter] = None
+    stats["phase"] = "wavelet"
+    try:
+        if workers > 0:
+            results = _run_build_tasks(wavelets + counts, workers, stats)
+            _note_worker_peaks(stats, results)
+            stats["phase"] = "stitch"
+            writer = PackWriter(out_path)
+            for spec, result in zip(wavelets + counts, results):
+                if result["meta"] is not None:
+                    wm_meta[spec["zone"]] = result["meta"]
+                for name, fname, dtype, size in result["table"]:
+                    writer.add_array_from_file(
+                        name, os.path.join(result["scratch"], fname), dtype, size
+                    )
+        else:
+            writer = PackWriter(out_path)
+            for spec in wavelets:
+                wm_meta[spec["zone"]] = _run_pass(writer, spec)
+            stats["phase"] = "counts"
+            for spec in counts:
+                _run_pass(writer, spec)
+        table = writer.table
+        size = writer.finish()
+        writer = None
+    finally:
+        if writer is not None:
+            writer.abort()
+    stats["phase"] = "manifest"
+    return write_pack_manifest(
+        out_path,
+        meta={"n": n, "sigma": (N, Pn, N), "wm": wm_meta},
+        table=table,
+        file_size=size,
+        n_nodes=N,
+        n_predicates=Pn,
+        dictionary=dictionary,
+    )
 
 
 def _shard_task(payload: dict) -> dict:
@@ -930,7 +943,6 @@ def _shard_task(payload: dict) -> dict:
     tag = payload["tag"]
     N = int(payload["n_nodes"])
     Pn = int(payload["n_predicates"])
-    io_block = payload["io_block"]
     shard_dir = payload["shard_dir"]
     shutil.rmtree(shard_dir, ignore_errors=True)
     os.makedirs(shard_dir)
@@ -940,61 +952,26 @@ def _shard_task(payload: dict) -> dict:
     shutil.copyfile(manifest_path(upath), manifest_path(udst))
 
     part = _partition_streams(
-        payload["pid"], payload["runs"], payload["keyed"], N, Pn,
-        payload["run_values"], io_block, payload["fanin"],
-        workdir, tag, keep_inputs=payload.get("keep_inputs", False),
+        payload["runs"], payload["keyed"], N, Pn,
+        payload["run_values"], payload["io_block"], payload["fanin"],
+        workdir, tag, keep_inputs=payload["keep_inputs"],
     )
-    n = part["n"]
     pack_path = os.path.join(workdir, f"{tag}.pack.ring")
-    writer: Optional[PackWriter] = PackWriter(pack_path)
-    try:
-        sigma = {S: N, P: Pn, O: N}
-        wm_meta = {
-            S: _build_wavelet_streaming(
-                writer, S, [part["spo"]], lambda keys: keys % max(N, 1),
-                n, sigma[O], workdir, io_block, scratch_tag=f"{tag}.wm{S}",
-            ),
-            P: _build_wavelet_streaming(
-                writer, P, [part["pos"]], lambda keys: keys % max(N, 1),
-                n, sigma[S], workdir, io_block, scratch_tag=f"{tag}.wm{P}",
-            ),
-            O: _build_wavelet_streaming(
-                writer, O, [part["osp"]], lambda keys: keys % max(Pn, 1),
-                n, sigma[P], workdir, io_block, scratch_tag=f"{tag}.wm{O}",
-            ),
-        }
-        for attr in (S, P, O):
-            c = _counts_from_keys(
-                [part["spo"]], io_block, _count_decoder(attr, N, Pn),
-                sigma[attr],
-            )
-            writer.add_array(f"c{attr}", c)
-        table = writer.table
-        size = writer.finish()
-        writer = None
-        meta = {
-            "n": n,
-            "sigma": (N, Pn, N),
-            "leap_memo_size": int(payload["leap_memo_size"]),
-            "wm": wm_meta,
-        }
-        write_pack_manifest(
-            pack_path, meta=meta, table=table, file_size=size,
-            n_nodes=N, n_predicates=Pn, dictionary=None,
-        )
-    finally:
-        if writer is not None:
-            writer.abort()
+    manifest = _write_pack(
+        pack_path, part, n_nodes=N, n_predicates=Pn, dictionary=None,
+        workdir=workdir, io_block=payload["io_block"], tag=tag, workers=0,
+        stats={},
+    )
     install_frozen_checkpoint(
-        shard_dir, pack_path, n_triples=n, n_nodes=N, n_predicates=Pn
+        shard_dir, pack_path, n_triples=part["n"], n_nodes=N, n_predicates=Pn
     )
     for key in ("spo", "pos", "osp"):
         if os.path.exists(part[key]):
             os.unlink(part[key])
     return {
         "pid": payload["pid"],
-        "n": n,
-        "pack_bytes": size,
+        "n": part["n"],
+        "pack_bytes": manifest["file_size"],
         "merge_stats": part["merge_stats"],
     }
 
@@ -1007,12 +984,8 @@ def _execute_build_task(payload: dict) -> dict:
     peak RSS so the driver can enforce the per-worker memory budget.
     """
     kind = payload["kind"]
-    if kind == "partition":
-        result = _partition_task(payload)
-    elif kind == "wavelet":
-        result = _wavelet_task(payload)
-    elif kind == "counts":
-        result = _counts_task(payload)
+    if kind in ("wavelet", "counts"):
+        result = _pass_task(payload)
     elif kind == "shard":
         result = _shard_task(payload)
     else:
@@ -1056,7 +1029,73 @@ def _run_build_tasks(payloads: list[dict], workers: int, stats: dict) -> list:
     return [_execute_build_task(dict(p)) for p in payloads]
 
 
-# -- the builder -----------------------------------------------------------
+# -- the builders ----------------------------------------------------------
+
+
+class _Scan(NamedTuple):
+    """What the shared preamble hands a builder."""
+
+    workdir: str
+    runs: list  # per partition, its sorted scan runs
+    keyed: bool
+    dictionary: Optional[Dictionary]
+    n_nodes: int
+    n_predicates: int
+    chunk: int
+    io_block: int
+    fanin: int
+
+
+@contextmanager
+def _scanned(
+    source, out_path: str, stats: dict, *, what: str, n_partitions: int,
+    chunk_triples: int, n_nodes: Optional[int], n_predicates: Optional[int],
+    spill_dir: Optional[str], workers: int, merge_fanin: int,
+):
+    """The builders' shared preamble: check the arguments, open a
+    private workdir, scan the source into ``n_partitions`` sets of runs
+    and resolve the universes.  Any failure inside the ``with`` body
+    surfaces as :class:`BulkBuildError` naming ``stats["phase"]``, and
+    the workdir is removed either way."""
+    if chunk_triples < 1:
+        raise ValueError("chunk_triples must be positive")
+    if workers < 0:
+        raise ValueError("workers must be non-negative")
+    if merge_fanin < 2:
+        raise ValueError("merge_fanin must be at least 2")
+    chunk = int(chunk_triples)
+    parent = spill_dir or (os.path.dirname(os.path.abspath(out_path)) or ".")
+    os.makedirs(parent, exist_ok=True)
+    workdir = tempfile.mkdtemp(prefix=".bulkload-", dir=parent)
+    stats.update(
+        input_triples=0, runs_spilled=0, phase="scan", workers=int(workers)
+    )
+    try:
+        keyed = n_nodes is not None and n_predicates is not None
+        if keyed:
+            _check_universe(int(n_nodes), int(n_predicates))
+        runs, dictionary, max_node, max_pred = _scan_source(
+            source, chunk, n_partitions, keyed, n_nodes, n_predicates,
+            workdir, stats,
+        )
+        N, Pn = _resolve_universe(
+            dictionary, keyed, n_nodes, n_predicates, max_node, max_pred
+        )
+        # Everything after the scan streams sorted files: read buffers
+        # shrink to _STREAM_BLOCK regardless of the scan chunk.
+        yield _Scan(
+            workdir, runs, keyed, dictionary, N, Pn, chunk,
+            max(64, min(chunk, _STREAM_BLOCK)), int(merge_fanin),
+        )
+    except BulkBuildError:
+        raise
+    except Exception as exc:
+        raise BulkBuildError(
+            f"{what} failed during {stats.get('phase')}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def bulk_build(
@@ -1067,7 +1106,6 @@ def bulk_build(
     n_nodes: Optional[int] = None,
     n_predicates: Optional[int] = None,
     spill_dir: Optional[str] = None,
-    leap_memo_size: int = 1 << 16,
     progress=None,
     stats: Optional[dict] = None,
     workers: int = 0,
@@ -1081,11 +1119,11 @@ def bulk_build(
     :class:`Graph`, or any iterable of rows/blocks.  ``chunk_triples``
     bounds the scan/sort working set; ``n_nodes``/``n_predicates`` pin
     the universes (inferred from the data when omitted, exactly like
-    :class:`Graph`).  ``workers > 0`` runs the build tasks on a pool of
-    that many worker processes, with the scan partitioned by subject
-    hash when ``workers > 1`` — the output is byte-identical to the
-    serial build.  ``merge_fanin`` bounds how many spill runs one k-way
-    merge pass opens.  All spill files live in a private directory under
+    :class:`Graph`).  ``workers > 0`` runs the three zone wavelet passes
+    and the three count passes on a pool of that many worker processes
+    — the output is byte-identical to the serial build.
+    ``merge_fanin`` bounds how many spill runs one k-way merge pass
+    opens.  All spill files live in a private directory under
     ``spill_dir`` (default: next to ``out_path``) and are removed on
     exit; the pack itself appears atomically.  ``stats`` (a dict, if
     given) receives build counters, including the merge accounting
@@ -1094,183 +1132,33 @@ def bulk_build(
     :class:`BulkBuildError` and leave no partial pack behind.
     """
     out_path = str(out_path)
-    if chunk_triples < 1:
-        raise ValueError("chunk_triples must be positive")
-    if workers < 0:
-        raise ValueError("workers must be non-negative")
-    if merge_fanin < 2:
-        raise ValueError("merge_fanin must be at least 2")
-    chunk = int(chunk_triples)
-    fanin = int(merge_fanin)
-    workers = int(workers)
-    use_pool = workers > 0
-    n_partitions = workers if workers > 1 else 1
-    parent = spill_dir or (os.path.dirname(os.path.abspath(out_path)) or ".")
-    os.makedirs(parent, exist_ok=True)
-    workdir = tempfile.mkdtemp(prefix=".bulkload-", dir=parent)
-    if stats is None:
-        stats = {}
-    stats.update(
-        input_triples=0, runs_spilled=0, phase="scan",
-        workers=workers, n_partitions=n_partitions,
-    )
-    writer: Optional[PackWriter] = None
-    try:
-        keyed = n_nodes is not None and n_predicates is not None
-        if keyed:
-            _check_universe(int(n_nodes), int(n_predicates))
-        part_runs, dictionary, max_node, max_pred = _scan_source(
-            source, chunk, n_partitions, keyed, n_nodes, n_predicates,
-            workdir, stats,
-        )
-        N, Pn = _resolve_universe(
-            dictionary, keyed, n_nodes, n_predicates, max_node, max_pred
-        )
-
-        # Phase 2+3: per-partition merge to sorted zone streams.
-        # Everything from here on streams sorted files: read buffers
-        # shrink to _STREAM_BLOCK regardless of the scan chunk.
+    stats = {} if stats is None else stats
+    with _scanned(
+        source, out_path, stats, what="bulk build", n_partitions=1,
+        chunk_triples=chunk_triples, n_nodes=n_nodes,
+        n_predicates=n_predicates, spill_dir=spill_dir, workers=workers,
+        merge_fanin=merge_fanin,
+    ) as scan:
         stats["phase"] = "merge"
-        io_block = max(64, min(chunk, _STREAM_BLOCK))
-        payloads = [
-            {
-                "kind": "partition",
-                "pid": pid,
-                "runs": runs,
-                "keyed": keyed,
-                "n_nodes": N,
-                "n_predicates": Pn,
-                "run_values": chunk,
-                "io_block": io_block,
-                "fanin": fanin,
-                "workdir": workdir,
-                "tag": f"p{pid}",
-                "keep_inputs": use_pool,
-            }
-            for pid, runs in enumerate(part_runs)
-        ]
-        parts = sorted(
-            _run_build_tasks(payloads, workers, stats),
-            key=lambda r: r["pid"],
+        streams = _partition_streams(
+            scan.runs[0], scan.keyed, scan.n_nodes, scan.n_predicates,
+            scan.chunk, scan.io_block, scan.fanin, scan.workdir, "pack",
         )
-        n = sum(p["n"] for p in parts)
-        for part in parts:
-            _merge_stats_into(stats, part["merge_stats"])
+        n = streams["n"]
+        _merge_stats_into(stats, streams["merge_stats"])
         stats["n_triples"] = n
         stats["deduplicated"] = stats["input_triples"] - n
         if progress:
-            progress(
-                f"canonical stream: {n} triples ({n_partitions} partitions)"
-            )
-
-        spo_paths = [p["spo"] for p in parts]
-        sigma = {S: N, P: Pn, O: N}
-        zone_specs = [
-            (S, spo_paths, max(N, 1), sigma[O]),
-            (P, [p["pos"] for p in parts], max(N, 1), sigma[S]),
-            (O, [p["osp"] for p in parts], max(Pn, 1), sigma[P]),
-        ]
-
-        stats["phase"] = "wavelet"
-        if not use_pool:
-            # Phases 4+5 inline, straight into the pack.
-            writer = PackWriter(out_path)
-            wm_meta = {}
-            for zone, paths, mod, zsigma in zone_specs:
-                wm_meta[zone] = _build_wavelet_streaming(
-                    writer, zone, paths,
-                    lambda keys, _m=mod: keys % _m,
-                    n, zsigma, workdir, io_block,
-                )
-            stats["phase"] = "counts"
-            for attr in (S, P, O):
-                c = _counts_from_keys(
-                    spo_paths, io_block, _count_decoder(attr, N, Pn),
-                    sigma[attr],
-                )
-                writer.add_array(f"c{attr}", c)
-        else:
-            # Phases 4+5 as pool tasks (three zones + three count
-            # columns in one batch), then stitch the spooled arrays
-            # into the pack in canonical order.
-            task_payloads = [
-                {
-                    "kind": "wavelet", "zone": zone, "paths": paths,
-                    "mod": mod, "n": n, "sigma": zsigma,
-                    "workdir": workdir, "io_block": io_block,
-                    "scratch": f"wm{zone}-scratch",
-                }
-                for zone, paths, mod, zsigma in zone_specs
-            ] + [
-                {
-                    "kind": "counts", "attr": attr, "paths": spo_paths,
-                    "n_nodes": N, "n_predicates": Pn,
-                    "sigma": sigma[attr], "workdir": workdir,
-                    "io_block": io_block, "scratch": f"c{attr}-scratch",
-                }
-                for attr in (S, P, O)
-            ]
-            results = _run_build_tasks(task_payloads, workers, stats)
-            wavelets = {r["zone"]: r for r in results if r["kind"] == "wavelet"}
-            counts = {r["attr"]: r for r in results if r["kind"] == "counts"}
-            peaks = [
-                r["peak_rss_bytes"]
-                for r in parts + results
-                if r.get("peak_rss_bytes")
-            ]
-            if peaks:
-                stats["worker_peak_rss_bytes"] = max(peaks)
-            stats["phase"] = "stitch"
-            writer = PackWriter(out_path)
-            wm_meta = {}
-            for zone, _paths, _mod, _zsigma in zone_specs:
-                r = wavelets[zone]
-                wm_meta[zone] = r["meta"]
-                scratch = os.path.join(workdir, r["scratch"])
-                for name, fname, dtype, size in r["table"]:
-                    writer.add_array_from_file(
-                        name, os.path.join(scratch, fname), dtype, size
-                    )
-            for attr in (S, P, O):
-                r = counts[attr]
-                writer.add_array_from_file(
-                    f"c{attr}",
-                    os.path.join(workdir, r["scratch"], r["file"]),
-                    r["dtype"], r["size"],
-                )
-        table = writer.table
-        size = writer.finish()
-        writer = None
-        stats["phase"] = "manifest"
-        meta = {
-            "n": n,
-            "sigma": (N, Pn, N),
-            "leap_memo_size": int(leap_memo_size),
-            "wm": wm_meta,
-        }
-        manifest = write_pack_manifest(
-            out_path,
-            meta=meta,
-            table=table,
-            file_size=size,
-            n_nodes=N,
-            n_predicates=Pn,
-            dictionary=dictionary,
+            progress(f"canonical stream: {n} triples")
+        manifest = _write_pack(
+            out_path, streams, n_nodes=scan.n_nodes,
+            n_predicates=scan.n_predicates, dictionary=scan.dictionary,
+            workdir=scan.workdir, io_block=scan.io_block, tag="pack",
+            workers=int(workers), stats=stats,
         )
         stats["phase"] = "done"
-        stats["pack_bytes"] = size
+        stats["pack_bytes"] = manifest["file_size"]
         return manifest
-    except BulkBuildError:
-        raise
-    except Exception as exc:
-        raise BulkBuildError(
-            f"bulk build failed during {stats.get('phase')}: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
-    finally:
-        if writer is not None:
-            writer.abort()
-        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def bulk_build_sharded(
@@ -1282,7 +1170,6 @@ def bulk_build_sharded(
     n_nodes: Optional[int] = None,
     n_predicates: Optional[int] = None,
     spill_dir: Optional[str] = None,
-    leap_memo_size: int = 1 << 16,
     progress=None,
     stats: Optional[dict] = None,
     workers: int = 0,
@@ -1303,109 +1190,74 @@ def bulk_build_sharded(
     manifest dict.
     """
     out_dir = str(out_dir)
-    if chunk_triples < 1:
-        raise ValueError("chunk_triples must be positive")
     if n_shards < 1:
         raise ValueError("n_shards must be positive")
-    if workers < 0:
-        raise ValueError("workers must be non-negative")
-    if merge_fanin < 2:
-        raise ValueError("merge_fanin must be at least 2")
     if os.path.exists(out_dir):
         raise BulkBuildError(f"output directory {out_dir!r} already exists")
-    chunk = int(chunk_triples)
-    fanin = int(merge_fanin)
-    workers = int(workers)
     n_shards = int(n_shards)
-    parent = spill_dir or (os.path.dirname(os.path.abspath(out_dir)) or ".")
-    os.makedirs(parent, exist_ok=True)
-    workdir = tempfile.mkdtemp(prefix=".bulkload-", dir=parent)
     tmp_dir = out_dir + ".tmp"
-    if stats is None:
-        stats = {}
-    stats.update(
-        input_triples=0, runs_spilled=0, phase="scan",
-        workers=workers, n_shards=n_shards,
-    )
-    try:
-        keyed = n_nodes is not None and n_predicates is not None
-        if keyed:
-            _check_universe(int(n_nodes), int(n_predicates))
-        part_runs, dictionary, max_node, max_pred = _scan_source(
-            source, chunk, n_shards, keyed, n_nodes, n_predicates,
-            workdir, stats,
-        )
-        N, Pn = _resolve_universe(
-            dictionary, keyed, n_nodes, n_predicates, max_node, max_pred
-        )
+    stats = {} if stats is None else stats
+    stats["n_shards"] = n_shards
+    with _scanned(
+        source, out_dir, stats, what="sharded bulk build",
+        n_partitions=n_shards, chunk_triples=chunk_triples, n_nodes=n_nodes,
+        n_predicates=n_predicates, spill_dir=spill_dir, workers=workers,
+        merge_fanin=merge_fanin,
+    ) as scan:
+        try:
+            # The universe payload every shard's durable store embeds
+            # (written once, copied per shard by its build task).
+            from repro.reliability.wal import write_universe
 
-        # The universe payload every shard's durable store embeds
-        # (written once, copied per shard by its build task).
-        from repro.reliability.wal import write_universe
+            upath = os.path.join(scan.workdir, "universe.npz")
+            write_universe(upath, scan.n_nodes, scan.n_predicates, scan.dictionary)
 
-        upath = os.path.join(workdir, "universe.npz")
-        write_universe(upath, N, Pn, dictionary)
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+            os.makedirs(tmp_dir)
+            stats["phase"] = "shards"
+            payloads = [
+                {
+                    "kind": "shard",
+                    "pid": sid,
+                    "runs": runs,
+                    "keyed": scan.keyed,
+                    "n_nodes": scan.n_nodes,
+                    "n_predicates": scan.n_predicates,
+                    "run_values": scan.chunk,
+                    "io_block": scan.io_block,
+                    "fanin": scan.fanin,
+                    "workdir": scan.workdir,
+                    "tag": f"s{sid}",
+                    "keep_inputs": workers > 0,
+                    "universe": upath,
+                    "shard_dir": os.path.join(tmp_dir, f"shard-{sid:02d}"),
+                }
+                for sid, runs in enumerate(scan.runs)
+            ]
+            results = sorted(
+                _run_build_tasks(payloads, int(workers), stats),
+                key=lambda r: r["pid"],
+            )
+            n = sum(r["n"] for r in results)
+            for result in results:
+                _merge_stats_into(stats, result["merge_stats"])
+            _note_worker_peaks(stats, results)
+            stats["n_triples"] = n
+            stats["deduplicated"] = stats["input_triples"] - n
+            stats["shard_triples"] = [r["n"] for r in results]
+            stats["pack_bytes"] = sum(r["pack_bytes"] for r in results)
 
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        os.makedirs(tmp_dir)
-        stats["phase"] = "shards"
-        io_block = max(64, min(chunk, _STREAM_BLOCK))
-        payloads = [
-            {
-                "kind": "shard",
-                "pid": sid,
-                "runs": runs,
-                "keyed": keyed,
-                "n_nodes": N,
-                "n_predicates": Pn,
-                "run_values": chunk,
-                "io_block": io_block,
-                "fanin": fanin,
-                "workdir": workdir,
-                "tag": f"s{sid}",
-                "keep_inputs": workers > 0,
-                "universe": upath,
-                "shard_dir": os.path.join(tmp_dir, f"shard-{sid:02d}"),
-                "leap_memo_size": int(leap_memo_size),
-            }
-            for sid, runs in enumerate(part_runs)
-        ]
-        results = sorted(
-            _run_build_tasks(payloads, workers, stats),
-            key=lambda r: r["pid"],
-        )
-        n = sum(r["n"] for r in results)
-        for result in results:
-            _merge_stats_into(stats, result["merge_stats"])
-        peaks = [
-            r["peak_rss_bytes"] for r in results if r.get("peak_rss_bytes")
-        ]
-        if peaks:
-            stats["worker_peak_rss_bytes"] = max(peaks)
-        stats["n_triples"] = n
-        stats["deduplicated"] = stats["input_triples"] - n
-        stats["shard_triples"] = [r["n"] for r in results]
-        stats["pack_bytes"] = sum(r["pack_bytes"] for r in results)
+            stats["phase"] = "manifest"
+            from repro.serving.sharding import write_shards_manifest
 
-        stats["phase"] = "manifest"
-        from repro.serving.sharding import write_shards_manifest
-
-        manifest = write_shards_manifest(
-            tmp_dir, n_shards=n_shards, n_nodes=N, n_predicates=Pn,
-            replicas=1, transport="inproc",
-        )
-        os.replace(tmp_dir, out_dir)
-        stats["phase"] = "done"
-        if progress:
-            progress(f"sharded layout: {n} triples across {n_shards} shards")
-        return manifest
-    except BulkBuildError:
-        raise
-    except Exception as exc:
-        raise BulkBuildError(
-            f"sharded bulk build failed during {stats.get('phase')}: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-        shutil.rmtree(tmp_dir, ignore_errors=True)
+            manifest = write_shards_manifest(
+                tmp_dir, n_shards=n_shards, n_nodes=scan.n_nodes,
+                n_predicates=scan.n_predicates, replicas=1, transport="inproc",
+            )
+            os.replace(tmp_dir, out_dir)
+            stats["phase"] = "done"
+            if progress:
+                progress(f"sharded layout: {n} triples across {n_shards} shards")
+            return manifest
+        finally:
+            shutil.rmtree(tmp_dir, ignore_errors=True)

@@ -141,12 +141,9 @@ class ParallelRingIndex(RingIndex):
         graph: Graph,
         workers: int = 2,
         num_slices: Optional[int] = None,
-        leap_memo_size: int = 1 << 16,
         **engine_options,
     ) -> None:
-        super().__init__(
-            graph, compressed=False, leap_memo_size=leap_memo_size, **engine_options
-        )
+        super().__init__(graph, compressed=False, **engine_options)
         self._start_pool(workers, num_slices, engine_options)
 
     @classmethod

@@ -98,7 +98,7 @@ CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_MANIFEST = "MANIFEST.json"
 CHECKPOINT_VERSION = 1
 
-#: Default WAL size that triggers a checkpoint during maintenance.
+#: WAL size that triggers a checkpoint during maintenance.
 DEFAULT_CHECKPOINT_BYTES = 1 << 20
 
 
@@ -228,25 +228,24 @@ class WriteAheadLog:
     """Append-only, CRC-framed, fsync-barriered operation log.
 
     One instance owns the file handle; every :meth:`append` writes a
-    complete frame and (by default) runs the fsync barrier before
-    returning, so a returned offset *is* the durability receipt.
+    complete frame and runs the fsync barrier before returning, so a
+    returned offset *is* the durability receipt.
     """
 
     def __init__(self, path, file, generation: int, n_nodes: int,
-                 n_predicates: int, fsync: bool = True) -> None:
+                 n_predicates: int) -> None:
         self.path = str(path)
         self._f = file
         self.generation = generation
         self.n_nodes = n_nodes
         self.n_predicates = n_predicates
-        self._fsync_enabled = fsync
         self._lock = threading.Lock()
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def create(cls, path, n_nodes: int, n_predicates: int,
-               generation: int = 0, fsync: bool = True) -> "WriteAheadLog":
+               generation: int = 0) -> "WriteAheadLog":
         """Start a fresh log (refuses to clobber an existing one)."""
         path = str(path)
         if os.path.exists(path):
@@ -255,10 +254,10 @@ class WriteAheadLog:
         f.write(_HEADER.pack(WAL_MAGIC, WAL_VERSION, generation,
                              n_nodes, n_predicates))
         _fsync(f)
-        return cls(path, f, generation, n_nodes, n_predicates, fsync=fsync)
+        return cls(path, f, generation, n_nodes, n_predicates)
 
     @classmethod
-    def open(cls, path, fsync: bool = True) -> tuple["WriteAheadLog", ReplayReport]:
+    def open(cls, path) -> tuple["WriteAheadLog", ReplayReport]:
         """Open an existing log for appending, truncating any torn tail."""
         report = replay(path)
         f = open(str(path), "r+b")
@@ -267,7 +266,7 @@ class WriteAheadLog:
             _fsync(f)
         f.seek(report.valid_bytes)
         wal = cls(path, f, report.generation, report.n_nodes,
-                  report.n_predicates, fsync=fsync)
+                  report.n_predicates)
         return wal, report
 
     # -- appending -----------------------------------------------------------
@@ -275,17 +274,13 @@ class WriteAheadLog:
     def append(self, op: int, s: int, p: int, o: int) -> int:
         """Frame + write + fsync one record; returns the end offset.
 
-        When this returns, the record is durable (unless constructed
-        with ``fsync=False``, the testing/throughput escape hatch).
+        When this returns, the record is durable.
         """
         payload = _OP.pack(op, int(s), int(p), int(o))
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         with self._lock:
             self._f.write(frame)
-            if self._fsync_enabled:
-                self.sync()
-            else:
-                self._f.flush()
+            self.sync()
             return self._f.tell()
 
     def sync(self) -> None:
@@ -696,13 +691,10 @@ class DurableDynamicRing(Countable):
         directory: str,
         index: DynamicRingIndex,
         wal: WriteAheadLog,
-        *,
-        checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
     ) -> None:
         self.directory = str(directory)
         self._index = index
         self._wal = wal
-        self._checkpoint_bytes = checkpoint_bytes
         self._lock = threading.RLock()
         self._closed = False
 
@@ -715,9 +707,7 @@ class DurableDynamicRing(Countable):
         graph: Graph,
         *,
         buffer_threshold: int = DEFAULT_BUFFER_THRESHOLD,
-        fsync: bool = True,
         auto_compact: bool = True,
-        checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
         policy: str = "static",
     ) -> "DurableDynamicRing":
         """Initialise a fresh durable index directory.
@@ -743,10 +733,8 @@ class DurableDynamicRing(Countable):
             auto_compact=auto_compact,
             policy=policy,
         )
-        wal = WriteAheadLog.create(
-            wal_path, graph.n_nodes, graph.n_predicates, fsync=fsync
-        )
-        durable = cls(directory, index, wal, checkpoint_bytes=checkpoint_bytes)
+        wal = WriteAheadLog.create(wal_path, graph.n_nodes, graph.n_predicates)
+        durable = cls(directory, index, wal)
         if graph.n_triples:
             durable.checkpoint()
         return durable
@@ -757,10 +745,8 @@ class DurableDynamicRing(Countable):
         directory,
         *,
         verify: bool = True,
-        fsync: bool = True,
         buffer_threshold: int = DEFAULT_BUFFER_THRESHOLD,
         auto_compact: bool = True,
-        checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
         policy: str = "static",
         mmap: bool = False,
     ) -> tuple["DurableDynamicRing", RecoveryReport]:
@@ -775,9 +761,7 @@ class DurableDynamicRing(Countable):
         ``mmap=True``.
         """
         directory = str(directory)
-        wal, rep = WriteAheadLog.open(
-            os.path.join(directory, WAL_FILE), fsync=fsync
-        )
+        wal, rep = WriteAheadLog.open(os.path.join(directory, WAL_FILE))
         try:
             store = read_store(directory, rep, verify=verify, mmap=mmap)
         except BaseException:
@@ -805,7 +789,7 @@ class DurableDynamicRing(Countable):
                 index.delete(*record.triple)
             replayed += 1
 
-        durable = cls(directory, index, wal, checkpoint_bytes=checkpoint_bytes)
+        durable = cls(directory, index, wal)
         report = RecoveryReport(
             directory=directory,
             checkpoint_epoch=store.epoch,
@@ -892,7 +876,7 @@ class DurableDynamicRing(Countable):
             if self._closed:
                 return False
             worked = self._index.maintenance()
-            if self._wal.tell() >= self._checkpoint_bytes:
+            if self._wal.tell() >= DEFAULT_CHECKPOINT_BYTES:
                 self.checkpoint()
                 worked = True
             return worked

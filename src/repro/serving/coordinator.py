@@ -304,6 +304,15 @@ class ShardCoordinator(Countable):
         failed: set[int] = set()
         retries = 0
         interrupted: Optional[str] = None
+        try:
+            budget.poll()  # a budget spent on entry dispatches nothing
+        except (QueryTimeout, QueryCancelled) as exc:
+            if not partial:
+                raise
+            interrupted = (
+                "cancelled" if isinstance(exc, QueryCancelled) else "timeout"
+            )
+            failed.update(sid for sid, _single, _future in tasks)
         # First-attempt fan-out: one submit per task, every shard working
         # concurrently under its own broker before any gather blocks.
         for task in tasks:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import QueryTimeout, RingIndex
+from repro.core import ring as ring_module
 from repro.core.dynamic import DynamicRingIndex
 from repro.core.interface import QueryExecutionError
 from repro.core.iterators import RingIterator
@@ -128,8 +129,9 @@ def test_leap_memo_hits_on_repetition(graph):
     assert (cleared["hits"], cleared["misses"], cleared["entries"]) == (0, 0, 0)
 
 
-def test_leap_memo_bounded(graph):
-    index = RingIndex(graph, leap_memo_size=4)
+def test_leap_memo_bounded(graph, monkeypatch):
+    monkeypatch.setattr(ring_module, "LEAP_MEMO_SIZE", 4)
+    index = RingIndex(graph)
     bgp = BasicGraphPattern([TriplePattern(X, 0, Y), TriplePattern(Y, 1, Z)])
     index.evaluate(bgp)
     stats = index.ring.leap_memo_stats()

@@ -78,6 +78,20 @@ class TestRoundTrip:
             assert offset % 64 == 0, name
             assert offset + length * np.dtype(dtype).itemsize <= size
 
+    def test_sidecar_with_legacy_leap_memo_field_opens(self, graph, pack):
+        # Packs written before the leap-memo capacity became a module
+        # constant carry a "leap_memo_size" field; the reader ignores it.
+        sidecar = pack + ".config.json"
+        manifest = json.loads(open(sidecar).read())
+        assert "leap_memo_size" not in manifest
+        manifest["leap_memo_size"] = 4
+        with open(sidecar, "w") as fh:
+            json.dump(manifest, fh)
+        for mmap in (False, True):
+            loaded = RingIndex.load(pack, mmap=mmap)
+            assert _rows(loaded, JOIN) == _rows(RingIndex(graph), JOIN)
+        assert verify_index(pack)
+
     def test_save_frozen_returns_manifest(self, graph, tmp_path):
         manifest = RingIndex(graph).save_frozen(str(tmp_path / "x.ring"))
         assert manifest["n_triples"] == graph.n_triples

@@ -292,6 +292,30 @@ class TestParallelBuild:
                 stats["worker_peak_rss_bytes"] > 0
             )
 
+    def test_workers_share_the_serial_scan_and_run_six_passes(
+        self, graph, tmp_path
+    ):
+        # One partition whatever the worker count: the scan spills the
+        # serial build's runs, and the pool runs only the three zone
+        # wavelets and the three count columns.
+        serial: dict = {}
+        bulk_build(
+            graph, str(tmp_path / "serial.ring"), chunk_triples=300,
+            stats=serial,
+        )
+        stats: dict = {}
+        bulk_build(
+            graph, str(tmp_path / "par.ring"), chunk_triples=300, workers=2,
+            stats=stats,
+        )
+        assert stats["runs_spilled"] == serial["runs_spilled"]
+        assert stats["n_triples"] == serial["n_triples"] == graph.n_triples
+        assert "n_partitions" not in stats
+        if not stats.get("pool_degraded"):
+            assert stats["pool_batches"] == 1
+            assert stats["pool_dispatched"] == 6
+            assert stats["pool_completed"] == 6
+
     def test_bad_workers_rejected(self, graph, tmp_path):
         with pytest.raises(ValueError):
             bulk_build(graph, str(tmp_path / "x.ring"), workers=-1)

@@ -6,10 +6,10 @@ merge fan-in:
 
 - the external-memory :func:`~repro.graph.bulkload.bulk_build` pack is
   **byte-identical** to ``RingIndex(graph).save_frozen`` of the same
-  logical graph — file and manifest both — whether it was built
-  serially, through the single-process partitioned path (``workers=1``)
-  or by a forked worker pool (``workers>=2``), and whether the k-way
-  merge ran in one pass or recursed through tiny fan-ins;
+  logical graph — file and manifest both — whether its wavelet and
+  count passes ran inline (``workers=0``) or on a forked worker pool
+  (``workers>=1``), and whether the k-way merge ran in one pass or
+  recursed through tiny fan-ins;
 - the memmapped load of that pack answers a full scan and a join
   exactly like the in-memory index.
 

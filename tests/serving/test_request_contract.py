@@ -27,7 +27,7 @@ from repro.serving import (
     ShardedRingIndex,
 )
 from repro.serving.sharding import _memory_factory
-from tests.serving.conftest import random_graph
+from tests.serving.conftest import WORKLOAD, random_graph
 
 pytestmark = pytest.mark.serving
 
@@ -183,3 +183,29 @@ def test_request_is_frozen_and_pickles():
         request.limit = 4
     budget = request.budget()
     assert (budget.timeout, budget.max_solutions, budget.max_ops) == (1.5, 3, None)
+
+
+def test_spent_budget_stops_a_query_shorter_than_one_check():
+    # WORKLOAD[0] finishes in fewer ops than the budget's check interval,
+    # so only the poll on entry can see a deadline or token spent already.
+    index = RingIndex(random_graph())
+    got = index.evaluate(WORKLOAD[0], timeout=0, partial=True)
+    assert len(got) == 0
+    assert got.truncated and got.interrupted_by == "timeout"
+    token = CancellationToken()
+    token.cancel()
+    with pytest.raises(QueryCancelled):
+        index.evaluate(WORKLOAD[0], cancellation=token)
+
+
+def test_coordinator_dispatches_nothing_on_a_spent_budget():
+    token = CancellationToken()
+    token.cancel()
+    with ShardedRingIndex.from_graph(random_graph(), 3) as shards:
+        coordinator = ShardCoordinator(shards)
+        with pytest.raises(QueryCancelled):
+            coordinator.evaluate(WORKLOAD[0], cancellation=token)
+        got = coordinator.evaluate(WORKLOAD[0], cancellation=token, partial=True)
+        assert len(got) == 0
+        assert got.truncated and got.interrupted_by == "cancelled"
+        assert coordinator.stats()["shard_calls"] == 0
