@@ -28,20 +28,6 @@ Two **durability drills** then attack the crash-safe dynamic ring
   assert recovery lands on the exact acknowledged prefix (or fails
   loudly with a typed error when the header itself is gone).
 
-A **parallel drill** then attacks the forked worker pool
-(:mod:`repro.parallel`):
-
-- **killed worker** — SIGKILL a worker right after its slices are
-  dispatched; the driver must rescue the orphaned slices by re-running
-  them serially and still return the *exact* ordered serial answer
-  (``serial_rescues``/``respawns`` observable in the pool stats); a
-  last query that kills nothing must then be served whole by the
-  respawned workers, from the ring they inherited;
-- **fault sites** — ``parallel.spawn`` failing at construction must
-  degrade the index to serial execution (correct answers, no pool);
-  ``parallel.slice_merge`` failing mid-query must surface as a typed
-  ``QueryExecutionError``, never a silent partial answer.
-
 A **planning drill** attacks the adaptive variable re-ranking
 (:mod:`repro.core.ltj`): armed ``plan.rerank`` faults against an
 ``adaptive``-policy index must degrade the rest of the query to the
@@ -103,7 +89,6 @@ from repro.core import (
     QueryTimeout,
     RingIndex,
 )
-from repro.parallel import ParallelRingIndex
 from repro.graph import BasicGraphPattern, TriplePattern, Var
 from repro.graph.dataset import Graph
 from repro.graph.generators import random_graph
@@ -458,166 +443,6 @@ def drill_wal_truncation(points: int, seed: int) -> list[str]:
                 print(f"{label}: NOT THE ACKNOWLEDGED PREFIX")
     finally:
         shutil.rmtree(base, ignore_errors=True)
-    return failures
-
-
-# -- parallel drills (forked worker pool) -------------------------------------
-
-#: The WORKLOAD queries that actually fan out (≥2 shared variables);
-#: ``single`` is all-lonely and legitimately bypasses the pool.
-PARALLEL_WORKLOAD = [name for name, _ in WORKLOAD if name != "single"]
-
-
-def drill_parallel_kill(rounds: int, seed: int) -> list[str]:
-    """SIGKILL a worker right after dispatch, every round.
-
-    The driver must notice the dead worker, re-run its orphaned slices
-    serially, and return the exact ordered serial answer — a kill may
-    cost latency, never correctness.  Across the drill the pool stats
-    must show the rescue path actually fired (``serial_rescues`` > 0)
-    and the pool healed itself (``respawns`` > 0).  A last query kills
-    nothing: workers forked after the kills must serve every slice
-    from the ring they inherited — exact rows, no new rescue, and
-    ``completed`` up by the slice count.
-    """
-    rng = random.Random(seed)
-    failures: list[str] = []
-    graph = random_graph(600, n_nodes=30, n_predicates=2, seed=5)
-    serial = RingIndex(graph)
-    reference = {
-        name: [dict(mu) for mu in serial.evaluate(bgp)]
-        for name, bgp in WORKLOAD
-        if name in PARALLEL_WORKLOAD
-    }
-    index = ParallelRingIndex(graph, workers=2, num_slices=4)
-    try:
-        if index.pool is None:
-            return ["parallel drill: pool failed to spawn"]
-        print(f"\nparallel drill: kill-a-worker, {rounds} rounds over "
-              f"{', '.join(PARALLEL_WORKLOAD)}")
-        for round_no in range(rounds):
-            name = PARALLEL_WORKLOAD[round_no % len(PARALLEL_WORKLOAD)]
-            bgp = dict(WORKLOAD)[name]
-            victim = rng.randrange(index.pool.workers)
-            index.pool._kill_after_dispatch = victim
-            label = f"  kill {round_no:3d} {name:8s} worker={victim}"
-            try:
-                rows = [dict(mu) for mu in index.evaluate(bgp)]
-            except ALLOWED_ERRORS as exc:
-                # A typed failure is honest, but with no budget set the
-                # rescue path should always complete instead.
-                failures.append(f"{label}: unexpected {type(exc).__name__}")
-                print(f"{label}: UNEXPECTED {type(exc).__name__}")
-                continue
-            if rows != reference[name]:
-                failures.append(
-                    f"{label}: {len(rows)} rows != serial "
-                    f"{len(reference[name])} (or out of order)"
-                )
-                print(f"{label}: WRONG/REORDERED ANSWER")
-            else:
-                stats = index.pool_stats()
-                print(f"{label}: exact ordered answer ({len(rows)} rows), "
-                      f"rescues={stats['serial_rescues']} "
-                      f"respawns={stats['respawns']}")
-        stats = index.pool_stats()
-        if stats.get("serial_rescues", 0) < 1:
-            failures.append(
-                "parallel drill: kill hook never exercised the serial "
-                "rescue path (serial_rescues == 0)"
-            )
-        if stats.get("respawns", 0) < 1:
-            failures.append(
-                "parallel drill: no worker was ever respawned "
-                "(respawns == 0)"
-            )
-        failures += _parallel_after_respawn(index, reference)
-    finally:
-        index.close()
-    return failures
-
-
-def _parallel_after_respawn(index, reference) -> list[str]:
-    """One query with no kill, after the kill rounds: the respawned
-    pool must answer it exactly with its workers alone."""
-    name = PARALLEL_WORKLOAD[0]
-    label = f"  after respawn {name:8s}"
-    before = index.pool_stats()
-    query_stats: dict = {}
-    rows = [dict(mu) for mu in index.evaluate(dict(WORKLOAD)[name],
-                                              stats=query_stats)]
-    after = index.pool_stats()
-    slices = query_stats.get("slices", 0)
-    failures = []
-    if rows != reference[name]:
-        failures.append(f"{label}: {len(rows)} rows != serial "
-                        f"{len(reference[name])} (or out of order)")
-    if after["serial_rescues"] != before["serial_rescues"]:
-        failures.append(f"{label}: a slice was rescued with no worker killed")
-    completed = after["completed"] - before["completed"]
-    if slices < 2:
-        failures.append(f"{label}: the query ran serially, no slice fanned out")
-    elif completed != slices:
-        failures.append(f"{label}: workers completed {completed} of "
-                        f"{slices} slices")
-    print(f"{label}: {'FAILED' if failures else 'exact ordered answer'} "
-          f"({len(rows)} rows, {slices} slices served by workers)")
-    return failures
-
-
-def drill_parallel_faults(seed: int) -> list[str]:
-    """Arm the ``parallel.*`` fault sites; degradation must be typed.
-
-    ``parallel.spawn`` at construction → a degraded (serial) index that
-    still answers correctly; ``parallel.slice_merge`` mid-query → a
-    typed ``QueryExecutionError``, never rows from a half-merged fan-out.
-    """
-    failures: list[str] = []
-    graph = random_graph(600, n_nodes=30, n_predicates=2, seed=5)
-    serial = RingIndex(graph)
-    name = PARALLEL_WORKLOAD[0]
-    bgp = dict(WORKLOAD)[name]
-    reference = [dict(mu) for mu in serial.evaluate(bgp)]
-    print("\nparallel drill: fault sites parallel.spawn, parallel.slice_merge")
-
-    fault = Fault("parallel.spawn", probability=1.0, error=InjectedFault)
-    with inject_faults(fault, seed=seed):
-        index = ParallelRingIndex(graph, workers=2)
-    try:
-        if index.pool is not None:
-            failures.append("parallel.spawn fault: pool spawned anyway")
-        elif [dict(mu) for mu in index.evaluate(bgp)] != reference:
-            failures.append(
-                "parallel.spawn fault: degraded index answered wrongly"
-            )
-        else:
-            print(f"  spawn     : degraded to serial, exact answer "
-                  f"({len(reference)} rows), fired={fault.fired}")
-    finally:
-        index.close()
-
-    index = ParallelRingIndex(graph, workers=2, num_slices=4)
-    try:
-        fault = Fault("parallel.slice_merge", probability=1.0,
-                      error=InjectedFault)
-        try:
-            with inject_faults(fault, seed=seed):
-                index.evaluate(bgp)
-        except QueryExecutionError:
-            print(f"  slice_merge: typed QueryExecutionError, "
-                  f"fired={fault.fired}")
-        except Exception as exc:  # noqa: BLE001 - the whole point
-            failures.append(
-                f"parallel.slice_merge fault: unexpected "
-                f"{type(exc).__name__}: {exc}"
-            )
-        else:
-            failures.append(
-                "parallel.slice_merge fault: query returned rows through "
-                "a failing merge"
-            )
-    finally:
-        index.close()
     return failures
 
 
@@ -1711,8 +1536,6 @@ def main() -> None:
                         help="crash-at-site drill rounds")
     parser.add_argument("--truncate-points", type=int, default=24,
                         help="random WAL kill offsets to test")
-    parser.add_argument("--kill-rounds", type=int, default=6,
-                        help="killed-worker parallel drill rounds")
     parser.add_argument("--cache-rounds", type=int, default=9,
                         help="serving-cache drill rounds")
     parser.add_argument("--shard-rounds", type=int, default=8,
@@ -1739,10 +1562,6 @@ def main() -> None:
          lambda: drill_crash_sites(args.dyn_rounds, args.seed + 1)),
         ("wal-truncation", ["wal.append"],
          lambda: drill_wal_truncation(args.truncate_points, args.seed + 2)),
-        ("parallel-kill", [],
-         lambda: drill_parallel_kill(args.kill_rounds, args.seed + 3)),
-        ("parallel-faults", ["parallel.spawn", "parallel.slice_merge"],
-         lambda: drill_parallel_faults(args.seed + 4)),
         ("cache", ["cache.lookup", "cache.store"],
          lambda: drill_cache(args.cache_rounds, args.seed + 5)),
         ("shards", ["shard.dispatch", "shard.gather", "shard.restart"],

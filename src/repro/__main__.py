@@ -6,7 +6,6 @@ Examples::
     python -m repro query nobel.npz "?x adv ?y . Nobel win ?y"
     python -m repro query nobel.npz "?x ?p ?y" --timeout 1 --partial
     python -m repro explain nobel.npz "?x nom ?y . ?x win ?z . ?z adv ?y"
-    python -m repro plan nobel.npz "?x adv ?y . ?y win ?z" --slices 4
     python -m repro plan nobel.npz "?x adv ?y . ?y win ?z" --policy adaptive
     python -m repro path nobel.npz "adv+" --source Thorne
     python -m repro verify nobel.npz
@@ -65,7 +64,8 @@ def _load_graph_file(path: str, strict: bool = True, stats=None) -> Graph:
 def cmd_build(args) -> None:
     start = time.perf_counter()
     if args.workers or args.shards:
-        # Parallel partitioned builds only exist on the streaming path.
+        # Pool passes and sharded layouts are built by the streaming
+        # builder only.
         args.stream = True
     if args.merge_fanin < 2:
         raise SystemExit("error: --merge-fanin must be at least 2")
@@ -219,9 +219,7 @@ def cmd_explain(args) -> None:
 
 
 def cmd_plan(args) -> None:
-    """The cardinality-guided plan plus the parallel slice preview."""
-    from repro.parallel.slices import plan_slices
-
+    """The cardinality-guided plan, with the policy's depth-0 choice."""
     index = RingIndex.load(args.index, policy=args.policy)
     stats_cache = None
     if getattr(args, "stats_cache", None):
@@ -261,20 +259,6 @@ def cmd_plan(args) -> None:
     print("pattern cardinalities (exact, via Lemma 3.6 ranges):")
     for pattern, count in plan["pattern_cardinalities"].items():
         print(f"  {pattern:<40} {count}")
-    if not order:
-        print("parallel plan     : (no shared variable; runs serially)")
-        return
-    encoded = index.graph.encode_bgp(bgp)
-    live = index._engine._analyse(encoded)[0]
-    slice_plan = plan_slices(live, encoded, order, args.slices)
-    if slice_plan is None or not slice_plan.viable:
-        print("parallel plan     : (domain too small to partition; "
-              "runs serially)")
-        return
-    print(f"parallel plan     : split ?{slice_plan.var.name} into "
-          f"{len(slice_plan.slices)} slices")
-    for (lo, hi), weight in zip(slice_plan.slices, slice_plan.weights):
-        print(f"  [{lo:>8}, {hi:>8})  ~{weight} guiding-pattern rows")
 
 
 def cmd_path(args) -> None:
@@ -534,15 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plan",
-        help="cardinality-guided order + parallel slice partition preview",
+        help="cardinality-guided order, variable scores, policy choice",
     )
     p.add_argument("index")
     p.add_argument("query")
     p.add_argument("--stats-cache", default=None,
                    help="persistent planner-statistics memo (JSON); "
                         "loaded before planning, saved after")
-    p.add_argument("--slices", type=int, default=4,
-                   help="target number of range slices to preview")
     add_policy_flag(p)
     p.set_defaults(func=cmd_plan)
 

@@ -84,8 +84,8 @@ class RingIterator:
 
     def zone_state(self) -> Optional[ZoneState]:
         """The maintained Lemma 3.6 range, or ``None`` when nothing is
-        bound (exposed for the parallel slice planner, and for LTJ's
-        lockstep descent of backward iterators)."""
+        bound (exposed for LTJ's lockstep descent of backward
+        iterators)."""
         return None if self._empty else self._state
 
     def distinct_estimate(self, var: Var, max_nodes: int = 64) -> int:

@@ -33,8 +33,7 @@ iterator offers them:
   level-synchronous call
   (:meth:`repro.core.ring.Ring.backward_lockstep_many`), a shorter one
   binding by binding (:meth:`repro.core.ring.Ring.backward_lockstep`).
-  With one iterator this is its ordered value sweep, started at the
-  slice's ``lo``;
+  With one iterator this is its ordered value sweep;
 - lonely patterns whose iterator offers ``solutions_bulk`` have their
   whole Lemma 3.6 range bulk-decoded into row-aligned numpy columns
   (chunked), replacing the per-triple bind/leap walk; iterators without
@@ -101,7 +100,7 @@ IteratorFactory = Callable[[TriplePattern], PatternIterator]
 #: The variable-selection policies of the per-depth planner.
 POLICIES = ("static", "rowcount", "distinct", "adaptive")
 
-#: Upper end of an unrestricted search slice ``[0, ∞)``: above any id.
+#: Above any tick count: a budget with no clock or token never polls.
 _UNBOUNDED = sys.maxsize
 
 #: Per-query cap on the recorded (depth, variable, estimate) decisions:
@@ -135,8 +134,7 @@ def rank_candidates(
     Lemma 3.6 range width off the incrementally-maintained zone state,
     and ``root_distinct`` was filled once at analysis time.  Ties break
     on the static §4.3 rank so the choice is renaming-invariant and
-    deterministic across processes (the parallel workers re-run this
-    exact computation).  Registered as chaos fault site ``plan.rerank``:
+    deterministic.  Registered as chaos fault site ``plan.rerank``:
     callers treat any exception as "degrade to the static order".
     """
     best: Optional[Var] = None
@@ -249,13 +247,12 @@ class _Tally:
 
 class _Query:
     """Per-evaluation state of the block search: the iterators, the
-    policy, the root's slice, the path the iterators are bound to and
-    the growing block size."""
+    policy, the path the iterators are bound to and the growing block
+    size."""
 
     __slots__ = (
-        "by_var", "lonely", "deadline", "state", "lo", "hi", "first_var",
-        "n_shared", "slot", "binders", "path", "block", "cap",
-        "frontier", "carry", "tally",
+        "by_var", "lonely", "deadline", "state", "n_shared", "slot",
+        "binders", "path", "block", "cap", "frontier", "carry", "tally",
     )
 
     def __init__(
@@ -266,16 +263,11 @@ class _Query:
         lonely: Sequence[tuple[PatternIterator, list[Var]]],
         deadline: ResourceBudget,
         state: Optional[_PolicyState],
-        lo: int,
-        hi: int,
-        first_var: Optional[Var],
     ) -> None:
         self.by_var = by_var
         self.lonely = lonely
         self.deadline = deadline
         self.state = state
-        self.lo, self.hi = lo, hi
-        self.first_var = first_var
         self.n_shared = len(order)
         #: ``zs`` slot of every iterator with zone state, by ``id``.
         self.slot: dict[int, int] = {}
@@ -426,8 +418,6 @@ class LeapfrogTrieJoin:
         timeout: Union[None, float, ResourceBudget] = None,
         var_order: Optional[Sequence[Var]] = None,
         stats: Optional[dict] = None,
-        first_range: Optional[tuple[int, int]] = None,
-        first_var: Optional[Var] = None,
     ) -> Iterator[dict[Var, int]]:
         """Stream the solutions ``Q(G)`` as ``{Var: id}`` mappings.
 
@@ -441,20 +431,8 @@ class LeapfrogTrieJoin:
         path) — the empirical handle on the O(Q* · m log U) bound of
         Theorem 3.5.
 
-        ``first_range`` restricts the *first* eliminated variable to
-        values in ``[a, b)``.  Because LTJ emits the first variable in
-        increasing order, running disjoint ranges produces disjoint
-        solution sets whose ascending-``a`` concatenation equals the
-        unrestricted enumeration — the contract the range-partitioned
-        parallel driver builds on.  Requires at least one shared
-        variable (callers pass ``var_order`` to pin which one).
-
-        ``first_var`` (dynamic policies only) pins *just the first*
-        eliminated variable — the parallel driver slices that
-        variable's domain while every deeper depth still re-ranks, so
-        the concatenated slices stay byte-identical to the serial
-        policy enumeration.  An explicit ``var_order`` pins the whole
-        order and therefore disables per-depth re-ranking.
+        An explicit ``var_order`` pins the whole elimination order and
+        therefore disables a dynamic policy's per-depth re-ranking.
         """
         # One engine serves every evaluation of its index, generators
         # interleave and broker threads overlap: search on a shallow
@@ -474,22 +452,8 @@ class LeapfrogTrieJoin:
             yield {}
             return
 
-        if first_range is not None and not order:
-            raise ValueError("first_range requires a shared join variable")
-
-        dynamic = self._policy != "static" and var_order is None
-        if first_var is not None:
-            if not dynamic:
-                raise ValueError(
-                    "first_var requires a dynamic policy without var_order"
-                )
-            # Re-anchor to the in-tree Var object (first_var may have
-            # crossed a process boundary, so identity is not enough).
-            first_var = next((v for v in order if v == first_var), None)
-            if first_var is None:
-                raise ValueError("first_var must be a shared join variable")
         state = None
-        if dynamic:
+        if self._policy != "static" and var_order is None:
             state = run._policy_state(order, by_var)
             if stats is not None:
                 stats.setdefault("reranks", 0)
@@ -497,11 +461,7 @@ class LeapfrogTrieJoin:
                 stats.setdefault("rerank_fallbacks", 0)
                 stats.setdefault("estimate_misses", 0)
                 stats.setdefault("decision_log", [])
-        lo, hi = first_range if first_range is not None else (0, _UNBOUNDED)
-        q = _Query(
-            live, by_var, order, lonely_by_iter, deadline, state, lo, hi,
-            first_var,
-        )
+        q = _Query(live, by_var, order, lonely_by_iter, deadline, state)
         yield from run._search(q, 0, True)
 
     def _analyse(
@@ -510,7 +470,7 @@ class LeapfrogTrieJoin:
         var_order: Optional[Sequence[Var]] = None,
     ) -> Optional[tuple]:
         """The one evaluation preamble (:meth:`evaluate`,
-        :meth:`plan_signature`, :meth:`plan`, the parallel driver):
+        :meth:`plan_signature`, :meth:`plan`):
         build the iterators, drop satisfied fully-bound filters, compute
         the elimination order and the §4.2 lonely-pattern list.  Returns
         ``None`` when some pattern is empty (zero solutions), otherwise
@@ -729,23 +689,17 @@ class LeapfrogTrieJoin:
         self,
         order: Sequence[Var],
         by_var: dict[Var, list[PatternIterator]],
-        stats: Optional[dict] = None,
     ) -> Optional[Var]:
         """The policy's depth-0 choice (what :meth:`evaluate` would
-        eliminate first at the current index state).
-
-        The parallel driver slices this variable's domain and pins it
-        in every worker (``first_var``) so the merged slices reproduce
-        the serial policy enumeration byte for byte.  A failing ranking
-        degrades to the static head, mirroring the in-query contract.
+        eliminate first at the current index state), as ``explain`` and
+        ``repro plan`` report it.  A failing ranking degrades to the
+        static head, mirroring the in-query contract.
         """
         if not order:
             return None
         if self._policy == "static" or len(order) == 1:
             return order[0]
-        run = copy.copy(self)  # owns its _stats, as in evaluate()
-        run._stats = stats
-        state = run._policy_state(order, by_var)
+        state = self._policy_state(order, by_var)
         try:
             var, _estimate = rank_candidates(
                 self._policy, list(order), by_var,
@@ -875,10 +829,8 @@ class LeapfrogTrieJoin:
         descent of its backward iterators when there is one (batched
         over the run or one per binding, :meth:`_descents`), else the
         leapfrog :meth:`_seek`.  Either way they arrive in
-        increasing order.  Only the root restricts its values to
-        ``[q.lo, q.hi)``, and its search starts at ``q.lo``: a K-way
-        slicing costs K extra descents, not K extra scans.  A dynamic
-        policy changes only the row order, never the rows.
+        increasing order.  A dynamic policy changes only the row order,
+        never the rows.
         ``carry`` accumulates the work between
         children: a parent's gap and the trailing work of its search
         are charged to the next child (or, at the end, by the caller).
@@ -897,17 +849,14 @@ class LeapfrogTrieJoin:
                 if node[3] is not rest_of:
                     rest_of = node[3]
                     rest = [v for v in rest_of if v is not var]
-                c, hi = (q.lo, q.hi) if node[0] is None else (0, _UNBOUNDED)
                 if group is None:
-                    values = self._leapfrog(q, node, var, c, tally)
+                    values = self._leapfrog(q, node, var, tally)
                 else:
                     values = self._lockstep(
-                        q, node, var, group.verifiers, c,
+                        q, node, var, group.verifiers,
                         descent(r, node, tally), tally,
                     )
                 for value, stepped in values:
-                    if value >= hi:
-                        break
                     zs = self._child_states(q, node, var, value, group, stepped)
                     ticks, leaps, batched = tally.take()
                     gap = (
@@ -929,15 +878,12 @@ class LeapfrogTrieJoin:
         signature (the same backward iterators in the same zones, so one
         set of matrices), keeping row order exact.
 
-        ``first_var`` pins the root's variable.  Without a dynamic
-        policy every node of a depth binds the same variables in the
-        same order, so their iterators sit in the same zones and the
-        whole block is one run; a dynamic policy chooses per node.
+        Without a dynamic policy every node of a depth binds the same
+        variables in the same order, so their iterators sit in the same
+        zones and the whole block is one run; a dynamic policy chooses
+        per node.
         """
         node = block[0]
-        if node[0] is None and q.first_var is not None:
-            yield q.first_var, self._group(q, node, q.first_var), block
-            return
         if q.state is None:
             yield node[3][0], self._group(q, node, node[3][0]), block
             return
@@ -977,9 +923,10 @@ class LeapfrogTrieJoin:
             )
         los = [[node[4][s][1] for node in run] for s in slots]
         his = [[node[4][s][2] for node in run] for s in slots]
-        cs = [q.lo if node[0] is None else 0 for node in run]
         problem, values, stepped, (r_problem, r_start) = (
-            group.ring.backward_lockstep_many(group.zones, los, his, cs)
+            group.ring.backward_lockstep_many(
+                group.zones, los, his, [0] * len(run)
+            )
         )
         edges = np.arange(len(run) + 1)
         leaf_at = np.searchsorted(problem, edges).tolist()
@@ -1061,12 +1008,10 @@ class LeapfrogTrieJoin:
         node: tuple,
         var: Var,
         verifiers: Sequence[PatternIterator],
-        c: int,
         descend: Callable,
         tally: "_Tally",
     ) -> Iterator[tuple[int, list]]:
-        """Agreed values ``>= c`` with the backward iterators' stepped
-        states.
+        """Agreed values with the backward iterators' stepped states.
 
         ``descend(c)`` runs the lockstep descent of the backward
         iterators' ranges from ``c``; each value they share is a
@@ -1075,6 +1020,7 @@ class LeapfrogTrieJoin:
         with a ``leap``: a larger answer restarts the descent there, none
         ends the variable.
         """
+        c = 0
         while True:
             for value, stepped in descend(c):
                 tally.ticks += 1
@@ -1100,12 +1046,13 @@ class LeapfrogTrieJoin:
             c = answer
 
     def _leapfrog(
-        self, q: "_Query", node: tuple, var: Var, c: int, tally: "_Tally"
+        self, q: "_Query", node: tuple, var: Var, tally: "_Tally"
     ) -> Iterator[tuple[int, None]]:
-        """Agreed values ``>= c`` by repeated :meth:`_seek` — for groups
-        the lockstep descent cannot serve (no backward iterator, matrices
-        of different level counts, iterators with no zone state)."""
+        """Agreed values by repeated :meth:`_seek` — for groups the
+        lockstep descent cannot serve (no backward iterator, matrices of
+        different level counts, iterators with no zone state)."""
         iters = q.by_var[var]
+        c = 0
         while True:
             self._seat(q, node)
             value = self._seek(iters, var, c, tally)

@@ -14,6 +14,7 @@ baselines.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, NamedTuple, Optional, Sequence, Union  # noqa: F401
 
 from repro.core.interface import (
@@ -103,6 +104,14 @@ class Request(NamedTuple):
             if fields:
                 raise TypeError(f"a Request carries its own fields: {fields}")
             return query
+        limit = fields.get("limit")
+        if limit is not None:
+            if (isinstance(limit, bool) or not isinstance(limit, Integral)
+                    or limit < 0):
+                raise ValueError(
+                    f"limit must be a non-negative integer, not {limit!r}"
+                )
+            fields["limit"] = int(limit)
         if fields.get("project") is not None:
             fields["project"] = tuple(fields["project"])
         return cls(parse_bgp(query) if isinstance(query, str) else query, **fields)
@@ -125,7 +134,14 @@ def admit_rows(out: QueryResult, rows: Iterable[dict], budget: ResourceBudget,
     duplicates), ``limit`` and ``budget``'s solution cap.
 
     Stopping at the limit is not a truncation: ``out.truncated`` is left
-    for the interruptions (deadline, cancellation, failed shards)."""
+    for the interruptions (deadline, cancellation, failed shards).  A
+    cap already reached on entry (``limit=0``) admits no row and never
+    starts ``rows``."""
+    if (limit is not None and len(out) >= limit) or (
+        budget.max_solutions is not None
+        and budget.solutions >= budget.max_solutions
+    ):
+        return
     seen: set[frozenset] = set()
     for solution in rows:
         if project is not None:
@@ -251,14 +267,6 @@ class BaseQuerySystem(Countable):
         limit, project = request.limit, request.project
         out = QueryResult()
         out.budget = budget
-        if project is None:
-            # Without projection dedup every raw row is admitted, so the
-            # consumption loop pulls at most this many rows — a bound
-            # parallel drivers use to cap per-slice enumeration.
-            demands = [x for x in (limit, budget.max_solutions) if x is not None]
-            budget.row_demand = min(demands) if demands else None
-        else:
-            budget.row_demand = None  # dedup may skip arbitrarily many rows
         try:
             # A query shorter than one budget check interval would
             # otherwise never consult a deadline or token spent on entry.

@@ -31,10 +31,9 @@ serves can be an order of magnitude larger than its RAM:
 Phases 4 and 5 dominate the build.  With ``workers > 0`` the three
 per-zone wavelet constructions and the three count passes run as six
 independent *build tasks* on a :class:`~repro.parallel.pool.TaskPool`
-of worker processes (the pool parallel queries run on; dead workers'
-tasks are rescued inline), and the driver stitches their spooled arrays
-into the pack in canonical order — **byte-identical** to the serial
-build.  One helper, :func:`_write_pack`, writes a pack from one
+of worker processes (dead workers' tasks are rescued inline), and the
+driver stitches their spooled arrays into the pack in canonical order —
+**byte-identical** to the serial build.  One helper, :func:`_write_pack`, writes a pack from one
 partition's sorted spo, pos and osp streams either way.
 
 :func:`bulk_build_sharded` splits the scan by splitmix64 subject hash

@@ -1,10 +1,9 @@
-"""The process pool: one executor per pool, budgets, cancellation, rescue.
+"""The process pool: one executor per pool, inline rescue of dead workers.
 
 :class:`TaskPool` runs picklable payloads through one module-level
 executor (``"package.module:function"``) in a fixed set of forked
-worker processes.  It has two clients: the bulk builder's partition,
-wavelet, counts and shard tasks (:mod:`repro.graph.bulkload`) and the
-parallel LTJ driver's slice tasks (:func:`repro.parallel.system.run_slice`).
+worker processes.  Its client is the bulk builder: the wavelet, counts
+and shard tasks of :mod:`repro.graph.bulkload`.
 
 Failure model:
 
@@ -20,23 +19,13 @@ Failure model:
   batch has settled; a pool that cannot spawn a single worker raises
   :class:`PoolUnavailable` and callers degrade to serial.
 
-Cancellation: each pool owns one shared ``multiprocessing.Value`` flag.
-An executor reads it through :func:`cancel_token`, a duck-typed
-cancellation token: in a worker it is the flag; in the inline rescue it
-is the flag *or* the caller's budget passed to :meth:`TaskPool.run`
-(its deadline and its own token).  When that budget expires mid-batch
-the pool trips the flag, and every worker stops at its next budget
-check.
-
-Workers are forked: they inherit the parent's imports, any module
+Workers are forked: they inherit the parent's imports and any module
 attribute a fault injector patched (which is how armed sites fire
-inside them) and the module state their executor reads, such as the
-ring registry of :mod:`repro.parallel.system`.
+inside them), respawned workers included.
 """
 
 from __future__ import annotations
 
-import contextvars
 import importlib
 import itertools
 import multiprocessing as mp
@@ -48,11 +37,6 @@ from typing import Optional, Sequence
 #: The one start method (see the module docstring).
 _CTX = mp.get_context("fork")
 
-#: ``(status, rows, stats, ops)`` of one slice, in slice order.
-Block = tuple[str, list, dict, int]
-
-_TOKEN = contextvars.ContextVar("pool_token", default=None)
-
 
 class PoolUnavailable(RuntimeError):
     """No live worker can take tasks; callers degrade to serial."""
@@ -60,34 +44,6 @@ class PoolUnavailable(RuntimeError):
 
 class TaskError(RuntimeError):
     """A :class:`TaskPool` task raised (message attached)."""
-
-
-class _FlagToken:
-    """Duck-typed cancellation token over a pool's shared flag.
-
-    :class:`~repro.reliability.budget.ResourceBudget` only reads
-    ``token.cancelled``.  With a ``budget`` (the inline rescue) the
-    token also reports that budget's expiry, so a rescued task stops
-    on the caller's own deadline and token too.
-    """
-
-    __slots__ = ("_flag", "_budget")
-
-    def __init__(self, flag, budget=None) -> None:
-        self._flag = flag
-        self._budget = budget
-
-    @property
-    def cancelled(self) -> bool:
-        return self._flag.value != 0 or (
-            self._budget is not None and self._budget.expired()
-        )
-
-
-def cancel_token() -> Optional[_FlagToken]:
-    """The cancellation token of the pool task running in this context
-    (``None`` outside one)."""
-    return _TOKEN.get()
 
 
 def _resolve(executor: str):
@@ -103,9 +59,8 @@ def _resolve(executor: str):
     return getattr(importlib.import_module(mod_name), attr)
 
 
-def _task_worker_main(worker_id, executor, task_q, result_q, cancel_flag):
+def _task_worker_main(worker_id, executor, task_q, result_q):
     """Worker loop: serve tasks until ``None``."""
-    _TOKEN.set(_FlagToken(cancel_flag))
     while True:
         task = task_q.get()
         if task is None:
@@ -122,11 +77,11 @@ def _task_worker_main(worker_id, executor, task_q, result_q, cancel_flag):
         result_q.put((worker_id, task_id, status, result, error, elapsed))
 
 
-def _spawn_worker(worker_id, executor, task_q, result_q, cancel_flag):
+def _spawn_worker(worker_id, executor, task_q, result_q):
     """Start one worker process (chaos site ``parallel.spawn``)."""
     proc = _CTX.Process(
         target=_task_worker_main,
-        args=(worker_id, executor, task_q, result_q, cancel_flag),
+        args=(worker_id, executor, task_q, result_q),
         name=f"pool-worker-{worker_id}",
         daemon=True,
     )
@@ -134,44 +89,12 @@ def _spawn_worker(worker_id, executor, task_q, result_q, cancel_flag):
     return proc
 
 
-def merge_blocks(blocks: Sequence[Block]) -> tuple[list, Optional[str], dict, int]:
-    """Deterministic slice merge (chaos site ``parallel.slice_merge``).
-
-    Blocks arrive in slice (= ascending first-value) order.  The merged
-    output is every complete block before the first non-``ok`` slice,
-    plus that slice's partial rows — i.e. a *prefix* of the serial
-    enumeration, matching what a serial run interrupted at the same
-    point would have produced.  Later blocks are dropped: including
-    them would yield a non-contiguous (silently misleading) result.
-
-    Returns ``(rows, first_bad_status_or_None, summed stats, summed ops)``.
-    """
-    rows: list = []
-    stats: dict = {}
-    ops = 0
-    for status, block, block_stats, block_ops in blocks:
-        ops += block_ops
-        for key, value in block_stats.items():
-            if isinstance(value, (int, float)):
-                stats[key] = stats.get(key, 0) + value
-            else:  # e.g. the "error" message of a failed slice
-                stats.setdefault(key, value)
-        if status == "error":
-            return rows, status, stats, ops
-        rows.extend(block)
-        if status != "ok":
-            return rows, status, stats, ops
-    return rows, None, stats, ops
-
-
 class TaskPool:
     """A fixed set of worker processes running one executor's tasks.
 
     One batch runs at a time (an internal lock); concurrent callers
-    queue up, which matches the broker's admission model one layer
-    above.  Workers are long-lived and forked, so whatever the parent
-    set up before the pool started (a slice task's ring) is already
-    theirs.
+    queue up.  Workers are long-lived and forked, so whatever the
+    parent set up before the pool started is already theirs.
     A task that raises surfaces as :class:`TaskError` after the whole
     batch has settled — callers get deterministic all-or-error
     semantics, and file outputs written with ``"wb"`` truncation make
@@ -184,7 +107,6 @@ class TaskPool:
         if ":" not in executor:
             raise ValueError("executor must be 'package.module:function'")
         self._executor = executor
-        self._cancel = _CTX.Value("i", 0)
         self._result_qs = [_CTX.Queue() for _ in range(workers)]
         self._task_qs = [_CTX.Queue() for _ in range(workers)]
         self._procs: list = [None] * workers
@@ -218,7 +140,6 @@ class TaskPool:
                 self._executor,
                 self._task_qs[wid],
                 self._result_qs[wid],
-                self._cancel,
             )
         except Exception:
             self._procs[wid] = None
@@ -241,7 +162,6 @@ class TaskPool:
         if self._closed:
             return
         self._closed = True
-        self._cancel.value = 1
         for wid, tq in enumerate(self._task_qs):
             if self._is_alive(wid):
                 try:
@@ -270,16 +190,13 @@ class TaskPool:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, payloads: Sequence, budget=None) -> list:
+    def run(self, payloads: Sequence) -> list:
         """Execute one task per payload; results return in payload order.
 
         Dead workers' unfinished tasks are rescued inline; a task that
         raised (in a worker or during rescue) makes the whole call raise
         :class:`TaskError` — after every other task has settled, so
-        callers never leave orphan work running.  ``budget`` (the
-        caller's :class:`~repro.reliability.budget.ResourceBudget`, or
-        ``None``) trips the shared cancellation flag when it expires
-        mid-batch and bounds every inline rescue.
+        callers never leave orphan work running.
         """
         if self._closed:
             raise PoolUnavailable("pool is closed")
@@ -288,7 +205,6 @@ class TaskPool:
             if not alive:
                 raise PoolUnavailable("no live workers")
             self._counters["batches"] += 1
-            self._cancel.value = 0
             for rq in self._result_qs:  # stale results from a prior batch
                 self._drain(rq)
 
@@ -331,16 +247,8 @@ class TaskPool:
                 if len(results) >= len(payloads):
                     break
                 if not progressed:
-                    if (
-                        budget is not None
-                        and not self._cancel.value
-                        and budget.expired()
-                    ):
-                        # Mirror the caller's exhaustion into every
-                        # worker; they observe it at their next check.
-                        self._cancel.value = 1
                     self._rescue_dead(
-                        assignment, results, errors, index_of, payloads, budget
+                        assignment, results, errors, index_of, payloads
                     )
                     time.sleep(0.005)
 
@@ -350,19 +258,16 @@ class TaskPool:
             raise TaskError(f"task {index_of[tid]} failed: {errors[tid]}")
         return [results[tid] for tid in task_ids]
 
-    def _rescue_dead(self, assignment, results, errors, index_of, payloads, budget):
+    def _rescue_dead(self, assignment, results, errors, index_of, payloads):
         """Inline re-execution of unfinished tasks of dead workers."""
         for tid, wid in assignment.items():
             if tid in results or self._is_alive(wid):
                 continue
-            context = _TOKEN.set(_FlagToken(self._cancel, budget))
             try:
                 results[tid] = _resolve(self._executor)(payloads[index_of[tid]])
             except Exception as exc:
                 results[tid] = None
                 errors[tid] = f"{type(exc).__name__}: {exc}"
-            finally:
-                _TOKEN.reset(context)
             self._counters["serial_rescues"] += 1
 
     def _respawn_dead(self) -> None:

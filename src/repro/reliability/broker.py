@@ -336,16 +336,13 @@ class QueryBroker(Submitting):
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict:
-        """Serving telemetry, consistent across thread and pool modes.
+        """Serving telemetry.
 
         Always present: the lifecycle counters, ``queued`` (current
         queue occupancy), ``queue_depth`` (its bound), ``in_flight``,
-        ``workers`` and per-thread ``busy_seconds``.  When the index is
-        pool-backed (a :class:`~repro.parallel.ParallelRingIndex` or
-        anything exposing ``pool_stats()``), the process-pool telemetry
-        — worker liveness, dispatch/rescue/respawn counters, per-process
-        busy seconds — is nested under ``"pool"`` so one ``stats()``
-        call describes the whole execution stack.
+        ``workers`` and per-thread ``busy_seconds``.  When the index
+        has a serving cache (``cache_stats()``), its telemetry is
+        nested under ``"cache"``.
         """
         with self._stats_lock:
             out = dict(self._stats)
@@ -355,9 +352,6 @@ class QueryBroker(Submitting):
         out["workers"] = self._workers_n
         with self._inflight_lock:
             out["in_flight"] = len(self._inflight)
-        pool_stats = getattr(self._index, "pool_stats", None)
-        if callable(pool_stats):
-            out["pool"] = pool_stats()
         cache_stats = getattr(self._index, "cache_stats", None)
         if callable(cache_stats):
             out["cache"] = cache_stats()

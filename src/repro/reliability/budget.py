@@ -97,7 +97,6 @@ class ResourceBudget:
         "tick_mask",
         "ops",
         "solutions",
-        "row_demand",
         "_folded_ops",
     )
 
@@ -120,12 +119,6 @@ class ResourceBudget:
         self.tick_mask = tick_mask
         self.ops = 0
         self.solutions = 0
-        # Upper bound on *raw* rows the consumer will ever pull from the
-        # solution stream, or None when unbounded/unknown.  Set by the
-        # serving layer only when raw rows equal admitted rows (no
-        # projection dedup in between), so parallel drivers may cap each
-        # slice block at the remaining demand without losing rows.
-        self.row_demand: Optional[int] = None
         # Ops of THIS budget already folded into some parent via
         # ``parent.fold(self)``; makes repeated folds idempotent.
         self._folded_ops = 0

@@ -91,11 +91,9 @@ LAZY_SITES: dict[str, tuple[str, Optional[str], str]] = {
     "wal.append": ("repro.reliability.wal", "WriteAheadLog", "append"),
     "wal.fsync": ("repro.reliability.wal", None, "_fsync"),
     "checkpoint.write": ("repro.reliability.wal", None, "write_checkpoint"),
-    # Parallel execution layer: failing spawns exercise pool-unavailable
-    # degradation (queries fall back to serial), failing merges must
-    # surface as typed errors, never truncated-but-ok answers.
+    # Process pool: a failing spawn exercises pool-unavailable
+    # degradation (the bulk builder falls back to serial passes).
     "parallel.spawn": ("repro.parallel.pool", None, "_spawn_worker"),
-    "parallel.slice_merge": ("repro.parallel.pool", None, "merge_blocks"),
     # Serving-cache layer: a failing lookup must fall through to a
     # normal evaluation and a failing store must only cost future hits
     # — in both cases answers stay byte-identical to uncached ones

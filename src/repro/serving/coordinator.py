@@ -19,10 +19,8 @@ correct* for subject-hash shards:
    :class:`~repro.serving.breaker.RetryPolicy` whose backoff is clamped
    to the parent's remaining time; a per-shard
    :class:`~repro.serving.breaker.CircuitBreaker` refuses calls to a
-   shard that keeps failing.  Per-shard answers are merged with the
-   same :func:`~repro.parallel.pool.merge_blocks` machinery the
-   process-pool tier uses, folding shard ops into the parent budget
-   exactly once per attempt (:meth:`ResourceBudget.fold`).
+   shard that keeps failing.  Shard ops are folded into the parent
+   budget exactly once per attempt (:meth:`ResourceBudget.fold`).
 3. **Local join** — the matched triples are reconstructed from the
    pattern bindings, unioned into a small local
    :class:`~repro.graph.dataset.Graph`, and the *full* BGP is joined
@@ -71,7 +69,6 @@ from repro.core.system import (
 from repro.graph.dataset import Graph
 from repro.graph.model import BasicGraphPattern, Var
 from repro.graph.parser import parse_bgp  # noqa: F401 - trace seam (ROADMAP item 15)
-from repro.parallel.pool import merge_blocks
 from repro.reliability.budget import ResourceBudget
 from repro.serving.breaker import CircuitBreaker, RetryPolicy
 from repro.serving.sharding import ShardedRingIndex
@@ -139,13 +136,6 @@ def gather_block(future, timeout):
 #: Waiting indefinitely on an unbudgeted shard call would turn a wedged
 #: shard into a wedged coordinator; cap every gather instead.
 DEFAULT_GATHER_TIMEOUT = 30.0
-
-
-class _GatherInterrupted(Exception):
-    """Internal: the parent budget tripped mid-gather under partial=True."""
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
 
 
 class ShardCoordinator(Countable):
@@ -352,17 +342,13 @@ class ShardCoordinator(Countable):
                 rows_by_shard.setdefault(sid, []).append((single.patterns[0], rows))
 
         answered = set(range(self.shards.n_shards)) - failed
-        # Reuse the parallel tier's deterministic merge for the gather:
-        # blocks in shard order, statuses checked in one place.
-        ok_blocks = [
-            ("ok", [(pattern, row) for row in rows], {}, 0)
-            for sid in sorted(rows_by_shard)
+        triples = {
+            _bind_triple(pattern, row)
+            for sid, blocks in rows_by_shard.items()
             if sid not in failed
-            for pattern, rows in rows_by_shard[sid]
-        ]
-        merged_rows, bad, _stats, _ops = merge_blocks(ok_blocks)
-        assert bad is None  # only "ok" blocks are merged
-        triples = {_bind_triple(pattern, row) for pattern, row in merged_rows}
+            for pattern, rows in blocks
+            for row in rows
+        }
         return answered, failed, retries, triples, interrupted
 
     def _targets(self, pattern) -> list[int]:

@@ -79,7 +79,7 @@ __all__ = [
     "heartbeat",
 ]
 
-#: Shard processes are forked, like the parallel pool's workers.
+#: Shard processes are forked, like the builder pool's workers.
 _CTX = mp.get_context("fork")
 
 #: The child endpoint's methods a request may name: the whole protocol.

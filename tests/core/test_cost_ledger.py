@@ -5,9 +5,7 @@ rows, result rows — of the 17 WGPB shapes under every planning policy on
 one seeded graph.  A change that only makes a leap *cheaper* (the fused
 wavelet level loops) must leave every number here untouched; a change
 that alters how many leaps are made shows up as a diff of this table,
-reviewed like code, before any timing run.  ``SLICED`` pins the
-``first_range`` clip the same way: leaps + binds summed over a fixed
-4-way split of the first variable's domain.
+reviewed like code, before any timing run.
 
 A *leap* is one ``leap`` call on an iterator, or one value a lockstep
 descent of backward iterators reaches (``Ring.backward_lockstep``: the
@@ -18,12 +16,10 @@ Regenerate (after an intended algorithmic change) with::
     PYTHONPATH=src python tests/core/test_cost_ledger.py
 
 which prints ``shape policy column: old → new`` for every changed cell
-before the new tables.
+before the new table.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -145,27 +141,6 @@ LEDGER: dict[str, dict[str, tuple[int, int, int, int]]] = {
     },
 }
 
-#: shape -> policy -> leaps + binds over the 4 slices of ``_quarters``.
-SLICED: dict[str, dict[str, int]] = {
-    'P2': {'static': 128, 'rowcount': 128, 'distinct': 128, 'adaptive': 128},
-    'P3': {'static': 448, 'rowcount': 448, 'distinct': 448, 'adaptive': 448},
-    'P4': {'static': 174, 'rowcount': 174, 'distinct': 3337, 'adaptive': 174},
-    'T2': {'static': 723, 'rowcount': 723, 'distinct': 723, 'adaptive': 723},
-    'T3': {'static': 292, 'rowcount': 292, 'distinct': 292, 'adaptive': 292},
-    'T4': {'static': 82, 'rowcount': 82, 'distinct': 82, 'adaptive': 82},
-    'Ti2': {'static': 1233, 'rowcount': 1233, 'distinct': 1233, 'adaptive': 1233},
-    'Ti3': {'static': 629, 'rowcount': 629, 'distinct': 629, 'adaptive': 629},
-    'Ti4': {'static': 870, 'rowcount': 870, 'distinct': 870, 'adaptive': 870},
-    'J3': {'static': 296, 'rowcount': 296, 'distinct': 296, 'adaptive': 296},
-    'J4': {'static': 103, 'rowcount': 103, 'distinct': 103, 'adaptive': 103},
-    'Tr1': {'static': 887, 'rowcount': 533, 'distinct': 887, 'adaptive': 533},
-    'Tr2': {'static': 654, 'rowcount': 349, 'distinct': 654, 'adaptive': 727},
-    'S1': {'static': 2012, 'rowcount': 1488, 'distinct': 2012, 'adaptive': 1488},
-    'S2': {'static': 2389, 'rowcount': 1030, 'distinct': 2389, 'adaptive': 1030},
-    'S3': {'static': 652, 'rowcount': 644, 'distinct': 652, 'adaptive': 644},
-    'S4': {'static': 4037, 'rowcount': 2865, 'distinct': 127194, 'adaptive': 2727},
-}
-
 
 def _workload():
     graph = wikidata_like(4000, seed=0)
@@ -189,38 +164,6 @@ def measure() -> dict[str, dict[str, tuple[int, int, int, int]]]:
     return ledger
 
 
-def _quarters(universe: int) -> list[tuple[int, int]]:
-    bounds = [i * universe // 4 for i in range(5)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def measure_sliced() -> dict[str, dict[str, int]]:
-    """The first instance of each shape, run as four ``first_range``
-    slices (``LIMIT // 4`` rows each) with the first variable pinned
-    the way the parallel driver pins it."""
-    graph, by_shape = _workload()
-    cuts = _quarters(max(graph.n_nodes, graph.n_predicates))
-    sliced: dict[str, dict[str, int]] = {}
-    for policy in POLICIES:
-        engine = RingIndex(graph, policy=policy)._engine
-        for shape, instances in by_shape.items():
-            bgp = instances[0]
-            _live, by_var, order, _lonely = engine._analyse(bgp)
-            if policy == "static":
-                pin = {"var_order": order}
-            else:
-                pin = {"first_var": engine.first_variable(order, by_var)}
-            total = 0
-            for cut in cuts:
-                stats: dict = {}
-                rows = engine.evaluate(bgp, stats=stats, first_range=cut, **pin)
-                for _ in islice(rows, LIMIT // 4):
-                    pass
-                total += stats["leaps"] + stats["binds"]
-            sliced.setdefault(shape, {})[policy] = total
-    return sliced
-
-
 @pytest.fixture(scope="module")
 def measured():
     return measure()
@@ -237,10 +180,6 @@ def test_counts_match_the_ledger(measured, policy):
     got = {shape: measured[shape][policy] for shape in LEDGER}
     want = {shape: LEDGER[shape][policy] for shape in LEDGER}
     assert got == want
-
-
-def test_sliced_counts_match_the_ledger():
-    assert measure_sliced() == SLICED
 
 
 #: The public BitVector callables the benchmark's tracer wraps.
@@ -293,7 +232,7 @@ def test_fused_ops_enter_no_bitvector_method(bitvector_calls, op):
     assert bitvector_calls["n"] == 1
 
 
-def changed_cells(ledger, sliced) -> list[str]:
+def changed_cells(ledger) -> list[str]:
     """``shape policy column: old → new`` for every cell that moved."""
     lines = []
     for shape, by_policy in ledger.items():
@@ -302,17 +241,12 @@ def changed_cells(ledger, sliced) -> list[str]:
             for column, was, now in zip(COLUMNS, old, counts):
                 if was != now:
                     lines.append(f"{shape} {policy} {column}: {was} → {now}")
-    for shape, by_policy in sliced.items():
-        for policy, now in by_policy.items():
-            was = SLICED.get(shape, {}).get(policy)
-            if was != now:
-                lines.append(f"{shape} {policy} sliced: {was} → {now}")
     return lines
 
 
 if __name__ == "__main__":
-    ledger, sliced = measure(), measure_sliced()
-    for line in changed_cells(ledger, sliced):
+    ledger = measure()
+    for line in changed_cells(ledger):
         print(f"# {line}")
     print("LEDGER = {")
     for shape, by_policy in ledger.items():
@@ -320,8 +254,4 @@ if __name__ == "__main__":
         for policy, counts in by_policy.items():
             print(f"        {policy!r}: {counts},")
         print("    },")
-    print("}")
-    print("SLICED = {")
-    for shape, by_policy in sliced.items():
-        print(f"    {shape!r}: {by_policy},")
     print("}")

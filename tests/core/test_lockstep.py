@@ -9,8 +9,7 @@ blocks of one depth's bindings, and a run of at least
 (``Ring.backward_lockstep_many``).  An iterator that hides
 ``zone_state`` forces the classic leapfrog ``_seek`` and blocks of one
 binding, which is the reference here: the ordered rows must be
-list-equal under every policy and slice cut, on the plain ring and on
-the C-Ring, at the engine's crossover and with every run batched.
+list-equal under every policy, on the plain ring and on the C-Ring, at the engine's crossover and with every run batched.
 Limits, an early-closed generator and a spent op budget must stop at
 the rows, counts and ops the unbatched search stops at.
 """
@@ -30,7 +29,6 @@ from repro.core.system import CompressedRingIndex, RingIndex
 from repro.graph import BasicGraphPattern, TriplePattern, Var
 from repro.graph.dataset import Graph
 from repro.graph.generators import wikidata_like
-from repro.graph.model import P
 from repro.reliability.budget import CancellationToken, ResourceBudget
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -61,38 +59,20 @@ def workload():
     return graph, [(s, q[0]) for s, q in by_shape.items() if q]
 
 
-def _quarters(universe: int) -> list[tuple[int, int]]:
-    bounds = [i * universe // 4 for i in range(5)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _rows(engine, bgp, stats=None, **options):
+def _rows(engine, bgp, stats=None):
     return [
         sorted((v.name, x) for v, x in row.items())
-        for row in islice(engine.evaluate(bgp, stats=stats, **options), LIMIT)
+        for row in islice(engine.evaluate(bgp, stats=stats), LIMIT)
     ]
 
 
-def _assert_identical(lockstep, leapfrog, graph, shapes):
-    """Ordered rows equal, whole and per quarter slice; returns the
-    values the batched descents served."""
-    cuts = _quarters(max(graph.n_nodes, graph.n_predicates))
+def _assert_identical(lockstep, leapfrog, shapes):
+    """Ordered rows equal; returns the values the batched descents
+    served."""
     stats: dict = {}
     for shape, bgp in shapes:
         want = _rows(leapfrog._engine, bgp)
         assert _rows(lockstep._engine, bgp, stats) == want, shape
-        _live, by_var, order, _lonely = lockstep._engine._analyse(bgp)
-        if not order:
-            continue
-        if lockstep.policy == "static":
-            pin = {"var_order": order}
-        else:
-            pin = {"first_var": lockstep._engine.first_variable(order, by_var)}
-        for cut in cuts:
-            got = _rows(lockstep._engine, bgp, stats, first_range=cut, **pin)
-            assert got == _rows(leapfrog._engine, bgp, first_range=cut, **pin), (
-                shape, cut,
-            )
     return stats["batched_values"]
 
 
@@ -118,7 +98,7 @@ def test_lockstep_rows_equal_leapfrog_rows(workload, policy, monkeypatch):
         assert _assert_identical(
             RingIndex(graph, policy=policy),
             LeapfrogRingIndex(graph, policy=policy),
-            graph, shapes,
+            shapes,
         ) > 0, crossover
 
 
@@ -134,7 +114,7 @@ def test_lockstep_rows_equal_leapfrog_rows_on_the_c_ring(monkeypatch):
         monkeypatch.setattr(ltj, "BATCH_CROSSOVER", crossover)
         assert _assert_identical(
             CompressedRingIndex(graph), LeapfrogCompressedRingIndex(graph),
-            graph, shapes,
+            shapes,
         ) > 0, crossover
 
 
@@ -314,26 +294,3 @@ def test_a_rowless_search_stops_on_time(monkeypatch, block, half, edges):
     assert time.monotonic() - started < whole / 2
 
 
-def test_single_iterator_slice_lands_at_lo_without_a_sweep(bipartite):
-    """With ``use_lonely=False`` a one-pattern variable is still
-    enumerated from ``lo`` by one descent: the values below the slice
-    cost nothing (they used to cost one tick each)."""
-    engine = RingIndex(bipartite, use_lonely=False)._engine
-    bgp = BasicGraphPattern([TriplePattern(X, 0, Y)])
-    n_subjects = len(np.unique(bipartite.triples[:, 0]))
-    levels = RingIndex(bipartite).ring.zone_sequence(P).levels
-
-    def ops(cut):
-        budget = ResourceBudget(tick_mask=0)
-        rows = list(engine.evaluate(
-            bgp, timeout=budget, var_order=[X, Y], first_range=cut
-        ))
-        return budget.ops, rows
-
-    top = int(bipartite.triples[:, 0].max())
-    spent, rows = ops((top + 1, bipartite.n_nodes))
-    assert rows == [] and n_subjects > 2 * levels
-    assert spent <= levels
-    spent, rows = ops((top, bipartite.n_nodes))
-    assert {row[X] for row in rows} == {top}
-    assert spent <= levels + 2 * len(rows) + 1

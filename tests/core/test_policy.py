@@ -3,10 +3,9 @@
 Covers the policy surface end to end: validation, the per-query
 decision-log stats, the explicit estimate-miss fallback, the counted
 degradation to static order when the ranking itself breaks (chaos site
-``plan.rerank``), the ``first_var`` pinning contract of the parallel
-driver, the multiset/byte-identity guarantees across policies, and the
-adaptive-planning gates as exact leap counts (Veldhuizen's cost unit,
-arXiv 1210.0481) — deterministic where a wall-clock ratio is not.
+``plan.rerank``), the multiset/byte-identity guarantees across policies,
+and the adaptive-planning gates as exact leap counts (Veldhuizen's cost
+unit, arXiv 1210.0481) — deterministic where a wall-clock ratio is not.
 """
 
 import pytest
@@ -163,35 +162,6 @@ def test_estimate_miss_counted_on_union_iterators():
     reference.insert(0, 0, 1)
     assert rows == canon(reference.evaluate(bgp))
     assert stats["estimate_misses"] > 0
-
-
-def test_first_var_requires_dynamic_policy(graph):
-    static = RingIndex(graph)._engine
-    encoded = RingIndex(graph).graph.encode_bgp(TWO_WING)
-    with pytest.raises(ValueError, match="first_var requires"):
-        list(static.evaluate(encoded, first_var=S))
-
-
-def test_first_var_must_be_shared(graph):
-    engine = RingIndex(graph, policy="adaptive")._engine
-    encoded = RingIndex(graph).graph.encode_bgp(TWO_WING)
-    with pytest.raises(ValueError, match="shared join variable"):
-        list(engine.evaluate(encoded, first_var=Var("nope")))
-
-
-def test_first_var_pins_only_depth_zero(graph):
-    # Pinning the policy's own depth-0 choice reproduces the free
-    # enumeration byte for byte (the parallel driver's contract).
-    index = RingIndex(graph, policy="adaptive")
-    engine = index._engine
-    encoded = index.graph.encode_bgp(TWO_WING)
-    free = [dict(mu) for mu in engine.evaluate(encoded)]
-    analysed = engine._analyse(encoded, None)
-    _live, by_var, order, _lonely = analysed
-    v0 = engine.first_variable(order, by_var)
-    # An equal-but-distinct Var must re-anchor across the pickle seam.
-    pinned = [dict(mu) for mu in engine.evaluate(encoded, first_var=Var(v0.name))]
-    assert pinned == free
 
 
 def test_plan_reports_policy_and_first_variable(graph):

@@ -6,9 +6,11 @@ task surfaces as :class:`TaskError` only after the whole batch settled,
 and a *killed* worker's tasks are rescued inline (then the worker is
 respawned for the next batch).  The executor is re-resolved from its
 module per task, so an attribute patched before the pool forks — the
-fault-injection idiom — fires inside the workers too.
+fault-injection idiom — fires inside the workers too, respawned ones
+included.
 """
 
+import os
 import sys
 
 import pytest
@@ -26,7 +28,7 @@ def _echo_task(payload):
 
 
 def _tripled_task(payload):
-    return {"triple": payload["value"] * 3}
+    return {"triple": payload["value"] * 3, "pid": os.getpid()}
 
 
 @pytest.fixture
@@ -105,6 +107,31 @@ class TestExecutorResolution:
         finally:
             p.close()
         assert [r["triple"] for r in out] == [0, 3, 6, 9]
+
+    def test_patched_attribute_fires_in_a_worker_respawned_after_a_kill(
+        self, monkeypatch
+    ):
+        # The build drills arm a site, kill a worker mid-batch and expect
+        # its replacement to fire the same site: the replacement is
+        # forked after the kill, from a parent that still holds the patch.
+        monkeypatch.setattr(
+            sys.modules[__name__], "_echo_task", _tripled_task
+        )
+        p = TaskPool(EXECUTOR, workers=2)
+        try:
+            p._kill_after_dispatch = 0
+            first = p.run([{"value": v} for v in range(4)])
+            respawned = p._procs[0].pid
+            rescues = p.stats()["serial_rescues"]
+            second = p.run([{"value": v} for v in range(4)])
+            stats = p.stats()
+        finally:
+            p.close()
+        assert [r["triple"] for r in first] == [0, 3, 6, 9]
+        assert [r["triple"] for r in second] == [0, 3, 6, 9]
+        assert stats["respawns"] >= 1
+        assert stats["serial_rescues"] == rescues
+        assert respawned in {r["pid"] for r in second}
 
 
 class TestValidation:

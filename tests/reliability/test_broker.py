@@ -273,16 +273,6 @@ class TestStats:
             "a plain index must not fabricate process-pool telemetry"
         )
 
-    def test_stats_nest_pool_telemetry_when_index_is_pool_backed(self):
-        class PoolBacked(DynamicRingIndex):
-            def pool_stats(self):
-                return {"alive_workers": 3, "dispatched": 7}
-
-        index = PoolBacked(universe(), buffer_threshold=1000)
-        with QueryBroker(index, workers=1) as broker:
-            stats = broker.stats()
-        assert stats["pool"] == {"alive_workers": 3, "dispatched": 7}
-
 
 class TestEndToEnd:
     def test_broker_over_durable_ring(self, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from repro.cache import CachedQuerySystem
 from repro.serving import CircuitBreaker, RetryPolicy, ShardCoordinator
 from tests.serving.conftest import WORKLOAD
+from tests.serving.test_breaker import FakeClock
 
 pytestmark = [pytest.mark.serving, pytest.mark.cache]
 
@@ -26,12 +27,18 @@ JOIN_RENAMED = BasicGraphPattern(
 
 
 @pytest.fixture
-def cached(sharded):
+def clock():
+    """The breakers' clock: their reset window passes only when advanced."""
+    return FakeClock()
+
+
+@pytest.fixture
+def cached(sharded, clock):
     coord = ShardCoordinator(
         sharded,
         retry_policy=RetryPolicy(max_attempts=2, base_delay=0.001, seed=0),
         breaker_factory=lambda: CircuitBreaker(
-            failure_threshold=2, reset_timeout=0.05
+            failure_threshold=2, reset_timeout=0.05, clock=clock
         ),
     )
     return CachedQuerySystem(coord, capacity_bytes=1 << 20)
@@ -83,16 +90,14 @@ class TestInvalidation:
 
 
 class TestPartialResults:
-    def test_partial_results_never_stored(self, cached, sharded):
+    def test_partial_results_never_stored(self, cached, sharded, clock):
         sharded.kill_shard(2)
         degraded = cached.evaluate(JOIN, partial=True)
         assert degraded.truncated
         assert cached.result_cache.stats()["stores"] == 0
         # And the degraded answer did not poison a later complete one.
         sharded.restart_shard(2)
-        import time
-
-        time.sleep(0.06)  # breaker reset window
+        clock.advance(0.06)  # breaker reset window
         recovered = cached.evaluate(JOIN, partial=True)
         assert not recovered.truncated
         assert len(recovered) >= len(degraded)

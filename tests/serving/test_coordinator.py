@@ -28,6 +28,7 @@ from repro.serving import (
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.serving.sharding import partition_graph
 from tests.serving.conftest import WORKLOAD, X, Y, Z, random_graph
+from tests.serving.test_breaker import FakeClock
 from tests.util import as_solution_set
 
 pytestmark = pytest.mark.serving
@@ -118,15 +119,16 @@ class TestCompletePath:
 
 class TestDegradation:
     def test_acceptance_kill_degrade_recover(self, graph, sharded):
-        """The ISSUE acceptance scenario, end to end."""
-        # A generous reset window: the open-state assertions below run
-        # after reference evaluations whose wall-clock time must not be
-        # allowed to tick the breaker over into half-open on a loaded
-        # host.
+        """Kill a shard, degrade to a flagged partial answer, restart it
+        and recover the complete answer, end to end."""
+        # The breakers run on a fake clock: the open-state assertions
+        # below hold however long the reference evaluations take on a
+        # loaded host, and the reset window passes only when advanced.
+        clock = FakeClock()
         coord = fast_coordinator(
             sharded,
             breaker_factory=lambda: CircuitBreaker(
-                failure_threshold=2, reset_timeout=0.5
+                failure_threshold=2, reset_timeout=0.5, clock=clock
             ),
         )
         complete = list(coord.evaluate(JOIN, partial=True))
@@ -165,7 +167,7 @@ class TestDegradation:
 
         # Restart; after the reset window the breaker half-opens.
         sharded.restart_shard(victim)
-        time.sleep(0.6)
+        clock.advance(0.6)
         assert coord.breakers[victim].state == HALF_OPEN
         # The unfaulted re-run is byte-identical to the complete answer
         # and the probe successes re-close the breaker.

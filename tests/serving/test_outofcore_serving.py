@@ -1,11 +1,10 @@
 """Out-of-core serving: memmapped checkpoints through every tier.
 
-PR 9 threads ``mmap=True`` from ``RingIndex.load`` up through the
-durable store (``DurableDynamicRing.recover``), the sharded tier
-(``ShardedRingIndex.recover``) and the parallel pool
-(``ParallelRingIndex.load``, whose forked workers inherit the mapping).
-These tests pin the property that matters at every level: the
-memmapped server answers *exactly* like the in-RAM one.
+``mmap=True`` runs from ``RingIndex.load`` up through the durable
+store (``DurableDynamicRing.recover``) and the sharded tier
+(``ShardedRingIndex.recover``).  These tests pin the property that
+matters at every level: the memmapped server answers *exactly* like
+the in-RAM one, from the pack it opened.
 """
 
 import glob
@@ -21,7 +20,6 @@ from repro.graph import BasicGraphPattern, TriplePattern, Var
 from repro.graph.bulkload import bulk_build_sharded
 from repro.graph.dataset import Graph
 from repro.graph.generators import random_graph
-from repro.parallel import ParallelRingIndex
 from repro.reliability.integrity import IndexIntegrityError
 from repro.reliability.wal import (
     DurableDynamicRing,
@@ -240,31 +238,11 @@ class TestShardedMmapRecover:
         assert eager[0], "scan must return rows"
 
 
-class TestParallelPack:
-    def test_mmap_parallel_load_answers_like_ram(self, graph, tmp_path):
-        pack = str(tmp_path / "index.ring")
-        RingIndex(graph).save_frozen(pack)
-        index = ParallelRingIndex.load(pack, mmap=True, workers=2)
-        try:
-            assert _rows(index, JOIN) == _rows(RingIndex(graph), JOIN)
-            assert index.pool_stats()["completed"] >= 2
-        finally:
-            index.close()
-
-    def test_eager_parallel_load_answers_like_ram(self, graph, tmp_path):
-        pack = str(tmp_path / "index.ring")
-        RingIndex(graph).save_frozen(pack)
-        index = ParallelRingIndex.load(pack, mmap=False, workers=2)
-        try:
-            assert _rows(index, JOIN) == _rows(RingIndex(graph), JOIN)
-            assert index.pool_stats()["completed"] >= 2
-        finally:
-            index.close()
-
+class TestMmapPack:
     def test_pack_rebuilt_at_the_same_path_stays_unseen(self, tmp_path):
-        """Workers answer from the pack the index opened: publishing a
-        new pack at the same path (``os.replace``, the pack writer's
-        normal case) reaches neither them nor the parent."""
+        """A memmapped index answers from the pack it opened: publishing
+        a new pack at the same path (``os.replace``, the pack writer's
+        normal case) does not reach it."""
         cycle = BasicGraphPattern(
             [TriplePattern(X, 0, Y), TriplePattern(Y, 1, Z),
              TriplePattern(Z, 2, X)]
@@ -275,12 +253,7 @@ class TestParallelPack:
         assert want != other
         pack = str(tmp_path / "index.ring")
         RingIndex(a).save_frozen(pack)
-        index = ParallelRingIndex.load(pack, mmap=True, workers=2)
-        try:
-            RingIndex(b).save_frozen(pack)
-            assert _rows(index, cycle) == want
-            stats = index.pool_stats()
-            assert stats["completed"] == 4
-            assert stats["serial_rescues"] == 0
-        finally:
-            index.close()
+        index = RingIndex.load(pack, mmap=True)
+        RingIndex(b).save_frozen(pack)
+        assert _rows(index, cycle) == want
+        assert _rows(RingIndex.load(pack, mmap=True), cycle) == other

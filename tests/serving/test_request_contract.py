@@ -126,6 +126,19 @@ def test_limit_is_a_count_not_a_truncation(surface, reference):
             assert list(again) == list(got)
 
 
+def test_limit_zero_admits_no_row(surface):
+    _, system = surface
+    got = system.evaluate(JOIN, limit=0)
+    assert len(got) == 0
+    assert not got.truncated and got.interrupted_by is None
+
+
+@pytest.mark.parametrize("limit", [-2, 1.5, True, "3"])
+def test_a_limit_that_is_not_a_count_is_refused(limit):
+    with pytest.raises(ValueError, match="limit"):
+        Request.of(JOIN, limit=limit)
+
+
 def test_project_deduplicates(surface, reference):
     _, system = surface
     got = system.evaluate(JOIN, project=[X])
