@@ -28,12 +28,6 @@ Two **durability drills** then attack the crash-safe dynamic ring
   assert recovery lands on the exact acknowledged prefix (or fails
   loudly with a typed error when the header itself is gone).
 
-A **planning drill** attacks the adaptive variable re-ranking
-(:mod:`repro.core.ltj`): armed ``plan.rerank`` faults against an
-``adaptive``-policy index must degrade the rest of the query to the
-static §4.3 order (counted as ``rerank_fallbacks``) with byte-identical
-answers — a broken estimator may cost plan quality, never correctness.
-
 A **cache drill** finally attacks the serving cache
 (:mod:`repro.cache`): armed ``cache.lookup``/``cache.store`` faults,
 in-place entry corruption, and random entry drops must all degrade to
@@ -536,81 +530,6 @@ def drill_cache(rounds: int, seed: int) -> list[str]:
                 f"({type(exc).__name__})"
             )
             print(f"{label}: UNEXPECTED {type(exc).__name__}")
-    return failures
-
-
-# -- planning drill (adaptive variable re-ranking) ----------------------------
-
-
-def drill_plan_rerank(rounds: int, seed: int) -> list[str]:
-    """Break the adaptive re-ranking; queries must degrade, never lie.
-
-    Arms the ``plan.rerank`` site (the per-depth
-    :func:`repro.core.ltj.rank_candidates` call) with hard and flaky
-    errors against an ``adaptive``-policy index on the skewed two-wing
-    workload.  Every answer must stay byte-identical to the static
-    reference — a broken estimator may only cost plan quality — and
-    when a fault fires mid-query the engine must record the counted
-    fallback (``rerank_fallbacks``) and finish the query in static
-    order.
-    """
-    from repro.graph.generators import skewed_graph
-
-    rng = random.Random(seed)
-    failures: list[str] = []
-    graph = skewed_graph(n_hubs=16, fan=8, noise=100, seed=5)
-    A, B = Var("a"), Var("b")
-    bgp = BasicGraphPattern(
-        [TriplePattern(X, 0, A), TriplePattern(X, 1, B), TriplePattern(A, 2, B)]
-    )
-    def canon(result):
-        # Binding order differs per policy, so compare canonical rows.
-        return sorted(
-            tuple(sorted((v.name, c) for v, c in mu.items())) for mu in result
-        )
-
-    reference = canon(RingIndex(graph, policy="static").evaluate(bgp))
-    index = RingIndex(graph, policy="adaptive")
-    print(f"\nplanning drill: plan.rerank faults, {rounds} rounds "
-          f"(adaptive policy, two-wing query)")
-    fallbacks_seen = 0
-    for round_no in range(rounds):
-        hard = round_no % 2 == 0
-        fault = Fault(
-            "plan.rerank",
-            probability=1.0 if hard else rng.uniform(0.2, 0.8),
-            error=InjectedFault,
-        )
-        label = f"  rerank {round_no:3d} {'hard ' if hard else 'flaky'}"
-        stats: dict = {}
-        try:
-            with inject_faults(fault, seed=rng.randrange(2**31)):
-                rows = canon(index.evaluate(bgp, stats=stats))
-        except Exception as exc:  # noqa: BLE001 - degradation is the contract
-            failures.append(
-                f"{label}: rerank faults must degrade, not raise "
-                f"({type(exc).__name__})"
-            )
-            print(f"{label}: UNEXPECTED {type(exc).__name__}")
-            continue
-        if rows != reference:
-            failures.append(f"{label}: answer diverged from static reference")
-            print(f"{label}: WRONG ANSWER")
-            continue
-        if fault.fired and not stats.get("rerank_fallbacks"):
-            failures.append(
-                f"{label}: fault fired {fault.fired}x but no fallback counted"
-            )
-            print(f"{label}: FALLBACK NOT COUNTED")
-            continue
-        fallbacks_seen += stats.get("rerank_fallbacks", 0)
-        print(f"{label}: exact answer ({len(rows)} rows), "
-              f"fired={fault.fired}, fallbacks={stats.get('rerank_fallbacks', 0)}, "
-              f"reranks={stats.get('reranks', 0)}")
-    if fallbacks_seen < 1:
-        failures.append(
-            "planning drill: no round ever exercised the static fallback"
-        )
     return failures
 
 
@@ -1540,8 +1459,6 @@ def main() -> None:
                         help="serving-cache drill rounds")
     parser.add_argument("--shard-rounds", type=int, default=8,
                         help="kill-a-shard serving drill rounds")
-    parser.add_argument("--rerank-rounds", type=int, default=6,
-                        help="plan.rerank degradation drill rounds")
     parser.add_argument("--proc-rounds", type=int, default=4,
                         help="kill -9 process-shard drill rounds")
     parser.add_argument("--ooc-rounds", type=int, default=8,
@@ -1566,8 +1483,6 @@ def main() -> None:
          lambda: drill_cache(args.cache_rounds, args.seed + 5)),
         ("shards", ["shard.dispatch", "shard.gather", "shard.restart"],
          lambda: drill_shards(args.shard_rounds, args.seed + 6)),
-        ("plan-rerank", ["plan.rerank"],
-         lambda: drill_plan_rerank(args.rerank_rounds, args.seed + 7)),
         ("process-shards",
          ["proc.spawn", "proc.heartbeat", "replica.failover",
           "shard.gather", "shard.restart"],

@@ -6,7 +6,7 @@ Examples::
     python -m repro query nobel.npz "?x adv ?y . Nobel win ?y"
     python -m repro query nobel.npz "?x ?p ?y" --timeout 1 --partial
     python -m repro explain nobel.npz "?x nom ?y . ?x win ?z . ?z adv ?y"
-    python -m repro plan nobel.npz "?x adv ?y . ?y win ?z" --policy adaptive
+    python -m repro plan nobel.npz "?x adv ?y . ?y win ?z"
     python -m repro path nobel.npz "adv+" --source Thorne
     python -m repro verify nobel.npz
     python -m repro stats nobel.npz
@@ -172,7 +172,7 @@ def cmd_build(args) -> None:
 
 
 def cmd_query(args) -> None:
-    index = RingIndex.load(args.index, mmap=args.mmap, policy=args.policy)
+    index = RingIndex.load(args.index, mmap=args.mmap)
     solutions = index.evaluate(Request.of(
         args.query,
         limit=args.limit,
@@ -219,8 +219,8 @@ def cmd_explain(args) -> None:
 
 
 def cmd_plan(args) -> None:
-    """The cardinality-guided plan, with the policy's depth-0 choice."""
-    index = RingIndex.load(args.index, policy=args.policy)
+    """The cardinality-guided plan, with each variable's score."""
+    index = RingIndex.load(args.index)
     stats_cache = None
     if getattr(args, "stats_cache", None):
         from repro.cache import PlanStatsCache
@@ -249,11 +249,6 @@ def cmd_plan(args) -> None:
     print("elimination order (cheapest distinct-count first):")
     for var in order:
         print(f"  {var.name:<8} ~{scores.get(var.name, '?')} distinct values")
-    if plan.get("policy", "static") != "static":
-        first = plan.get("first_variable")
-        print(f"policy            : {plan['policy']} — re-ranks per binding "
-              f"depth; depth-0 choice: "
-              f"{first.name if first is not None else '(none)'}")
     lonely = ", ".join(v.name for v in plan["lonely_variables"]) or "(none)"
     print(f"lonely variables  : {lonely}")
     print("pattern cardinalities (exact, via Lemma 3.6 ranges):")
@@ -320,19 +315,15 @@ def cmd_serve(args) -> None:
         )
         store = DurableDynamicRing.create(
             args.directory, universe, buffer_threshold=args.threshold,
-            policy=args.policy,
         )
         print(f"created {args.directory} "
               f"({args.n_nodes} nodes, {args.n_predicates} predicates)")
     else:
         store, report = DurableDynamicRing.recover(
-            args.directory, buffer_threshold=args.threshold,
-            policy=args.policy, mmap=args.mmap,
+            args.directory, buffer_threshold=args.threshold, mmap=args.mmap,
         )
         print(f"recovered: {report.summary()}"
               + (" (memmapped checkpoints)" if args.mmap else ""))
-    if args.policy != "static":
-        print(f"policy: {args.policy}")
     served_index = store
     if args.cache:
         from repro.cache import CachedQuerySystem
@@ -397,11 +388,7 @@ def cmd_shard_serve(args) -> None:
         print(f"recovered {shards.n_shards} shard(s), "
               f"{shards.n_triples} triple(s)"
               + (" (memmapped checkpoints)" if args.mmap else ""))
-    served = ShardCoordinator(
-        shards, shard_timeout=args.shard_timeout, policy=args.policy
-    )
-    if args.policy != "static":
-        print(f"policy: {args.policy}")
+    served = ShardCoordinator(shards, shard_timeout=args.shard_timeout)
     if args.cache:
         # The wrapper delegates every coordinator hook (shards, graph,
         # stats) transparently, so the frontend serves through it as-is.
@@ -452,16 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_policy_flag(p) -> None:
-        from repro.core.ltj import POLICIES
-
-        p.add_argument(
-            "--policy", choices=POLICIES, default="static",
-            help="variable-selection policy: 'static' keeps the "
-                 "precomputed §4.3 order, the others re-rank per binding "
-                 "depth from O(1) estimates (answers are byte-identical)",
-        )
-
     p = sub.add_parser("build", help="index a triple file")
     p.add_argument("input", help=".nt file, whitespace 's p o' lines, or "
                                  "(with --stream) also raw int64 .bin/.npy")
@@ -508,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmap", action="store_true",
                    help="memory-map a frozen pack instead of loading it "
                         "into RAM (O(working set) memory)")
-    add_policy_flag(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("explain", help="show the §4.3 evaluation plan")
@@ -518,14 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plan",
-        help="cardinality-guided order, variable scores, policy choice",
+        help="cardinality-guided order and variable scores",
     )
     p.add_argument("index")
     p.add_argument("query")
     p.add_argument("--stats-cache", default=None,
                    help="persistent planner-statistics memo (JSON); "
                         "loaded before planning, saved after")
-    add_policy_flag(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("path", help="regular path query from a node")
@@ -575,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmap", action="store_true",
                    help="recover checkpointed rings memory-mapped from "
                         "their frozen packs (O(working set) RAM)")
-    add_policy_flag(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -622,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmap", action="store_true",
                    help="recover each shard's checkpointed rings "
                         "memory-mapped from their frozen packs")
-    add_policy_flag(p)
     p.set_defaults(func=cmd_shard_serve)
 
     p = sub.add_parser(

@@ -17,15 +17,6 @@ The engine consults the memo through duck typing (set
 :meth:`repro.core.ltj.LeapfrogTrieJoin._variable_scores`), so
 :mod:`repro.core` takes no import dependency on this package.
 
-The memo also backs the *per-depth* estimates of the dynamic
-variable-selection policies (``rowcount``/``distinct``/``adaptive``):
-:meth:`repro.core.ltj.LeapfrogTrieJoin._policy_state` reads every
-(pattern, variable) distinct root through :meth:`distinct` once per
-query, and each deeper depth refines those roots with the O(1)
-incrementally-maintained range widths alone — so with a memo installed
-a repeated workload pays *zero* wavelet scans for adaptive re-ranking,
-at any depth.
-
 Persistence: :meth:`save` / :meth:`load` serialise the memo as JSON so
 ``repro plan --stats-cache`` amortises planning statistics across
 processes.  The file records the generation it was captured at (for

@@ -113,15 +113,13 @@ class CachedQuerySystem(Countable):
             engine = getattr(getattr(index, "_index", None), "_engine", None)
         self._engine = engine
         if engine is not None:
-            # The policy is part of the key: dynamic policies emit rows
-            # in a different (still deterministic) order, so entries are
-            # only shared between evaluations that would stream
+            # The engine flags are part of the key: entries are only
+            # shared between evaluations that would stream
             # byte-identical answers.
             self._flags = (
                 index.name,
                 engine._use_lonely,
                 engine._use_ordering,
-                getattr(engine, "_policy", "static"),
             )
             self._plan_signature = engine.plan_signature
         else:

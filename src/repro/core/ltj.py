@@ -28,8 +28,8 @@ iterator offers them:
   (the Radix-Triejoin reading of the matrices), which reaches each
   value they share once, in increasing order, and hands every one of
   them the range its bind would have computed; the variable's other
-  iterators verify each such value with a leap.  A run of at least
-  :data:`BATCH_CROSSOVER` bindings of a block descends in one batched,
+  iterators verify each such value with a leap.  A block of at least
+  :data:`BATCH_CROSSOVER` bindings descends in one batched,
   level-synchronous call
   (:meth:`repro.core.ring.Ring.backward_lockstep_many`), a shorter one
   binding by binding (:meth:`repro.core.ring.Ring.backward_lockstep`).
@@ -55,30 +55,10 @@ of work done, charged or not, so they fire mid-search even where no
 binding is ever consumed.
 
 The two paper refinements can be disabled (``use_lonely`` /
-``use_ordering``) for the ablation benchmarks.
-
-**Adaptive intra-query planning** (``policy``): the §4.3 order is
-computed once before the first leap, so one skewed join (power-law
-predicates, star subjects) can lock the whole search into a
-pathological order.  The dynamic policies instead re-rank the *next*
-variable at every binding depth from O(1)-maintained per-iterator
-bounds — the Lemma 3.6 range width ``count()`` is updated incrementally
-by ``bind``/``unbind``, and the root distinct estimates are computed
-once per query (never re-descending the wavelet matrix on the hot
-path):
-
-- ``static``   — today's behaviour: the precomputed §4.3 order;
-- ``rowcount`` — minimize the current range width ``min count(t)``;
-- ``distinct`` — minimize the root distinct-value estimate;
-- ``adaptive`` — minimize the partial-binding bound
-  ``min(count(t), distinct_root)``: the narrowed width caps the root
-  branching estimate, so a variable whose candidate range collapsed
-  under the current partial binding is eliminated immediately.
-
-Ties break on the static §4.3 rank (renaming-invariant via the plan
-signature), so every policy enumerates deterministically; a failing
-estimator degrades the rest of the query to the static order
-(chaos site ``plan.rerank``), never to a wrong answer.
+``use_ordering``) for the ablation benchmarks.  The elimination order
+is fixed before the first leap, as §4.3 plans it: every binding of a
+depth eliminates the same variable, which is what lets one batched
+descent serve a whole block.
 """
 
 from __future__ import annotations
@@ -90,70 +70,26 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.interface import PatternIterator, QueryCancelled, QueryTimeout
+from repro.core.interface import PatternIterator
 from repro.graph.model import BasicGraphPattern, TriplePattern, Var
 from repro.perf.counters import event
 from repro.reliability.budget import ResourceBudget
 
 IteratorFactory = Callable[[TriplePattern], PatternIterator]
 
-#: The variable-selection policies of the per-depth planner.
-POLICIES = ("static", "rowcount", "distinct", "adaptive")
-
 #: Above any tick count: a budget with no clock or token never polls.
 _UNBOUNDED = sys.maxsize
-
-#: Per-query cap on the recorded (depth, variable, estimate) decisions:
-#: re-ranking fires at every search-tree node, so the log is a bounded
-#: sample — the totals live in the ``reranks``/``rerank_divergence``
-#: stats and the ``plan.*`` kernel counters.
-DECISION_LOG_CAP = 128
 
 #: Most bindings of one depth a block of the search carries, across
 #: parents: the frontier one batched descent can serve.
 BLOCK_SIZE = 256
 
-#: Fewest consecutive bindings of a block one batched descent serves;
-#: shorter runs descend one binding at a time.  On the runs the cyclic
+#: Fewest bindings of a block one batched descent serves; a smaller
+#: block descends one binding at a time.  On the blocks the cyclic
 #: WGPB queries batch, one batched descent of 16 / 20 / 32 / 64 / 256
 #: problems ran 0.94x / 1.09x / 1.73x / 2.85x / 5.47x as fast as their
 #: scalar descents: even at about 20, with margin at 32.
 BATCH_CROSSOVER = 32
-
-
-def rank_candidates(
-    policy: str,
-    candidates: Sequence[Var],
-    by_var: dict[Var, list[PatternIterator]],
-    static_rank: dict[Var, int],
-    root_distinct: dict[tuple[int, Var], int],
-) -> tuple[Var, int]:
-    """Pick the next variable a dynamic ``policy`` would eliminate.
-
-    Every bound is O(1) per iterator: ``count()`` reads the current
-    Lemma 3.6 range width off the incrementally-maintained zone state,
-    and ``root_distinct`` was filled once at analysis time.  Ties break
-    on the static §4.3 rank so the choice is renaming-invariant and
-    deterministic.  Registered as chaos fault site ``plan.rerank``:
-    callers treat any exception as "degrade to the static order".
-    """
-    best: Optional[Var] = None
-    best_key: Optional[tuple[int, int]] = None
-    for v in candidates:
-        if policy == "rowcount":
-            estimate = min(it.count() for it in by_var[v])
-        elif policy == "distinct":
-            estimate = min(root_distinct[(id(it), v)] for it in by_var[v])
-        else:  # adaptive: the narrowed width clips the root estimate
-            estimate = min(
-                min(it.count(), root_distinct[(id(it), v)])
-                for it in by_var[v]
-            )
-        key = (estimate, static_rank[v])
-        if best_key is None or key < best_key:
-            best_key, best = key, v
-    assert best is not None and best_key is not None
-    return best, best_key[0]
 
 
 class _Group(NamedTuple):
@@ -247,11 +183,11 @@ class _Tally:
 
 class _Query:
     """Per-evaluation state of the block search: the iterators, the
-    policy, the path the iterators are bound to and the growing block
-    size."""
+    elimination order, the path the iterators are bound to and the
+    growing block size."""
 
     __slots__ = (
-        "by_var", "lonely", "deadline", "state", "n_shared", "slot",
+        "by_var", "lonely", "deadline", "order", "slot",
         "binders", "path", "block", "cap", "frontier", "carry", "tally",
     )
 
@@ -262,13 +198,12 @@ class _Query:
         order: list[Var],
         lonely: Sequence[tuple[PatternIterator, list[Var]]],
         deadline: ResourceBudget,
-        state: Optional[_PolicyState],
     ) -> None:
         self.by_var = by_var
         self.lonely = lonely
         self.deadline = deadline
-        self.state = state
-        self.n_shared = len(order)
+        #: The variable every node of depth ``d`` eliminates: ``order[d]``.
+        self.order = order
         #: ``zs`` slot of every iterator with zone state, by ``id``.
         self.slot: dict[int, int] = {}
         zs = []
@@ -289,7 +224,7 @@ class _Query:
         self.cap = 1
         #: Per depth, the nodes waiting to be searched and the work
         #: charged to the next node to join them.
-        root = (None, None, None, list(order), tuple(zs), (0, 0, 0, 0))
+        root = (None, None, None, 0, tuple(zs), (0, 0, 0, 0))
         self.frontier: list[list] = [[root]] + [[] for _ in order]
         self.carry = [[0, 0, 0, 0] for _ in range(len(order) + 1)]
         self.tally = _Tally(deadline)
@@ -341,25 +276,6 @@ def _replay(
     return descend
 
 
-class _PolicyState:
-    """Per-query state of a dynamic variable-selection policy."""
-
-    __slots__ = ("policy", "static_rank", "root_distinct", "static_rest")
-
-    def __init__(
-        self,
-        policy: str,
-        static_rank: dict[Var, int],
-        root_distinct: dict[tuple[int, Var], int],
-    ) -> None:
-        self.policy = policy
-        self.static_rank = static_rank
-        self.root_distinct = root_distinct
-        #: Set when :func:`rank_candidates` raised — the remainder of
-        #: the query runs in the static §4.3 order.
-        self.static_rest = False
-
-
 class LeapfrogTrieJoin:
     """Worst-case-optimal evaluation of basic graph patterns.
 
@@ -371,11 +287,6 @@ class LeapfrogTrieJoin:
         Graph size, used to normalise the §4.3 statistics.
     use_lonely / use_ordering:
         The §4.2 / §4.3 optimisations (ablation switches).
-    policy:
-        Variable-selection policy, one of :data:`POLICIES`.  ``static``
-        (default) keeps the precomputed §4.3 order; the dynamic
-        policies re-rank the next variable at every binding depth from
-        O(1) per-iterator bounds (see the module docstring).
     """
 
     def __init__(
@@ -384,12 +295,7 @@ class LeapfrogTrieJoin:
         n_triples: int,
         use_lonely: bool = True,
         use_ordering: bool = True,
-        policy: str = "static",
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; expected one of {POLICIES}"
-            )
         self._factory = iterator_factory
         #: The running query's ``stats`` dict.  Always ``None`` on the
         #: engine an index owns: :meth:`evaluate` sets it on a per-call
@@ -398,17 +304,11 @@ class LeapfrogTrieJoin:
         self._n = max(n_triples, 1)
         self._use_lonely = use_lonely
         self._use_ordering = use_ordering
-        self._policy = policy
         #: Optional :class:`~repro.cache.stats_cache.PlanStatsCache`
         #: (duck-typed: anything with ``count(it)`` / ``distinct(it,
         #: var, estimator)``) memoizing the §4.3 statistics across
         #: queries.  ``None`` (the default) recomputes them per query.
         self.stats_cache = None
-
-    @property
-    def policy(self) -> str:
-        """The configured variable-selection policy (see :data:`POLICIES`)."""
-        return self._policy
 
     # -- public API ----------------------------------------------------------
 
@@ -429,10 +329,8 @@ class LeapfrogTrieJoin:
         operation counters (``"leaps"``, ``"binds"``, plus
         ``"bulk_rows"`` — solutions emitted through the batch decode
         path) — the empirical handle on the O(Q* · m log U) bound of
-        Theorem 3.5.
-
-        An explicit ``var_order`` pins the whole elimination order and
-        therefore disables a dynamic policy's per-depth re-ranking.
+        Theorem 3.5.  An explicit ``var_order`` replaces the §4.3
+        elimination order.
         """
         # One engine serves every evaluation of its index, generators
         # interleave and broker threads overlap: search on a shallow
@@ -442,7 +340,6 @@ class LeapfrogTrieJoin:
         if stats is not None:
             for key in ("leaps", "binds", "bulk_rows", "batched_values"):
                 stats.setdefault(key, 0)
-            stats.setdefault("policy", self._policy)
         deadline = ResourceBudget.coerce(timeout)
         analysed = run._analyse(bgp, var_order)
         if analysed is None:  # some pattern is unsatisfiable
@@ -451,17 +348,7 @@ class LeapfrogTrieJoin:
         if not live:
             yield {}
             return
-
-        state = None
-        if self._policy != "static" and var_order is None:
-            state = run._policy_state(order, by_var)
-            if stats is not None:
-                stats.setdefault("reranks", 0)
-                stats.setdefault("rerank_divergence", 0)
-                stats.setdefault("rerank_fallbacks", 0)
-                stats.setdefault("estimate_misses", 0)
-                stats.setdefault("decision_log", [])
-        q = _Query(live, by_var, order, lonely_by_iter, deadline, state)
+        q = _Query(live, by_var, order, lonely_by_iter, deadline)
         yield from run._search(q, 0, True)
 
     def _analyse(
@@ -528,13 +415,6 @@ class LeapfrogTrieJoin:
         its keys so a shared entry is guaranteed byte-identical to what
         a fresh evaluation would stream.  ``None`` means some pattern is
         empty (zero solutions) at the current index state.
-
-        Dynamic policies re-rank inside this static order's tie-break
-        frame, and their per-depth choices depend only on the (cache-
-        generation-tagged) index state — so the signature plus the
-        engine's ``policy`` flag (folded into the cache key by
-        :class:`~repro.cache.system.CachedQuerySystem`) still pins the
-        row order exactly.
         """
         analysed = self._analyse(bgp, var_order)
         if analysed is None:
@@ -570,10 +450,6 @@ class LeapfrogTrieJoin:
             "variable_scores": {v.name: scores[v] for v in order},
             "uses_lonely_optimisation": self._use_lonely,
             "uses_cardinality_ordering": self._use_ordering,
-            "policy": self._policy,
-            "first_variable": (
-                self.first_variable(order, by_var) if order else None
-            ),
         }
 
     # -- §4.3 variable ordering -------------------------------------------------
@@ -662,104 +538,6 @@ class LeapfrogTrieJoin:
                 chosen_iters.add(id(it))
         return order
 
-    # -- per-depth re-ranking (dynamic policies) ---------------------------------
-
-    def _policy_state(
-        self, order: Sequence[Var], by_var: dict[Var, list[PatternIterator]]
-    ) -> _PolicyState:
-        """Build the per-query state a dynamic policy ranks against.
-
-        The root distinct estimates (``distinct``/``adaptive`` only)
-        are computed *once* here — through the
-        :class:`~repro.cache.stats_cache.PlanStatsCache` memo when one
-        is installed, so repeated workloads skip the wavelet scans
-        entirely — and every later depth refines them with the O(1)
-        range widths alone: the hot path never re-descends the wavelet
-        matrix.
-        """
-        static_rank = {v: i for i, v in enumerate(order)}
-        root_distinct: dict[tuple[int, Var], int] = {}
-        if self._policy in ("distinct", "adaptive"):
-            for v in order:
-                for it in by_var[v]:
-                    root_distinct[(id(it), v)] = self._distinct(it, v)
-        return _PolicyState(self._policy, static_rank, root_distinct)
-
-    def first_variable(
-        self,
-        order: Sequence[Var],
-        by_var: dict[Var, list[PatternIterator]],
-    ) -> Optional[Var]:
-        """The policy's depth-0 choice (what :meth:`evaluate` would
-        eliminate first at the current index state), as ``explain`` and
-        ``repro plan`` report it.  A failing ranking degrades to the
-        static head, mirroring the in-query contract.
-        """
-        if not order:
-            return None
-        if self._policy == "static" or len(order) == 1:
-            return order[0]
-        state = self._policy_state(order, by_var)
-        try:
-            var, _estimate = rank_candidates(
-                self._policy, list(order), by_var,
-                state.static_rank, state.root_distinct,
-            )
-        except (QueryTimeout, QueryCancelled):
-            raise
-        except Exception:
-            event("plan.rerank_fallback")
-            return order[0]
-        return var
-
-    def _choose_variable(
-        self,
-        remaining: list[Var],
-        by_var: dict[Var, list[PatternIterator]],
-        state: _PolicyState,
-    ) -> Var:
-        """One re-ranking decision: the next variable to eliminate.
-
-        ``remaining`` is kept in static §4.3 order, so ``remaining[0]``
-        is both the divergence baseline and the degradation target when
-        the ranking itself fails (chaos site ``plan.rerank``): a broken
-        estimator costs plan quality for the rest of this query, never
-        correctness.
-        """
-        if len(remaining) == 1 or state.static_rest:
-            return remaining[0]
-        try:
-            var, estimate = rank_candidates(
-                state.policy, remaining, by_var,
-                state.static_rank, state.root_distinct,
-            )
-        except (QueryTimeout, QueryCancelled):
-            raise
-        except Exception:
-            state.static_rest = True
-            event("plan.rerank_fallback")
-            if self._stats is not None:
-                self._stats["rerank_fallbacks"] = (
-                    self._stats.get("rerank_fallbacks", 0) + 1
-                )
-            return remaining[0]
-        event("plan.rerank")
-        diverged = var is not remaining[0]
-        if diverged:
-            event("plan.rerank_divergence")
-        stats = self._stats
-        if stats is not None:
-            stats["reranks"] = stats.get("reranks", 0) + 1
-            if diverged:
-                stats["rerank_divergence"] = (
-                    stats.get("rerank_divergence", 0) + 1
-                )
-            log = stats.get("decision_log")
-            if isinstance(log, list) and len(log) < DECISION_LOG_CAP:
-                depth = len(state.static_rank) - len(remaining)
-                log.append((depth, var.name, int(estimate)))
-        return var
-
     # -- the search tree ---------------------------------------------------------
 
     def _search(
@@ -778,10 +556,11 @@ class LeapfrogTrieJoin:
         rest.  Rows therefore leave in the order a one-binding-at-a-time
         search would emit them.
 
-        A node is ``(parent, var, value, rest, zs, gap)``: the binding
-        ``var := value`` below ``parent``, the variables ``rest`` still
-        to eliminate under it, ``zs`` the zone state of every zone-state
-        iterator (aligned with ``q.slot``), and ``gap`` the ``(ticks,
+        A node is ``(parent, var, value, depth, zs, gap)``: the binding
+        ``var := value`` below ``parent``, the ``depth`` of variables
+        bound on its path (``var`` is ``q.order[depth - 1]``), ``zs``
+        the zone state of every zone-state iterator (aligned with
+        ``q.slot``), and ``gap`` the ``(ticks,
         leaps, binds, batched)`` a one-binding search would have spent
         between the previous node of this depth and this one.  Work is
         charged when a node is consumed, not when its block computes
@@ -796,7 +575,7 @@ class LeapfrogTrieJoin:
         ahead of it.
         """
         block, q.frontier[depth] = q.frontier[depth], []
-        if depth == q.n_shared:
+        if depth == len(q.order):
             for node in block:
                 self._settle(q, node[5])
                 binding = _binding_of(node)
@@ -809,10 +588,10 @@ class LeapfrogTrieJoin:
         below = depth + 1
         carry = q.carry[below]
         if block:
-            for child in self._children(q, block, carry):
+            for child in self._children(q, block, depth, carry):
                 frontier = q.frontier[below]
                 frontier.append(child)
-                if below == q.n_shared:
+                if below == len(q.order):
                     yield from self._search(q, below, False)
                 elif len(frontier) >= q.cap:
                     q.cap = min(2 * q.cap, q.block)
@@ -822,113 +601,75 @@ class LeapfrogTrieJoin:
             self._settle(q, carry)
             carry[:] = (0, 0, 0, 0)
 
-    def _children(self, q: "_Query", block: list, carry: list) -> Iterator[tuple]:
+    def _children(
+        self, q: "_Query", block: list, depth: int, carry: list
+    ) -> Iterator[tuple]:
         """The next depth's nodes under ``block``, in emission order.
 
-        Each node's variable's values come from one source: a lockstep
-        descent of its backward iterators when there is one (batched
-        over the run or one per binding, :meth:`_descents`), else the
-        leapfrog :meth:`_seek`.  Either way they arrive in
-        increasing order.  A dynamic policy changes only the row order,
-        never the rows.
-        ``carry`` accumulates the work between
-        children: a parent's gap and the trailing work of its search
-        are charged to the next child (or, at the end, by the caller).
+        Every node of ``block`` eliminates ``q.order[depth]`` with its
+        iterators in the same zones, so the block has one source of
+        values: a lockstep descent of the variable's backward iterators
+        when there is one (batched over the block or one per binding,
+        :meth:`_descents`), else the leapfrog :meth:`_seek`.  Either way
+        they arrive in increasing order.  ``carry`` accumulates the work
+        between children: a parent's gap and the trailing work of its
+        search are charged to the next child (or, at the end, by the
+        caller).
         """
         tally = q.tally
-        for var, group, run in self._runs(q, block):
-            if group is not None:
-                descent = self._descents(q, run, group)
-            rest_of, rest = None, None
-            for r, node in enumerate(run):
-                gap = node[5]
-                carry[0] += gap[0]
-                carry[1] += gap[1]
-                carry[2] += gap[2]
-                carry[3] += gap[3]
-                if node[3] is not rest_of:
-                    rest_of = node[3]
-                    rest = [v for v in rest_of if v is not var]
-                if group is None:
-                    values = self._leapfrog(q, node, var, tally)
-                else:
-                    values = self._lockstep(
-                        q, node, var, group.verifiers,
-                        descent(r, node, tally), tally,
-                    )
-                for value, stepped in values:
-                    zs = self._child_states(q, node, var, value, group, stepped)
-                    ticks, leaps, batched = tally.take()
-                    gap = (
-                        carry[0] + ticks, carry[1] + leaps,
-                        carry[2] + 1, carry[3] + batched,
-                    )
-                    carry[:] = (0, 0, 0, 0)
-                    yield (node, var, value, rest, zs, gap)
+        var = q.order[depth]
+        self._seat(q, block[0])
+        group = _lockstep_group(q.by_var[var], var, q.slot)
+        if group is not None:
+            descent = self._descents(block, group)
+        for r, node in enumerate(block):
+            gap = node[5]
+            carry[0] += gap[0]
+            carry[1] += gap[1]
+            carry[2] += gap[2]
+            carry[3] += gap[3]
+            if group is None:
+                values = self._leapfrog(q, node, var, tally)
+            else:
+                values = self._lockstep(
+                    q, node, var, group.verifiers,
+                    descent(r, node, tally), tally,
+                )
+            for value, stepped in values:
+                zs = self._child_states(q, node, var, value, group, stepped)
                 ticks, leaps, batched = tally.take()
-                carry[0] += ticks
-                carry[1] += leaps
-                carry[3] += batched
-                if tally.due <= 0:  # a batched descent's replayed ticks
-                    tally.poll()
+                gap = (
+                    carry[0] + ticks, carry[1] + leaps,
+                    carry[2] + 1, carry[3] + batched,
+                )
+                carry[:] = (0, 0, 0, 0)
+                yield (node, var, value, depth + 1, zs, gap)
+            ticks, leaps, batched = tally.take()
+            carry[0] += ticks
+            carry[1] += leaps
+            carry[3] += batched
+            if tally.due <= 0:  # a batched descent's replayed ticks
+                tally.poll()
 
-    def _runs(self, q: "_Query", block: list) -> Iterator[tuple]:
-        """Split ``block`` into maximal runs ``(var, group, nodes)`` of
-        consecutive nodes that eliminate one variable with one lockstep
-        signature (the same backward iterators in the same zones, so one
-        set of matrices), keeping row order exact.
-
-        Without a dynamic policy every node of a depth binds the same
-        variables in the same order, so their iterators sit in the same
-        zones and the whole block is one run; a dynamic policy chooses
-        per node.
-        """
-        node = block[0]
-        if q.state is None:
-            yield node[3][0], self._group(q, node, node[3][0]), block
-            return
-        run: list = []
-        key = None
-        for node in block:
-            self._seat(q, node)
-            var = self._choose_variable(node[3], q.by_var, q.state)
-            group = self._group(q, node, var)
-            sig = (var, None if group is None else (group.slots, group.zones))
-            if run and sig != key:
-                yield run_var, run_group, run
-                run = []
-            if not run:
-                key, run_var, run_group = sig, var, group
-            run.append(node)
-        yield run_var, run_group, run
-
-    def _group(self, q: "_Query", node: tuple, var: Var) -> Optional[_Group]:
-        """``var``'s lockstep group at ``node`` (see :func:`_lockstep_group`),
-        or ``None`` for the leapfrog."""
-        self._seat(q, node)
-        return _lockstep_group(q.by_var[var], var, q.slot)
-
-    def _descents(self, q: "_Query", run: list, group: "_Group") -> Callable:
-        """``descent(r, node, tally)``: ``descend(c)`` for the run's
-        ``r``-th node.  A run shorter than :data:`BATCH_CROSSOVER` gets
-        one scalar descent per node.  A longer one gets one batched
+    def _descents(self, block: list, group: "_Group") -> Callable:
+        """``descent(r, node, tally)``: ``descend(c)`` for the block's
+        ``r``-th node.  A block smaller than :data:`BATCH_CROSSOVER` gets
+        one scalar descent per node.  A larger one gets one batched
         descent for all of its nodes
         (:meth:`~repro.core.ring.Ring.backward_lockstep_many`), each
         node's part replayed as its scalar descent would yield and
         charge it."""
         slots = group.slots
-        if len(run) < BATCH_CROSSOVER:
+        if len(block) < BATCH_CROSSOVER:
             return lambda r, node, tally: _scalar_descent(
                 group.ring, [node[4][s] for s in slots], tally
             )
-        los = [[node[4][s][1] for node in run] for s in slots]
-        his = [[node[4][s][2] for node in run] for s in slots]
+        los = [[node[4][s][1] for node in block] for s in slots]
+        his = [[node[4][s][2] for node in block] for s in slots]
         problem, values, stepped, (r_problem, r_start) = (
-            group.ring.backward_lockstep_many(
-                group.zones, los, his, [0] * len(run)
-            )
+            group.ring.backward_lockstep_many(group.zones, los, his)
         )
-        edges = np.arange(len(run) + 1)
+        edges = np.arange(len(block) + 1)
         leaf_at = np.searchsorted(problem, edges).tolist()
         resume_at = np.searchsorted(r_problem, edges).tolist()
         vals, starts = values.tolist(), r_start.tolist()
@@ -970,7 +711,7 @@ class LeapfrogTrieJoin:
         deepest node it shares with the current path, bind the rest
         (zone-state iterators adopt their recorded ranges)."""
         path = q.path
-        depth = q.n_shared - len(node[3])
+        depth = node[3]
         if len(path) == depth and (not depth or path[-1] is node):
             return
         chain = []

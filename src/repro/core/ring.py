@@ -306,15 +306,16 @@ class Ring:
             yield value, stepped
 
     def backward_lockstep_many(
-        self, zones: Sequence[int], los, his, cs
+        self, zones: Sequence[int], los, his
     ) -> tuple[np.ndarray, np.ndarray, list[tuple], tuple]:
-        """:meth:`backward_lockstep` for a block of problems at once.
+        """:meth:`backward_lockstep` from ``0`` for a block of problems
+        at once.
 
         Problem ``r`` holds one bound run per zone of ``zones`` (whose
         matrices share one level count), run ``i`` over ``[los[i][r],
-        his[i][r])``, and searches from ``cs[r]``.  Returns ``(problem,
-        values, stepped, resumes)``: the agreed values of every problem
-        from :meth:`WaveletMatrix.intersect_ranges_many` (looked up at
+        his[i][r])``.  Returns ``(problem, values, stepped, resumes)``:
+        the agreed values of every problem from
+        :meth:`WaveletMatrix.intersect_ranges_many` (looked up at
         call time, like the scalar kernel, so a patched fault reaches
         it), ``stepped[i] = (target, lo, hi)`` with the arrays of the
         ranges run ``i`` steps to under each value, and the scalar
@@ -323,7 +324,7 @@ class Ring:
         """
         problem, values, below, upto, resumes = (
             WaveletMatrix.intersect_ranges_many(
-                [self._seq[zone] for zone in zones], los, his, cs
+                [self._seq[zone] for zone in zones], los, his
             )
         )
         stepped = []

@@ -302,7 +302,7 @@ class BaseQuerySystem(Countable):
 class BaseLTJSystem(BaseQuerySystem):
     """A system whose engine is Leapfrog TrieJoin over its iterators.
 
-    ``engine_options`` (``use_lonely``, ``use_ordering``, ``policy``) are
+    ``engine_options`` (``use_lonely``, ``use_ordering``) are
     declared once, on :class:`~repro.core.ltj.LeapfrogTrieJoin`; every
     subclass forwards them here untouched.
     """
@@ -312,12 +312,6 @@ class BaseLTJSystem(BaseQuerySystem):
         self._engine = LeapfrogTrieJoin(
             self.iterator, graph.n_triples, **engine_options
         )
-
-    @property
-    def policy(self) -> str:
-        """The engine's variable-selection policy
-        (:data:`repro.core.ltj.POLICIES`)."""
-        return self._engine.policy
 
     def iterator(self, pattern: TriplePattern) -> PatternIterator:
         raise NotImplementedError
@@ -484,7 +478,7 @@ class RingIndex(BaseLTJSystem):
         corrupted or truncated index raises a typed
         :class:`~repro.reliability.integrity.IndexIntegrityError` and is
         *never* silently served.  ``verify=False`` skips the checks.
-        Extra ``options`` (e.g. ``policy=...``) go to the constructor —
+        Extra ``options`` (e.g. ``use_lonely=...``) go to the constructor —
         engine configuration is per-process, not part of the manifest.
 
         Frozen packs (``kind: "frozen-ring"`` sidecars) are detected

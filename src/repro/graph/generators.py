@@ -89,82 +89,6 @@ def wikidata_like(
     return Graph(triples, n_nodes=n_nodes, n_predicates=n_predicates)
 
 
-def skewed_graph(
-    n_hubs: int = 64,
-    fan: int = 32,
-    decoys: int = 4,
-    noise: int = 0,
-    predicate_exponent: float = 1.2,
-    n_noise_predicates: int = 3,
-    seed: int = 0,
-) -> Graph:
-    """A star/hub graph on which one global elimination order is always
-    pathological — the gate workload for the adaptive planning policies.
-
-    Structure (predicates ``0``/``1``/``2`` plus optional Zipf noise):
-
-    - ``n_hubs`` hub subjects, each with a *left* wing (``p0`` edges to
-      the left pool) and a *right* wing (``p1`` edges to the right
-      pool); wing sizes alternate per hub — even hubs fan ``fan``-wide
-      on the left and 1-wide on the right, odd hubs the reverse;
-    - ``p2`` links left-pool nodes to right-pool nodes: per hub exactly
-      one fan member links to the hub's narrow-wing node (so the join
-      has answers and cannot be cut off early), and *every* left node
-      carries ``decoys`` extra ``p2`` edges to a decoy pool, keeping
-      fan branches alive through the ``p2`` intersection until the
-      final variable kills them;
-    - ``noise`` extra triples under ``n_noise_predicates`` further
-      predicates with Zipf-skewed frequencies (hub-biased subjects), so
-      predicate statistics look Wikidata-like rather than hand-built.
-
-    On ``?s p0 ?a . ?s p1 ?b . ?a p2 ?b`` a static order must commit to
-    eliminating ``?a`` before ``?b`` (or vice versa) for every hub, and
-    pays the ``fan``-wide wing on the half of the hubs where that side
-    is wide; the ``adaptive`` policy reads the collapsed wing's O(1)
-    range width after binding ``?s`` and always eliminates the narrow
-    side first.  Deterministic for a given ``seed``.
-    """
-    if n_hubs < 2 or fan < 2:
-        raise ValueError("need n_hubs >= 2 and fan >= 2")
-    rng = np.random.default_rng(seed)
-    triples: list[tuple[int, int, int]] = []
-    next_id = n_hubs
-
-    def fresh(k: int) -> list[int]:
-        nonlocal next_id
-        ids = list(range(next_id, next_id + k))
-        next_id += k
-        return ids
-
-    decoy_pool = fresh(max(decoys * 2, 4))
-    for hub in range(n_hubs):
-        wide, narrow = fresh(fan), fresh(1)
-        if hub % 2 == 0:  # left-heavy: wide ?a wing, single ?b
-            lefts, rights = wide, narrow
-        else:  # right-heavy: single ?a, wide ?b wing
-            lefts, rights = narrow, wide
-        for a in lefts:
-            triples.append((hub, 0, a))
-        for b in rights:
-            triples.append((hub, 1, b))
-        # One matching p2 link per hub (non-empty join), decoys for all.
-        a_hit = lefts[int(rng.integers(len(lefts)))]
-        b_hit = rights[int(rng.integers(len(rights)))]
-        triples.append((a_hit, 2, b_hit))
-        for a in lefts:
-            for d in rng.choice(decoy_pool, size=decoys, replace=False):
-                triples.append((a, 2, int(d)))
-    n_predicates = 3 + (n_noise_predicates if noise else 0)
-    if noise:
-        n_nodes_so_far = next_id
-        s = _zipf_choice(rng, n_nodes_so_far, noise, 1.0)
-        p = 3 + _zipf_choice(rng, n_noise_predicates, noise, predicate_exponent)
-        o = _zipf_choice(rng, n_nodes_so_far, noise, 1.0)
-        triples.extend(zip(s.tolist(), p.tolist(), o.tolist()))
-    arr = np.unique(np.array(triples, dtype=np.int64), axis=0)
-    return Graph(arr, n_nodes=next_id, n_predicates=n_predicates)
-
-
 def path_graph(length: int, predicate_id: int = 0) -> Graph:
     """A simple directed path ``0 -> 1 -> … -> length`` (tests/examples)."""
     s = np.arange(length, dtype=np.int64)

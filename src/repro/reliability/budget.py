@@ -271,14 +271,6 @@ class ResourceBudget:
         if self.token is not None and self.token.cancelled:
             raise QueryCancelled("query cancelled by caller")
 
-    def expired(self) -> bool:
-        """Non-raising probe: would :meth:`check` raise right now?"""
-        try:
-            self.check()
-        except (QueryTimeout, QueryCancelled):
-            return True
-        return False
-
     # -- solution accounting -----------------------------------------------------
 
     def admit_solution(self) -> bool:

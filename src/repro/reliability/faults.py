@@ -115,10 +115,6 @@ LAZY_SITES: dict[str, tuple[str, Optional[str], str]] = {
     "proc.spawn": ("repro.serving.process", None, "spawn_process"),
     "proc.heartbeat": ("repro.serving.process", None, "heartbeat"),
     "replica.failover": ("repro.serving.replica", None, "promote_replica"),
-    # Adaptive planning: a failing per-depth re-ranking must degrade the
-    # rest of the query to the static §4.3 order (a counted fallback,
-    # observable as ``plan.rerank_fallback``) — worse plan, same rows.
-    "plan.rerank": ("repro.core.ltj", None, "rank_candidates"),
     # Out-of-core path: a build killed while spilling a run or merging
     # must leave either no pack or the previous intact one (the writer
     # publishes atomically), and be restartable from scratch; a failing

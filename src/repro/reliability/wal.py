@@ -708,7 +708,6 @@ class DurableDynamicRing(Countable):
         *,
         buffer_threshold: int = DEFAULT_BUFFER_THRESHOLD,
         auto_compact: bool = True,
-        policy: str = "static",
     ) -> "DurableDynamicRing":
         """Initialise a fresh durable index directory.
 
@@ -731,7 +730,6 @@ class DurableDynamicRing(Countable):
             graph,
             buffer_threshold=buffer_threshold,
             auto_compact=auto_compact,
-            policy=policy,
         )
         wal = WriteAheadLog.create(wal_path, graph.n_nodes, graph.n_predicates)
         durable = cls(directory, index, wal)
@@ -747,7 +745,6 @@ class DurableDynamicRing(Countable):
         verify: bool = True,
         buffer_threshold: int = DEFAULT_BUFFER_THRESHOLD,
         auto_compact: bool = True,
-        policy: str = "static",
         mmap: bool = False,
     ) -> tuple["DurableDynamicRing", RecoveryReport]:
         """Rebuild the last durably acknowledged state from disk.
@@ -775,7 +772,6 @@ class DurableDynamicRing(Countable):
             buffer_threshold=buffer_threshold,
             epoch=store.epoch or 0,
             auto_compact=auto_compact,
-            policy=policy,
         )
 
         replayed = skipped = 0

@@ -482,45 +482,43 @@ class WaveletMatrix:
 
     @staticmethod
     def intersect_ranges_many(
-        matrices: Sequence["WaveletMatrix"], los, his, cs
+        matrices: Sequence["WaveletMatrix"], los, his
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
-        """:meth:`intersect_ranges` for ``R`` problems over the same ``k``
-        matrices, level-synchronous: one :meth:`step_many` per matrix per
-        level serves every live node of every problem.
+        """:meth:`intersect_ranges` from ``c = 0`` for ``R`` problems over
+        the same ``k`` matrices, level-synchronous: one :meth:`step_many`
+        per matrix per level serves every live node of every problem.
 
         Problem ``r`` searches ``matrices[i]`` over ``[los[i][r],
-        his[i][r])`` for symbols ``>= cs[r]``.  Returns ``(problem,
-        values, below, upto, resumes)``: the leaves sorted by ``(problem,
-        value)`` — exactly the scalar kernel's yields, problem by problem
-        — with ``below[i]`` / ``upto[i]`` the rank pair of each leaf in
-        range ``i``.  ``resumes = (problem, start)``, sorted the same
-        way, lists the scalar search's backtracks: a branching node's
+        his[i][r])``.  Returns ``(problem, values, below, upto,
+        resumes)``: the leaves sorted by ``(problem, value)`` — exactly
+        the scalar kernel's yields, problem by problem — with
+        ``below[i]`` / ``upto[i]`` the rank pair of each leaf in range
+        ``i``.  ``resumes = (problem, start)``, sorted the same way,
+        lists the scalar search's backtracks: a branching node's
         one-child waits on its stack and is resumed once, and ``start``
         is the smallest symbol under that child.  A scalar search begun
         at ``c`` therefore calls ``on_backtrack`` once per resume with
         ``c < start <= v`` before it yields ``v``, and once per resume
-        above its last yield after it; every resume lies above the
-        problem's own ``cs[r]``.
+        above its last yield after it; every resume lies above ``0``.
         """
         started = time.perf_counter() if _perf.enabled else 0.0
         if not matrices:
             raise ValueError("intersect_ranges_many needs a matrix")
         k = len(matrices)
-        cs = np.maximum(np.asarray(cs, dtype=np.int64).reshape(-1), 0)
-        los = np.asarray(los, dtype=np.int64).reshape(k, cs.size)
-        his = np.asarray(his, dtype=np.int64).reshape(k, cs.size)
+        los = np.asarray(los, dtype=np.int64).reshape(k, -1)
+        his = np.asarray(his, dtype=np.int64).reshape(k, -1)
+        n_problems = los.shape[1]
         levels = matrices[0]._levels
-        live = np.ones(cs.size, dtype=bool)
+        live = np.ones(n_problems, dtype=bool)
         bounds = []
         for wm, lo, hi in zip(matrices, los, his):
             if wm._levels != levels:
                 raise ValueError("intersect_ranges_many needs one level count")
             lo, hi = np.maximum(lo, 0), np.minimum(hi, wm._n)
-            live &= (lo < hi) & (cs < wm._sigma)
+            live &= lo < hi
             bounds.append((lo, hi))
         problem = np.flatnonzero(live)
         prefix = np.zeros(problem.size, dtype=np.int64)
-        c = cs[problem]
         # Per matrix, rows (node start, lo, hi) of every live node.
         nodes = [
             np.stack([np.zeros_like(prefix), lo[problem], hi[problem]])
@@ -531,9 +529,7 @@ class WaveletMatrix:
             if not problem.size:
                 break
             shift = levels - 1 - level
-            # A 0-child is below c when c's prefix here is odd and ours
-            # equals it; a 1-child never is (the parent was not).
-            zero = (prefix << 1) >= (c >> shift)
+            zero = np.ones(problem.size, dtype=bool)
             one = np.ones(problem.size, dtype=bool)
             steps = []
             for wm, node in zip(matrices, nodes):
@@ -550,7 +546,7 @@ class WaveletMatrix:
             keep[0::2], keep[1::2] = zero, one
             picked = np.flatnonzero(keep)
             parent, bit = picked >> 1, (picked & 1).astype(bool)
-            problem, c = problem[parent], c[parent]
+            problem = problem[parent]
             prefix = (prefix[parent] << 1) | bit
             for i, (wm, ones) in enumerate(zip(matrices, steps)):
                 ones = ones[:, parent]
@@ -569,7 +565,7 @@ class WaveletMatrix:
             resumes = (empty, empty)
         if _perf.enabled:
             _perf.record(
-                "wavelet.intersect_ranges_many", cs.size,
+                "wavelet.intersect_ranges_many", n_problems,
                 time.perf_counter() - started,
             )
         return problem, prefix, below, upto, resumes

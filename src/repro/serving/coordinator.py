@@ -174,16 +174,9 @@ class ShardCoordinator(Countable):
         breaker_factory=None,
         shard_timeout: Optional[float] = None,
         gather_timeout: float = DEFAULT_GATHER_TIMEOUT,
-        policy: str = "static",
     ) -> None:
         self.shards = shards
         self.retry_policy = retry_policy or RetryPolicy()
-        #: Variable-selection policy of the coordinator-side local join
-        #: (:data:`repro.core.ltj.POLICIES`).  The canonical row sort
-        #: makes the output order policy-independent, so this is purely
-        #: a performance knob — answers stay byte-identical across
-        #: policies here.
-        self.policy = policy
         make = breaker_factory or CircuitBreaker
         self.breakers = [make() for _ in range(shards.n_shards)]
         self.shard_timeout = shard_timeout
@@ -242,9 +235,13 @@ class ShardCoordinator(Countable):
             return out
 
         failover_base = self._failover_snapshot()
-        answered, failed, retries, triples, interrupted = self._scatter_gather(
-            encoded, budget, request.partial
-        )
+        if request.limit == 0:
+            # No row can be admitted, so no shard is asked; the local join
+            # over nothing still honours a budget spent on entry.
+            gathered = range(self.shards.n_shards), set(), 0, [], None
+        else:
+            gathered = self._scatter_gather(encoded, budget, request.partial)
+        answered, failed, retries, triples, interrupted = gathered
         failovers = [
             sid
             for sid, (before, after) in enumerate(
@@ -463,7 +460,7 @@ class ShardCoordinator(Countable):
             n_nodes=self.graph.n_nodes,
             n_predicates=self.graph.n_predicates,
         )
-        local = RingIndex(local_graph, policy=self.policy)
+        local = RingIndex(local_graph)
         sub = budget.sub_budget()
         # No limit here: a pre-sort cutoff would make the output depend
         # on engine enumeration order, breaking canonical determinism.

@@ -237,7 +237,7 @@ class ProcessEndpoint(Submitting):
         replays the WAL exactly like a real crash restart.
     store_options:
         Keyword arguments for the child-side ``recover`` call
-        (buffer_threshold, policy, ...).
+        (buffer_threshold, mmap, ...).
     broker_options:
         Keyword arguments for the child's private :class:`QueryBroker`.
     spawn_timeout:

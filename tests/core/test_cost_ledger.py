@@ -1,9 +1,9 @@
 """Counts, not clocks: the deterministic cost ledger (ROADMAP item 10).
 
 ``LEDGER`` holds the exact engine counts — leaps, binds, bulk-decoded
-rows, result rows — of the 17 WGPB shapes under every planning policy on
-one seeded graph.  A change that only makes a leap *cheaper* (the fused
-wavelet level loops) must leave every number here untouched; a change
+rows, result rows — of the 17 WGPB shapes on one seeded graph.  A
+change that only makes a leap *cheaper* (the fused wavelet level
+loops) must leave every number here untouched; a change
 that alters how many leaps are made shows up as a diff of this table,
 reviewed like code, before any timing run.
 
@@ -15,7 +15,7 @@ Regenerate (after an intended algorithmic change) with::
 
     PYTHONPATH=src python tests/core/test_cost_ledger.py
 
-which prints ``shape policy column: old → new`` for every changed cell
+which prints ``shape column: old → new`` for every changed cell
 before the new table.
 """
 
@@ -26,7 +26,6 @@ import pytest
 
 from repro.bench.wgpb import generate_wgpb_queries
 from repro.bits.bitvector import BitVector
-from repro.core.ltj import POLICIES
 from repro.core.system import RingIndex
 from repro.graph.generators import wikidata_like
 from repro.sequences.wavelet_matrix import WaveletMatrix
@@ -35,110 +34,25 @@ LIMIT = 1000
 COUNTS = ("leaps", "binds", "bulk_rows")
 COLUMNS = (*COUNTS, "rows")
 
-#: shape -> policy -> (leaps, binds, bulk_rows, rows), two instances each.
-LEDGER: dict[str, dict[str, tuple[int, int, int, int]]] = {
-    'P2': {
-        'static': (244, 55, 1782, 1587),
-        'rowcount': (244, 55, 1782, 1587),
-        'distinct': (244, 55, 1782, 1587),
-        'adaptive': (244, 55, 1782, 1587),
-    },
-    'P3': {
-        'static': (7, 5, 2194, 2000),
-        'rowcount': (7, 5, 2194, 2000),
-        'distinct': (7, 5, 2194, 2000),
-        'adaptive': (7, 5, 2194, 2000),
-    },
-    'P4': {
-        'static': (319, 146, 2413, 2000),
-        'rowcount': (319, 146, 2413, 2000),
-        'distinct': (10528, 2353, 2407, 2000),
-        'adaptive': (319, 146, 2413, 2000),
-    },
-    'T2': {
-        'static': (2, 2, 2162, 2000),
-        'rowcount': (2, 2, 2162, 2000),
-        'distinct': (2, 2, 2162, 2000),
-        'adaptive': (2, 2, 2162, 2000),
-    },
-    'T3': {
-        'static': (2, 2, 2283, 2000),
-        'rowcount': (2, 2, 2283, 2000),
-        'distinct': (2, 2, 2283, 2000),
-        'adaptive': (2, 2, 2283, 2000),
-    },
-    'T4': {
-        'static': (2, 2, 2478, 2000),
-        'rowcount': (2, 2, 2478, 2000),
-        'distinct': (2, 2, 2478, 2000),
-        'adaptive': (2, 2, 2478, 2000),
-    },
-    'Ti2': {
-        'static': (4, 2, 2185, 2000),
-        'rowcount': (4, 2, 2185, 2000),
-        'distinct': (4, 2, 2185, 2000),
-        'adaptive': (4, 2, 2185, 2000),
-    },
-    'Ti3': {
-        'static': (6, 2, 2261, 2000),
-        'rowcount': (6, 2, 2261, 2000),
-        'distinct': (6, 2, 2261, 2000),
-        'adaptive': (6, 2, 2261, 2000),
-    },
-    'Ti4': {
-        'static': (8, 2, 2552, 2000),
-        'rowcount': (8, 2, 2552, 2000),
-        'distinct': (8, 2, 2552, 2000),
-        'adaptive': (8, 2, 2552, 2000),
-    },
-    'J3': {
-        'static': (6, 2, 2166, 2000),
-        'rowcount': (6, 2, 2166, 2000),
-        'distinct': (6, 2, 2166, 2000),
-        'adaptive': (6, 2, 2166, 2000),
-    },
-    'J4': {
-        'static': (6, 2, 2274, 2000),
-        'rowcount': (6, 2, 2274, 2000),
-        'distinct': (6, 2, 2274, 2000),
-        'adaptive': (6, 2, 2274, 2000),
-    },
-    'Tr1': {
-        'static': (1020, 390, 0, 55),
-        'rowcount': (735, 323, 0, 55),
-        'distinct': (1020, 390, 0, 55),
-        'adaptive': (735, 323, 0, 55),
-    },
-    'Tr2': {
-        'static': (963, 647, 0, 32),
-        'rowcount': (762, 432, 0, 32),
-        'distinct': (963, 647, 0, 32),
-        'adaptive': (1098, 441, 0, 32),
-    },
-    'S1': {
-        'static': (2035, 1048, 0, 129),
-        'rowcount': (1739, 694, 0, 129),
-        'distinct': (2035, 1048, 0, 129),
-        'adaptive': (1739, 694, 0, 129),
-    },
-    'S2': {
-        'static': (3850, 3662, 0, 479),
-        'rowcount': (2414, 1454, 0, 479),
-        'distinct': (3850, 3662, 0, 479),
-        'adaptive': (2414, 1454, 0, 479),
-    },
-    'S3': {
-        'static': (4425, 3234, 0, 788),
-        'rowcount': (2567, 1757, 0, 788),
-        'distinct': (24497, 24155, 0, 788),
-        'adaptive': (2567, 1757, 0, 788),
-    },
-    'S4': {
-        'static': (2480, 2462, 0, 2000),
-        'rowcount': (2480, 2462, 0, 2000),
-        'distinct': (2030, 2030, 0, 2000),
-        'adaptive': (2030, 2030, 0, 2000),
-    },
+#: shape -> (leaps, binds, bulk_rows, rows), two instances each.
+LEDGER: dict[str, tuple[int, int, int, int]] = {
+    'P2': (244, 55, 1782, 1587),
+    'P3': (7, 5, 2194, 2000),
+    'P4': (319, 146, 2413, 2000),
+    'T2': (2, 2, 2162, 2000),
+    'T3': (2, 2, 2283, 2000),
+    'T4': (2, 2, 2478, 2000),
+    'Ti2': (4, 2, 2185, 2000),
+    'Ti3': (6, 2, 2261, 2000),
+    'Ti4': (8, 2, 2552, 2000),
+    'J3': (6, 2, 2166, 2000),
+    'J4': (6, 2, 2274, 2000),
+    'Tr1': (1020, 390, 0, 55),
+    'Tr2': (963, 647, 0, 32),
+    'S1': (2035, 1048, 0, 129),
+    'S2': (3850, 3662, 0, 479),
+    'S3': (4425, 3234, 0, 788),
+    'S4': (2480, 2462, 0, 2000),
 }
 
 
@@ -147,20 +61,19 @@ def _workload():
     return graph, generate_wgpb_queries(graph, queries_per_shape=2, seed=0)
 
 
-def measure() -> dict[str, dict[str, tuple[int, int, int, int]]]:
+def measure() -> dict[str, tuple[int, int, int, int]]:
     graph, by_shape = _workload()
-    ledger: dict[str, dict[str, tuple[int, int, int, int]]] = {}
-    for policy in POLICIES:
-        index = RingIndex(graph, policy=policy)
-        for shape, instances in by_shape.items():
-            totals = [0, 0, 0, 0]
-            for bgp in instances:
-                stats: dict = {}
-                rows = index.evaluate(bgp, limit=LIMIT, stats=stats)
-                for i, key in enumerate(COUNTS):
-                    totals[i] += stats.get(key, 0)
-                totals[3] += len(rows)
-            ledger.setdefault(shape, {})[policy] = tuple(totals)
+    index = RingIndex(graph)
+    ledger: dict[str, tuple[int, int, int, int]] = {}
+    for shape, instances in by_shape.items():
+        totals = [0, 0, 0, 0]
+        for bgp in instances:
+            stats: dict = {}
+            rows = index.evaluate(bgp, limit=LIMIT, stats=stats)
+            for i, key in enumerate(COUNTS):
+                totals[i] += stats.get(key, 0)
+            totals[3] += len(rows)
+        ledger[shape] = tuple(totals)
     return ledger
 
 
@@ -169,17 +82,12 @@ def measured():
     return measure()
 
 
-def test_ledger_covers_every_shape_and_policy(measured):
+def test_ledger_covers_every_shape(measured):
     assert set(measured) == set(LEDGER)
-    for shape in LEDGER:
-        assert set(measured[shape]) == set(POLICIES) == set(LEDGER[shape])
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_counts_match_the_ledger(measured, policy):
-    got = {shape: measured[shape][policy] for shape in LEDGER}
-    want = {shape: LEDGER[shape][policy] for shape in LEDGER}
-    assert got == want
+def test_counts_match_the_ledger(measured):
+    assert measured == LEDGER
 
 
 #: The public BitVector callables the benchmark's tracer wraps.
@@ -233,14 +141,13 @@ def test_fused_ops_enter_no_bitvector_method(bitvector_calls, op):
 
 
 def changed_cells(ledger) -> list[str]:
-    """``shape policy column: old → new`` for every cell that moved."""
+    """``shape column: old → new`` for every cell that moved."""
     lines = []
-    for shape, by_policy in ledger.items():
-        for policy, counts in by_policy.items():
-            old = LEDGER.get(shape, {}).get(policy, (None,) * len(counts))
-            for column, was, now in zip(COLUMNS, old, counts):
-                if was != now:
-                    lines.append(f"{shape} {policy} {column}: {was} → {now}")
+    for shape, counts in ledger.items():
+        old = LEDGER.get(shape, (None,) * len(counts))
+        for column, was, now in zip(COLUMNS, old, counts):
+            if was != now:
+                lines.append(f"{shape} {column}: {was} → {now}")
     return lines
 
 
@@ -249,9 +156,6 @@ if __name__ == "__main__":
     for line in changed_cells(ledger):
         print(f"# {line}")
     print("LEDGER = {")
-    for shape, by_policy in ledger.items():
-        print(f"    {shape!r}: {{")
-        for policy, counts in by_policy.items():
-            print(f"        {policy!r}: {counts},")
-        print("    },")
+    for shape, counts in ledger.items():
+        print(f"    {shape!r}: {counts},")
     print("}")

@@ -57,7 +57,6 @@ class TestExplain:
         plan = nobel.explain(query)
         assert plan["empty"]
         assert plan["variable_order"] == []
-        assert plan.get("first_variable") is None
         assert sorted(plan["pattern_cardinalities"].values()) == [0, 4, 4]
 
     def test_ordering_flag_off(self):

@@ -9,7 +9,8 @@ blocks of one depth's bindings, and a run of at least
 (``Ring.backward_lockstep_many``).  An iterator that hides
 ``zone_state`` forces the classic leapfrog ``_seek`` and blocks of one
 binding, which is the reference here: the ordered rows must be
-list-equal under every policy, on the plain ring and on the C-Ring, at the engine's crossover and with every run batched.
+list-equal on the plain ring and on the C-Ring, at the engine's
+crossover and with every run batched.
 Limits, an early-closed generator and a spent op budget must stop at
 the rows, counts and ops the unbatched search stops at.
 """
@@ -24,7 +25,7 @@ import pytest
 from repro.bench.wgpb import generate_wgpb_queries
 from repro.core import QueryCancelled, QueryTimeout, ltj
 from repro.core.iterators import RingIterator
-from repro.core.ltj import BLOCK_SIZE, POLICIES
+from repro.core.ltj import BLOCK_SIZE
 from repro.core.system import CompressedRingIndex, RingIndex
 from repro.graph import BasicGraphPattern, TriplePattern, Var
 from repro.graph.dataset import Graph
@@ -89,16 +90,13 @@ def test_workload_covers_every_shape(workload):
     assert len(shapes) == 17
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_lockstep_rows_equal_leapfrog_rows(workload, policy, monkeypatch):
+def test_lockstep_rows_equal_leapfrog_rows(workload, monkeypatch):
     """At the engine's crossover, then with every run batched."""
     graph, shapes = workload
     for crossover in (ltj.BATCH_CROSSOVER, 1):
         monkeypatch.setattr(ltj, "BATCH_CROSSOVER", crossover)
         assert _assert_identical(
-            RingIndex(graph, policy=policy),
-            LeapfrogRingIndex(graph, policy=policy),
-            shapes,
+            RingIndex(graph), LeapfrogRingIndex(graph), shapes
         ) > 0, crossover
 
 

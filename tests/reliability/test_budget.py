@@ -72,11 +72,6 @@ class TestDeadline:
         assert 0 < budget.remaining_time() <= 60.0
         assert ResourceBudget().remaining_time() is None
 
-    def test_expired_probe_does_not_raise(self):
-        budget = ResourceBudget(timeout=0.0)
-        assert budget.expired()
-        assert not ResourceBudget(timeout=60.0).expired()
-
 
 class TestOpsBudget:
     def test_op_budget_exhaustion(self):

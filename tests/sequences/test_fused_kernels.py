@@ -224,13 +224,12 @@ BLOCK_SIZES = (1, BATCH_CROSSOVER - 1, BATCH_CROSSOVER, 300)
 
 def check_batched_intersections(matrices, seqs, seed, sizes=BLOCK_SIZES):
     """``intersect_ranges_many`` against one scalar ``intersect_ranges``
-    per problem: the same values with the same rank pairs, and resume
-    points that reproduce the scalar search's ``on_backtrack`` calls —
-    those in ``(c, v]`` before each value ``v``, the rest after the
-    last.  Ranges are random with about a fifth left empty, ``c``
-    differs per problem, and each call records one kernel entry."""
+    from ``0`` per problem: the same values with the same rank pairs,
+    and resume points that reproduce the scalar search's
+    ``on_backtrack`` calls — those in ``(0, v]`` before each value
+    ``v``, the rest after the last.  Ranges are random with about a
+    fifth left empty, and each call records one kernel entry."""
     rng = np.random.default_rng(seed)
-    sigma = max(wm.sigma for wm in matrices)
     for size in sizes:
         los, his = [], []
         for seq in seqs:
@@ -238,10 +237,9 @@ def check_batched_intersections(matrices, seqs, seed, sizes=BLOCK_SIZES):
             empty = rng.random(size) < 0.2
             los.append(ends[0])
             his.append(np.where(empty, ends[0], ends[1]))
-        cs = rng.integers(-1, sigma + 3, size)
         with measuring() as counters:
             problem, values, below, upto, (r_problem, r_start) = (
-                WaveletMatrix.intersect_ranges_many(matrices, los, his, cs)
+                WaveletMatrix.intersect_ranges_many(matrices, los, his)
             )
             assert counters.calls("wavelet.intersect_ranges_many") == 1
             assert counters.ops("wavelet.intersect_ranges_many") == size
@@ -252,12 +250,12 @@ def check_batched_intersections(matrices, seqs, seed, sizes=BLOCK_SIZES):
             want = [
                 (value, tuple(pairs), len(backtracks))
                 for value, pairs in WaveletMatrix.intersect_ranges(
-                    matrices, ranges, int(cs[r]), lambda: backtracks.append(1)
+                    matrices, ranges, 0, lambda: backtracks.append(1)
                 )
             ]
             starts = r_start[r_problem == r].tolist()
             assert starts == sorted(starts)
-            assert all(start > int(cs[r]) for start in starts)
+            assert all(start > 0 for start in starts)
             got = [
                 (
                     int(values[i]),
@@ -284,10 +282,10 @@ def test_intersect_ranges_many_needs_one_level_count():
     two, three = WaveletMatrix([0, 1], 2), WaveletMatrix([0, 5], 6)
     with pytest.raises(ValueError, match="level count"):
         WaveletMatrix.intersect_ranges_many(
-            [two, three], [[0], [0]], [[2], [2]], [0]
+            [two, three], [[0], [0]], [[2], [2]]
         )
     with pytest.raises(ValueError, match="needs a matrix"):
-        WaveletMatrix.intersect_ranges_many([], [], [], [0])
+        WaveletMatrix.intersect_ranges_many([], [], [])
 
 
 def test_intersect_ranges_needs_one_level_count():

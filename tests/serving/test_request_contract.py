@@ -222,3 +222,16 @@ def test_coordinator_dispatches_nothing_on_a_spent_budget():
         assert len(got) == 0
         assert got.truncated and got.interrupted_by == "cancelled"
         assert coordinator.stats()["shard_calls"] == 0
+
+
+def test_coordinator_asks_no_shard_at_limit_zero():
+    with ShardedRingIndex.from_graph(GRAPH, 3) as shards:
+        coordinator = ShardCoordinator(shards)
+        got = coordinator.evaluate(JOIN, limit=0)
+        assert len(got) == 0
+        assert not got.truncated and got.interrupted_by is None
+        # A budget spent on entry still stops it, as it stops a ring.
+        spent = coordinator.evaluate(JOIN, limit=0, timeout=0, partial=True)
+        assert len(spent) == 0
+        assert spent.truncated and spent.interrupted_by == "timeout"
+        assert coordinator.stats()["shard_calls"] == 0
