@@ -1,27 +1,26 @@
-"""Property test of the variable-selection policies (ISSUE 7).
+"""Property test of the one elimination order on a dynamic ring.
 
 Under any interleaving of inserts, deletes, compactions and queries on
 a dynamic ring:
 
-- every policy (``static``/``rowcount``/``distinct``/``adaptive``)
-  returns the *same solution multiset* for every query at every
-  instant (policies may only change enumeration order, never content);
-- each policy enumerates *deterministically* (two evaluations stream
-  identical bytes);
-- a per-policy :class:`~repro.cache.CachedQuerySystem` serve is
-  byte-identical — same rows, same order — to a fresh evaluation of
-  the same-policy index at that instant (the policy is part of the
-  cache key, so cached rows can never leak across policies).
+- the dynamic index returns the *same solution multiset* as a static
+  :class:`~repro.core.system.RingIndex` rebuilt from the live triples
+  at that instant (buffer, tombstones and compaction may change where a
+  triple lives, never the answer);
+- it enumerates *deterministically* (two evaluations stream identical
+  bytes);
+- a :class:`~repro.cache.CachedQuerySystem` serve is byte-identical —
+  same rows, same order — to a fresh evaluation of the index at that
+  instant.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CachedQuerySystem
 from repro.core.dynamic import DynamicRingIndex
-from repro.core.ltj import POLICIES
+from repro.core.system import RingIndex
 from repro.graph.dataset import Graph
 from repro.graph.model import BasicGraphPattern, TriplePattern, Var
 
@@ -67,7 +66,7 @@ operations = st.lists(
 
 
 def canon(result):
-    """Policy-independent multiset encoding (binding order varies)."""
+    """Order-independent multiset encoding."""
     return sorted(
         tuple(sorted((v.name, c) for v, c in mu.items())) for mu in result
     )
@@ -78,6 +77,11 @@ def byte_rows(result):
     return [list(mu.items()) for mu in result]
 
 
+def static_index(live):
+    rows = np.array(sorted(live), dtype=np.int64).reshape(-1, 3)
+    return RingIndex(Graph(rows, n_nodes=N_NODES, n_predicates=N_PREDICATES))
+
+
 @given(ops=operations, initial=st.lists(triples, max_size=10, unique=True))
 @settings(
     max_examples=25,
@@ -85,45 +89,33 @@ def byte_rows(result):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_policies_agree_and_cache_per_policy(ops, initial):
-    base = np.array(sorted(set(initial)), dtype=np.int64).reshape(-1, 3)
+    live = set(initial)
+    base = np.array(sorted(live), dtype=np.int64).reshape(-1, 3)
     graph = Graph(base, n_nodes=N_NODES, n_predicates=N_PREDICATES)
-    indexes = {
-        policy: DynamicRingIndex(
-            graph, buffer_threshold=6, auto_compact=False, policy=policy
-        )
-        for policy in POLICIES
-    }
-    cached = {
-        policy: CachedQuerySystem(index) for policy, index in indexes.items()
-    }
+    index = DynamicRingIndex(graph, buffer_threshold=6, auto_compact=False)
+    cached = CachedQuerySystem(index)
 
     for step, (op, arg) in enumerate(ops):
         if op == "insert":
-            for system in cached.values():
-                system.insert(*arg)
+            cached.insert(*arg)
+            live.add(arg)
         elif op == "delete":
-            for system in cached.values():
-                system.delete(*arg)
+            cached.delete(*arg)
+            live.discard(arg)
         elif op == "compact":
-            for index in indexes.values():
-                index._compact()
+            index._compact()
         else:
-            reference = None
-            for policy in POLICIES:
-                fresh = indexes[policy].evaluate(arg)
-                # Same multiset across every policy, always.
-                if reference is None:
-                    reference = canon(fresh)
-                else:
-                    assert canon(fresh) == reference, (
-                        f"step {step}: policy {policy} changed the answer "
-                        f"of {arg!r}"
-                    )
-                # Per-policy determinism and byte-identical cached serves
-                # (asked twice: the second is usually a hit).
-                for _ in range(2):
-                    served = cached[policy].evaluate(arg)
-                    assert byte_rows(served) == byte_rows(fresh), (
-                        f"step {step}: {policy} cached serve diverged "
-                        f"on {arg!r}"
-                    )
+            fresh = index.evaluate(arg)
+            # Same multiset as a from-scratch static index, always.
+            assert canon(fresh) == canon(static_index(live).evaluate(arg)), (
+                f"step {step}: dynamic answer of {arg!r} diverged from a "
+                f"rebuilt static index"
+            )
+            # Determinism and byte-identical cached serves (asked twice:
+            # the second is usually a hit).
+            assert byte_rows(index.evaluate(arg)) == byte_rows(fresh)
+            for _ in range(2):
+                served = cached.evaluate(arg)
+                assert byte_rows(served) == byte_rows(fresh), (
+                    f"step {step}: cached serve diverged on {arg!r}"
+                )
