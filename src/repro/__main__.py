@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -609,6 +610,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at ``/dev/null``, so the interpreter's
+    exit-time flush of what is still buffered does not hit the closed
+    pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     try:
@@ -619,6 +633,10 @@ def main(argv=None) -> None:
     except QueryCancelled:
         print("error: query cancelled", file=sys.stderr)
         raise SystemExit(EXIT_TIMEOUT) from None
+    except BrokenPipeError:
+        # The reader went away (``| head -1``): not an error.
+        _silence_stdout()
+        raise SystemExit(0) from None
     except (
         OSError,
         NTriplesError,

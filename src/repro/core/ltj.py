@@ -15,7 +15,9 @@ engineering refinements:
   deferred; once the shared variables are bound, each pattern's remaining
   bindings are read off its range directly (cross-product across
   patterns), enumerating backwards so the wavelet matrices' ``distinct``
-  operation applies.
+  operation applies.  A pattern's range depends only on that binding,
+  so it is read once per leaf and replayed for every row of the
+  patterns before it.
 
 On top of those the engine leans on the succinct kernels wherever an
 iterator offers them:
@@ -35,9 +37,13 @@ iterator offers them:
   binding by binding (:meth:`repro.core.ring.Ring.backward_lockstep`).
   With one iterator this is its ordered value sweep;
 - lonely patterns whose iterator offers ``solutions_bulk`` have their
-  whole Lemma 3.6 range bulk-decoded into row-aligned numpy columns
-  (chunked), replacing the per-triple bind/leap walk; iterators without
-  it (every baseline) take the scalar walk;
+  whole Lemma 3.6 range bulk-decoded into row-aligned columns
+  (chunked), replacing the per-triple bind/leap walk.  A range of at
+  most one chunk is decoded once per leaf, on first use, and replayed
+  for every row of the patterns before it; a longer one is decoded
+  again for each of those rows, so memory stays one chunk per pattern.
+  The innermost pattern's rows leave in a flat loop.  Iterators without
+  it (every baseline, the dynamic ring's union) take the scalar walk;
 - the leapfrog seeks that remain (iterators with no zone state, such as
   the dynamic ring's union) hit the ring's LRU leap memo (see
   :meth:`repro.core.ring.Ring.backward_leap`).  A query with such an
@@ -66,7 +72,9 @@ from __future__ import annotations
 import copy
 import sys
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import (
+    Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union,
+)
 
 import numpy as np
 
@@ -328,7 +336,8 @@ class LeapfrogTrieJoin:
         When ``stats`` (a dict) is given, the engine fills it with
         operation counters (``"leaps"``, ``"binds"``, plus
         ``"bulk_rows"`` — solutions emitted through the batch decode
-        path) — the empirical handle on the O(Q* · m log U) bound of
+        path — and ``"bulk_decodes"``, the chunk decodes behind them)
+        — the empirical handle on the O(Q* · m log U) bound of
         Theorem 3.5.  An explicit ``var_order`` replaces the §4.3
         elimination order.
         """
@@ -338,7 +347,9 @@ class LeapfrogTrieJoin:
         run = copy.copy(self)
         run._stats = stats
         if stats is not None:
-            for key in ("leaps", "binds", "bulk_rows", "batched_values"):
+            for key in (
+                "leaps", "binds", "bulk_rows", "bulk_decodes", "batched_values",
+            ):
                 stats.setdefault(key, 0)
         deadline = ResourceBudget.coerce(timeout)
         analysed = run._analyse(bgp, var_order)
@@ -581,7 +592,7 @@ class LeapfrogTrieJoin:
                 binding = _binding_of(node)
                 if q.lonely:
                     self._seat(q, node)
-                    yield from self._emit_lonely(q.lonely, 0, binding, q.deadline)
+                    yield from self._emit_lonely(q, 0, binding, {})
                 else:
                     yield binding
             return
@@ -828,69 +839,116 @@ class LeapfrogTrieJoin:
         return cur
 
     def _emit_lonely(
-        self,
-        lonely_by_iter: Sequence[tuple[PatternIterator, list[Var]]],
-        idx: int,
-        binding: dict[Var, int],
-        deadline: ResourceBudget,
+        self, q: "_Query", idx: int, binding: dict[Var, int], memo: dict
     ) -> Iterator[dict[Var, int]]:
         """§4.2: read the remaining bindings straight off the ranges.
 
         Patterns are independent here (each variable occurs in exactly
         one), so solutions are the cross product of per-pattern
         enumerations; within a pattern, variables are enumerated in the
-        iterator's preferred (backward) order.
+        iterator's preferred (backward) order.  For the same reason a
+        pattern's range depends only on the leaf's binding, not on the
+        rows of the patterns before it: ``memo`` (one per leaf, keyed by
+        pattern index) holds the decoded chunk of every range that fit
+        in one, so it is decoded once and replayed for every outer row.
         """
-        if idx == len(lonely_by_iter):
+        if idx == len(q.lonely):
             yield dict(binding)
             return
-        it, vars_ = lonely_by_iter[idx]
-        yield from self._emit_pattern(
-            it, list(vars_), lonely_by_iter, idx, binding, deadline
-        )
+        it, vars_ = q.lonely[idx]
+        chunks = memo.get(idx)
+        if chunks is None:
+            yield from self._emit_pattern(q, it, vars_, idx, binding, memo, memo)
+        else:
+            yield from self._emit_chunks(q, idx, vars_, chunks, binding, memo)
 
     def _emit_pattern(
         self,
+        q: "_Query",
         it: PatternIterator,
         remaining: list[Var],
-        lonely_by_iter: Sequence[tuple[PatternIterator, list[Var]]],
         idx: int,
         binding: dict[Var, int],
-        deadline: ResourceBudget,
+        memo: dict,
+        keep: Optional[dict],
     ) -> Iterator[dict[Var, int]]:
+        """Pattern ``idx``'s rows over its ``remaining`` variables, each
+        followed by the product of the patterns after it.  ``keep`` is
+        the memo a lone decoded chunk is kept in: ``None`` once a
+        variable of the pattern is bound here, since the range then
+        depends on its value."""
         if not remaining:
-            yield from self._emit_lonely(lonely_by_iter, idx + 1, binding, deadline)
+            yield from self._emit_lonely(q, idx + 1, binding, memo)
             return
         bulk = getattr(it, "solutions_bulk", None)
         chunks = bulk(remaining) if bulk is not None else None
         if chunks is not None:
-            # Bulk-decode the pattern's whole Lemma 3.6 range into
-            # row-aligned columns (chunked): one batched wavelet descent
-            # per attribute per chunk replaces the per-triple bind/leap
-            # walk, and each row charges the budget as one op exactly
-            # like a scalar emission.
-            for columns, n_rows in chunks:
-                deadline.tick_many(n_rows)
-                if self._stats is not None:
-                    self._stats["bulk_rows"] += n_rows
-                cols = [(var, columns[var].tolist()) for var in remaining]
-                for row in range(n_rows):
-                    for var, column in cols:
-                        binding[var] = column[row]
-                    yield from self._emit_lonely(
-                        lonely_by_iter, idx + 1, binding, deadline
-                    )
-                for var, _ in cols:
-                    binding.pop(var, None)
+            yield from self._emit_chunks(
+                q, idx, remaining, self._decoded(chunks, remaining, keep, idx),
+                binding, memo,
+            )
             return
         var = it.preferred_lonely(remaining)
         rest = [v for v in remaining if v != var]
         for value in it.values(var):
-            deadline.tick()
+            q.deadline.tick()
             it.bind(var, value)
             binding[var] = value
-            yield from self._emit_pattern(
-                it, rest, lonely_by_iter, idx, binding, deadline
-            )
+            yield from self._emit_pattern(q, it, rest, idx, binding, memo, None)
             del binding[var]
             it.unbind(var)
+
+    def _decoded(
+        self, chunks: Iterator, vars_: list[Var], keep: Optional[dict], idx: int
+    ) -> Iterator[tuple[list, int]]:
+        """``solutions_bulk``'s chunks as ``(columns, n_rows)``, columns
+        as lists aligned with ``vars_``, decoded on demand and counted
+        as ``bulk_decodes``.  A range of at most one chunk is kept in
+        ``keep[idx]`` once it is exhausted; a longer one is decoded
+        again for each outer row, so memory stays one chunk per
+        pattern."""
+        n_chunks, chunk = 0, None
+        for columns, n_rows in chunks:
+            n_chunks += 1
+            if self._stats is not None:
+                self._stats["bulk_decodes"] += 1
+            chunk = ([columns[var].tolist() for var in vars_], n_rows)
+            yield chunk
+        if keep is not None and n_chunks <= 1:
+            keep[idx] = (chunk,) if n_chunks else ()
+
+    def _emit_chunks(
+        self,
+        q: "_Query",
+        idx: int,
+        vars_: list[Var],
+        chunks: Iterable[tuple[list, int]],
+        binding: dict[Var, int],
+        memo: dict,
+    ) -> Iterator[dict[Var, int]]:
+        """Emit pattern ``idx``'s decoded (or replayed) chunks.  Each
+        chunk charges the budget one op per row, as a scalar emission
+        would, before its first row; the innermost pattern's rows leave
+        in a flat loop."""
+        innermost = idx + 1 == len(q.lonely)
+        for columns, n_rows in chunks:
+            q.deadline.tick_many(n_rows)
+            if self._stats is not None:
+                self._stats["bulk_rows"] += n_rows
+            if not innermost:
+                for values in zip(*columns):
+                    binding.update(zip(vars_, values))
+                    yield from self._emit_lonely(q, idx + 1, binding, memo)
+            elif len(vars_) == 1:
+                var = vars_[0]
+                for value in columns[0]:
+                    row = binding.copy()
+                    row[var] = value
+                    yield row
+            else:
+                for values in zip(*columns):
+                    row = binding.copy()
+                    row.update(zip(vars_, values))
+                    yield row
+        for var in vars_:
+            binding.pop(var, None)

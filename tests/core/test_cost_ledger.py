@@ -1,11 +1,12 @@
 """Counts, not clocks: the deterministic cost ledger (ROADMAP item 10).
 
 ``LEDGER`` holds the exact engine counts — leaps, binds, bulk-decoded
-rows, result rows — of the 17 WGPB shapes on one seeded graph.  A
-change that only makes a leap *cheaper* (the fused wavelet level
-loops) must leave every number here untouched; a change
-that alters how many leaps are made shows up as a diff of this table,
-reviewed like code, before any timing run.
+rows, the chunk decodes behind them, result rows — of the 17 WGPB
+shapes on one seeded graph.  A change that only makes a leap
+*cheaper* (the fused wavelet level loops) must leave every number
+here untouched; a change that alters how many leaps are made shows
+up as a diff of this table, reviewed like code, before any timing
+run.
 
 A *leap* is one ``leap`` call on an iterator, or one value a lockstep
 descent of backward iterators reaches (``Ring.backward_lockstep``: the
@@ -31,28 +32,29 @@ from repro.graph.generators import wikidata_like
 from repro.sequences.wavelet_matrix import WaveletMatrix
 
 LIMIT = 1000
-COUNTS = ("leaps", "binds", "bulk_rows")
+COUNTS = ("leaps", "binds", "bulk_rows", "bulk_decodes")
 COLUMNS = (*COUNTS, "rows")
 
-#: shape -> (leaps, binds, bulk_rows, rows), two instances each.
-LEDGER: dict[str, tuple[int, int, int, int]] = {
-    'P2': (244, 55, 1782, 1587),
-    'P3': (7, 5, 2194, 2000),
-    'P4': (319, 146, 2413, 2000),
-    'T2': (2, 2, 2162, 2000),
-    'T3': (2, 2, 2283, 2000),
-    'T4': (2, 2, 2478, 2000),
-    'Ti2': (4, 2, 2185, 2000),
-    'Ti3': (6, 2, 2261, 2000),
-    'Ti4': (8, 2, 2552, 2000),
-    'J3': (6, 2, 2166, 2000),
-    'J4': (6, 2, 2274, 2000),
-    'Tr1': (1020, 390, 0, 55),
-    'Tr2': (963, 647, 0, 32),
-    'S1': (2035, 1048, 0, 129),
-    'S2': (3850, 3662, 0, 479),
-    'S3': (4425, 3234, 0, 788),
-    'S4': (2480, 2462, 0, 2000),
+#: shape -> (leaps, binds, bulk_rows, bulk_decodes, rows), two
+#: instances each.
+LEDGER: dict[str, tuple[int, int, int, int, int]] = {
+    'P2': (244, 55, 1782, 110, 1587),
+    'P3': (7, 5, 2194, 6, 2000),
+    'P4': (319, 146, 2413, 132, 2000),
+    'T2': (2, 2, 2162, 4, 2000),
+    'T3': (2, 2, 2283, 6, 2000),
+    'T4': (2, 2, 2478, 8, 2000),
+    'Ti2': (4, 2, 2185, 4, 2000),
+    'Ti3': (6, 2, 2261, 6, 2000),
+    'Ti4': (8, 2, 2552, 8, 2000),
+    'J3': (6, 2, 2166, 6, 2000),
+    'J4': (6, 2, 2274, 8, 2000),
+    'Tr1': (1020, 390, 0, 0, 55),
+    'Tr2': (963, 647, 0, 0, 32),
+    'S1': (2035, 1048, 0, 0, 129),
+    'S2': (3850, 3662, 0, 0, 479),
+    'S3': (4425, 3234, 0, 0, 788),
+    'S4': (2480, 2462, 0, 0, 2000),
 }
 
 
@@ -61,18 +63,18 @@ def _workload():
     return graph, generate_wgpb_queries(graph, queries_per_shape=2, seed=0)
 
 
-def measure() -> dict[str, tuple[int, int, int, int]]:
+def measure() -> dict[str, tuple[int, int, int, int, int]]:
     graph, by_shape = _workload()
     index = RingIndex(graph)
-    ledger: dict[str, tuple[int, int, int, int]] = {}
+    ledger: dict[str, tuple[int, int, int, int, int]] = {}
     for shape, instances in by_shape.items():
-        totals = [0, 0, 0, 0]
+        totals = [0] * len(COLUMNS)
         for bgp in instances:
             stats: dict = {}
             rows = index.evaluate(bgp, limit=LIMIT, stats=stats)
             for i, key in enumerate(COUNTS):
                 totals[i] += stats.get(key, 0)
-            totals[3] += len(rows)
+            totals[-1] += len(rows)
         ledger[shape] = tuple(totals)
     return ledger
 
@@ -145,6 +147,9 @@ def changed_cells(ledger) -> list[str]:
     lines = []
     for shape, counts in ledger.items():
         old = LEDGER.get(shape, (None,) * len(counts))
+        if len(old) != len(counts):  # a column was added or dropped
+            lines.append(f"{shape}: {old} → {counts}")
+            continue
         for column, was, now in zip(COLUMNS, old, counts):
             if was != now:
                 lines.append(f"{shape} {column}: {was} → {now}")

@@ -116,7 +116,7 @@ def test_lockstep_rows_equal_leapfrog_rows_on_the_c_ring(monkeypatch):
         ) > 0, crossover
 
 
-COUNTS = ("leaps", "binds", "bulk_rows")
+COUNTS = ("leaps", "binds", "bulk_rows", "bulk_decodes")
 
 
 def _unbatched(monkeypatch, run):

@@ -1,5 +1,8 @@
 """End-to-end tests for the ``python -m repro`` command line."""
 
+import io
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -177,6 +180,24 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["query", "plan"])
+    def test_closed_stdout_exits_quietly(
+        self, index_path, capsys, monkeypatch, command
+    ):
+        """``repro query … | head -1``: the reader closing the pipe is
+        not an error — exit 0, nothing on stderr."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert exit_code([command, index_path, "?x adv ?y"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_query_corrupted_index(self, index_path, capsys):
         from repro.reliability.integrity import resolve_payload
