@@ -68,8 +68,6 @@ def cmd_build(args) -> None:
         # Pool passes and sharded layouts are built by the streaming
         # builder only.
         args.stream = True
-    if args.merge_fanin < 2:
-        raise SystemExit("error: --merge-fanin must be at least 2")
     if args.workers < 0:
         raise SystemExit("error: --workers must be non-negative")
     if args.shards is not None and args.shards < 1:
@@ -89,7 +87,6 @@ def cmd_build(args) -> None:
             n_shards=args.shards,
             chunk_triples=args.chunk_triples,
             workers=args.workers,
-            merge_fanin=args.merge_fanin,
             stats=build_stats,
             progress=lambda msg: print(f"  {msg}", file=sys.stderr),
         )
@@ -127,7 +124,6 @@ def cmd_build(args) -> None:
             args.output,
             chunk_triples=args.chunk_triples,
             workers=args.workers,
-            merge_fanin=args.merge_fanin,
             stats=build_stats,
             progress=lambda msg: print(f"  {msg}", file=sys.stderr),
         )
@@ -463,10 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "path's wavelet and count passes (implies "
                         "--stream; output stays byte-identical to the "
                         "serial build)")
-    p.add_argument("--merge-fanin", type=int, default=64,
-                   help="max spill runs one k-way merge pass opens "
-                        "(default 64; more runs fall back to recursive "
-                        "reduction rounds)")
     p.add_argument("--shards", type=int, default=None,
                    help="emit a ready-to-serve sharded durable layout "
                         "(SHARDS.json + per-shard stores) instead of one "

@@ -532,14 +532,6 @@ class DynamicRingIndex(BaseLTJSystem):
             if len(survivors):
                 self._rings.append(Ring(self._graph_of(survivors)))
             self._rings.sort(key=lambda r: r.n)
-        # Retire memoised leaps on the retained rings.  Component rings
-        # are immutable, so their memos could never serve a *wrong*
-        # answer — but the component set just changed under them, and
-        # bumping the generation here guarantees no cached leap predates
-        # the current epoch even if a future ring variant (in-place
-        # patching) breaks that immutability assumption.  Cost: one counter bump + dict clear per ring.
-        for ring in self._rings:
-            ring.invalidate_leap_memo()
         self._epoch += 1
 
     def _merge_rows(self, rings) -> tuple[np.ndarray, set[Triple]]:

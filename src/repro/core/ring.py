@@ -78,20 +78,13 @@ class Ring:
     ) -> None:
         triples = graph.triples
         self._n = len(triples)
-        # LRU memo for backward leaps, keyed (generation, zone, lo, hi, c).
-        # The ring is immutable, so memoisation is sound for any one
-        # generation; repeated seeks inside one query (leapfrog revisits
-        # the same ranges as it cycles through the iterators) hit instead
-        # of re-descending the wavelet matrix.  The generation counter
-        # scopes the cache: owners that swap or mutate the backing state
-        # (the dynamic ring's compaction) call
-        # :meth:`invalidate_leap_memo`, after which no key
-        # of an earlier generation can ever be served again.
-        self._leap_memo: OrderedDict[
-            tuple[int, int, int, int, int], Optional[int]
-        ]
+        # LRU memo for backward leaps, keyed (zone, lo, hi, c).  The ring
+        # is immutable, so a memoised leap is never stale; repeated seeks
+        # inside one query (leapfrog revisits the same ranges as it
+        # cycles through the iterators) hit instead of re-descending the
+        # wavelet matrix.
+        self._leap_memo: OrderedDict[tuple[int, int, int, int], Optional[int]]
         self._leap_memo = OrderedDict()
-        self._leap_generation = 0
         self._leap_memo_hits = 0
         self._leap_memo_misses = 0
         self._sigma = (graph.n_nodes, graph.n_predicates, graph.n_nodes)
@@ -136,7 +129,7 @@ class Ring:
         memory-mapped, :mod:`repro.core.frozen`) and the streaming bulk
         builder: ``seq`` maps zones to wavelet matrices, ``counts``
         maps attributes to C components.  Nothing is copied; the result
-        has a fresh leap memo at generation 0.
+        has a fresh leap memo.
         """
         ring = cls.__new__(cls)
         ring._n = int(n)
@@ -147,7 +140,6 @@ class Ring:
         ring._seq = dict(seq)
         ring._c = dict(counts)
         ring._leap_memo = OrderedDict()
-        ring._leap_generation = 0
         ring._leap_memo_hits = 0
         ring._leap_memo_misses = 0
         return ring
@@ -257,7 +249,7 @@ class Ring:
         the bound run: range-next-value on the zone's wavelet matrix,
         behind the LRU leap memo."""
         memo = self._leap_memo
-        key = (self._leap_generation, zone, lo, hi, c)
+        key = (zone, lo, hi, c)
         value = memo.get(key, _MEMO_MISS)
         if value is not _MEMO_MISS:
             memo.move_to_end(key)
@@ -341,7 +333,6 @@ class Ring:
             "misses": self._leap_memo_misses,
             "entries": len(self._leap_memo),
             "capacity": LEAP_MEMO_SIZE,
-            "generation": self._leap_generation,
         }
 
     def clear_leap_memo(self) -> None:
@@ -349,23 +340,6 @@ class Ring:
         self._leap_memo.clear()
         self._leap_memo_hits = 0
         self._leap_memo_misses = 0
-
-    @property
-    def leap_generation(self) -> int:
-        """Generation scoping the leap memo (see :meth:`backward_leap`)."""
-        return self._leap_generation
-
-    def invalidate_leap_memo(self) -> None:
-        """Retire every memoised leap by bumping the generation.
-
-        Called by owners whose mutation paths could otherwise leave the
-        memo answering for a state the index no longer has (the dynamic
-        ring's update/compaction paths).
-        Entries of older generations become unreachable immediately —
-        the memo is also cleared so they don't occupy LRU capacity.
-        """
-        self._leap_generation += 1
-        self._leap_memo.clear()
 
     def forward_leap(self, attr: int, d: int, c: int) -> Optional[int]:
         """Smallest value ``>= c`` of ``next_attr(attr)`` among triples

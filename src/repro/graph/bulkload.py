@@ -3,19 +3,22 @@
 ``RingIndex(graph)`` needs the whole triple set (and three full sorts
 of it) in RAM.  This module builds the *same* on-disk frozen pack
 (:mod:`repro.core.frozen`) with bounded memory, so the index a host
-serves can be an order of magnitude larger than its RAM:
+serves can be an order of magnitude larger than its RAM.  Once the id
+universes N and P are fixed, every triple is one int64 key
+``(s·P + p)·N + o``, so every sort and merge is a flat int64 operation:
 
-1. **scan** — the source (N-Triples, id text, raw binary or any block
-   iterable) is consumed in chunks of ``chunk_triples`` rows; each chunk
-   is sorted, deduplicated and spilled to a run file (`build.spill`
-   fault site);
+1. **scan** — the universes are fixed *before* any run is written: up
+   front when both are pinned or the source is a :class:`Graph`, else
+   after *staging* the raw rows to one scratch ``.bin`` (assigning
+   ``.nt`` ids, tracking the maximum ids).  The (staged) source is then
+   consumed in chunks of ``chunk_triples`` rows; each chunk is keyed,
+   sorted, deduplicated and spilled to a run file (`build.spill` fault
+   site);
 2. **merge** — runs are merged in a *single pass* by a heap-free k-way
    merge with global duplicate elimination (`build.merge` fault site):
    every spill run is read exactly once as long as the run count stays
-   within ``merge_fanin``; larger inputs fall back to fan-in-bounded
-   recursive reduction rounds.  Triples are packed into single int64
-   keys, ``(s·P + p)·N + o``, which makes every sort and merge a flat
-   int64 operation;
+   within :data:`MERGE_FANIN`; larger inputs fall back to fan-in-bounded
+   recursive reduction rounds;
 3. **re-sort** — two more external sorts derive the ``(p, o, s)`` and
    ``(o, s, p)`` orders the ring's other zones need;
 4. **incremental wavelet construction** — each zone's wavelet matrix is
@@ -74,16 +77,17 @@ from repro.graph.ntriples import iter_ntriples
 
 _KEY_LIMIT = (1 << 63) - 1
 
-#: Default bounded fan-in of the k-way spill merge.  64 open run files
-#: keep the per-reader buffers useful (io_block/64 values each) while
-#: covering every realistic run count in one pass: runs are spilled at
+#: Bounded fan-in of the k-way spill merge.  64 open run files keep the
+#: per-reader buffers useful (io_block/64 values each) while covering
+#: every realistic run count in one pass: runs are spilled at
 #: ``chunk_triples`` granularity, so exceeding the fan-in takes a
-#: dataset more than 64 chunks long.
-DEFAULT_MERGE_FANIN = 64
+#: dataset more than 64 chunks long.  A build reads it once and hands
+#: it to its tasks, so pool workers never depend on a patched global.
+MERGE_FANIN = 64
 
 __all__ = [
     "BulkBuildError",
-    "DEFAULT_MERGE_FANIN",
+    "MERGE_FANIN",
     "bulk_build",
     "bulk_build_sharded",
 ]
@@ -405,13 +409,12 @@ def _blocks_from_bin(path: str, chunk: int):
 
 
 def _source_blocks(source, chunk: int):
-    """Normalize any supported source into (block, dictionary) pairs."""
+    """Normalize any supported source into (block, dictionary) pairs;
+    only a ``.nt`` file yields a dictionary."""
     if isinstance(source, Graph):
         triples = source.triples
-        if len(triples) == 0:
-            yield np.empty((0, 3), dtype=np.int64), source.dictionary
         for start in range(0, len(triples), chunk):
-            yield triples[start : start + chunk], source.dictionary
+            yield triples[start : start + chunk], None
         return
     if isinstance(source, (str, os.PathLike)):
         path = str(source)
@@ -425,6 +428,10 @@ def _source_blocks(source, chunk: int):
             mm = np.load(path, mmap_mode="r")
             if mm.ndim != 2 or mm.shape[1] != 3:
                 raise BulkBuildError(f"{path}: expected an (n, 3) array")
+            if not np.issubdtype(mm.dtype, np.integer):
+                raise BulkBuildError(
+                    f"{path}: expected integer ids, not dtype {mm.dtype}"
+                )
             for start in range(0, len(mm), chunk):
                 yield np.asarray(mm[start : start + chunk], dtype=np.int64), None
         else:
@@ -454,28 +461,75 @@ def _source_blocks(source, chunk: int):
 # -- scan ------------------------------------------------------------------
 
 
-def _scan_source(
-    source, chunk: int, n_partitions: int, keyed: bool,
-    n_nodes: Optional[int], n_predicates: Optional[int],
-    workdir: str, stats: dict,
-):
-    """Phase 1: chunked scan into per-partition sorted deduplicated runs.
+def _stage_source(source, chunk: int, workdir: str):
+    """Append a source's raw rows to one scratch ``.bin`` (part of the
+    scan phase), assigning ``.nt`` ids and tracking the maximum ids, so
+    the universes can be fixed before any run is written (the scan
+    checks every id against them).  Returns (staged path, dictionary,
+    max_node, max_pred)."""
+    path = os.path.join(workdir, "stage.bin")
+    dictionary: Optional[Dictionary] = None
+    max_node = max_pred = -1
+    with open(path, "wb") as f:
+        for block, block_dict in _source_blocks(source, chunk):
+            if block_dict is not None:
+                dictionary = block_dict
+            if not len(block):
+                continue
+            block = np.ascontiguousarray(block, dtype=np.int64)
+            max_node = max(
+                max_node, int(block[:, S].max()), int(block[:, O].max())
+            )
+            max_pred = max(max_pred, int(block[:, P].max()))
+            block.tofile(f)
+    return path, dictionary, max_node, max_pred
 
-    With ``n_partitions > 1`` (the sharded layout) each pending chunk is
-    split by splitmix64 subject hash before spilling, so every
-    partition's runs hold a disjoint subject subset — and because the
-    triple key embeds the subject, per-partition dedup *is* global
-    dedup.  Runs hold packed keys when the universes are pinned upfront (1/3 the
-    bytes of rows), sorted rows otherwise (keys need N and P).
-    Returns (runs_per_partition, dictionary, max_node, max_pred).
+
+def _resolve_universe(
+    dictionary: Optional[Dictionary],
+    n_nodes: Optional[int], n_predicates: Optional[int],
+    max_node: int, max_pred: int,
+) -> tuple[int, int]:
+    """Fix the universes before the scan, mirroring Graph's inference:
+    a dictionary decides them (a differing pin is refused); otherwise
+    each is its pin, or the maximum id + 1."""
+    if dictionary is not None:
+        N, Pn = dictionary.n_nodes, dictionary.n_predicates
+        for name, pin, size in (
+            ("n_nodes", n_nodes, N), ("n_predicates", n_predicates, Pn)
+        ):
+            if pin is not None and pin != size:
+                raise BulkBuildError(
+                    f"explicit {name} conflicts with the dictionary"
+                )
+    else:
+        N = int(n_nodes) if n_nodes is not None else max_node + 1
+        Pn = int(n_predicates) if n_predicates is not None else max_pred + 1
+    _check_universe(N, Pn)
+    return N, Pn
+
+
+def _scan_source(
+    source, chunk: int, n_partitions: int, n_nodes: int, n_predicates: int,
+    workdir: str, stats: dict,
+) -> list[list[str]]:
+    """Phase 1: chunked scan into per-partition sorted deduplicated runs
+    of int64 triple keys ``(s·P + p)·N + o``.
+
+    The universes are fixed before the scan (:func:`_scanned`), so each
+    chunk is keyed, sorted, deduplicated and spilled as one flat int64
+    array; an id outside them is refused here.  With ``n_partitions >
+    1`` (the sharded layout) each pending chunk is split by splitmix64
+    subject hash before spilling, so every partition's runs hold a
+    disjoint subject subset — and because the key embeds the subject,
+    per-partition dedup *is* global dedup.  Returns the run paths of
+    each partition.
     """
     shard_vector = None
     if n_partitions > 1:
         from repro.serving.sharding import shard_vector
 
-    dictionary: Optional[Dictionary] = None
-    max_node = -1
-    max_pred = -1
+    N, Pn = int(n_nodes), int(n_predicates)
     runs: list[list[str]] = [[] for _ in range(n_partitions)]
     pending: list[list[np.ndarray]] = [[] for _ in range(n_partitions)]
     pending_rows = 0
@@ -486,31 +540,19 @@ def _scan_source(
         if not blocks:
             return
         block = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        if len(block) == 0:
-            return
         if block.min() < 0:
             raise BulkBuildError("ids must be non-negative")
+        if (
+            int(block[:, S].max()) >= N
+            or int(block[:, O].max()) >= N
+            or int(block[:, P].max()) >= Pn
+        ):
+            raise BulkBuildError("id outside the declared universes")
+        keys = _spo_keys(block, N, Pn)
+        keys.sort()
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         run = os.path.join(workdir, f"scan.p{pid}.run{len(runs[pid])}.bin")
-        if keyed:
-            if (
-                int(block[:, S].max()) >= n_nodes
-                or int(block[:, O].max()) >= n_nodes
-                or int(block[:, P].max()) >= n_predicates
-            ):
-                raise BulkBuildError("id outside the pinned universes")
-            keys = _spo_keys(block, int(n_nodes), int(n_predicates))
-            keys.sort()
-            if keys.size:
-                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-            _spill_run(run, keys)
-        else:
-            order = np.lexsort((block[:, O], block[:, P], block[:, S]))
-            block = block[order]
-            uniq = np.concatenate(
-                ([True], np.any(block[1:] != block[:-1], axis=1))
-            )
-            block = np.ascontiguousarray(block[uniq])
-            _spill_run(run, block)
+        _spill_run(run, keys)
         runs[pid].append(run)
         stats["runs_spilled"] += 1
 
@@ -520,18 +562,11 @@ def _scan_source(
             spill(pid)
         pending_rows = 0
 
-    for block, block_dict in _source_blocks(source, chunk):
-        if block_dict is not None:
-            dictionary = block_dict
+    for block, _ in _source_blocks(source, chunk):
         if not len(block):
             continue
         stats["input_triples"] += len(block)
         block = np.ascontiguousarray(block, dtype=np.int64)
-        if not keyed:
-            max_node = max(
-                max_node, int(block[:, S].max()), int(block[:, O].max())
-            )
-            max_pred = max(max_pred, int(block[:, P].max()))
         if shard_vector is None:
             pending[0].append(block)
         else:
@@ -542,38 +577,7 @@ def _scan_source(
         if pending_rows >= chunk:
             flush_all()
     flush_all()
-    return runs, dictionary, max_node, max_pred
-
-
-def _resolve_universe(
-    dictionary: Optional[Dictionary], keyed: bool,
-    n_nodes: Optional[int], n_predicates: Optional[int],
-    max_node: int, max_pred: int,
-) -> tuple[int, int]:
-    """Universe resolution (mirrors Graph's inference exactly)."""
-    if dictionary is not None:
-        N, Pn = dictionary.n_nodes, dictionary.n_predicates
-        if n_nodes is not None and n_nodes != N:
-            raise BulkBuildError(
-                "explicit n_nodes conflicts with the dictionary"
-            )
-        if n_predicates is not None and n_predicates != Pn:
-            raise BulkBuildError(
-                "explicit n_predicates conflicts with the dictionary"
-            )
-    elif keyed:
-        N, Pn = int(n_nodes), int(n_predicates)
-    else:
-        N = int(n_nodes) if n_nodes is not None else max_node + 1
-        Pn = (
-            int(n_predicates)
-            if n_predicates is not None
-            else max_pred + 1
-        )
-        if max_node >= N or max_pred >= Pn:
-            raise BulkBuildError("id outside the declared universes")
-    _check_universe(N, Pn)
-    return N, Pn
+    return runs
 
 
 # -- wavelet + counts passes -----------------------------------------------
@@ -728,7 +732,6 @@ _POOL_HOOK = None
 
 def _partition_streams(
     runs: list[str],
-    keyed: bool,
     n_nodes: int,
     n_predicates: int,
     run_values: int,
@@ -746,20 +749,6 @@ def _partition_streams(
     """
     N, Pn = int(n_nodes), int(n_predicates)
     mstats: dict = {}
-    if not keyed and runs:
-        # Row runs become key runs now that N and P are known.
-        key_runs = []
-        for i, run in enumerate(runs):
-            krun = os.path.join(workdir, f"{tag}.keys{i}.bin")
-            with open(krun, "wb") as kf:
-                for rows in _iter_file_int64(run, io_block * 3):
-                    _merge_chunk(kf, _spo_keys(rows.reshape(-1, 3), N, Pn))
-            if not keep_inputs:
-                os.unlink(run)
-            key_runs.append(krun)
-        runs = key_runs
-        keep_inputs = False  # key runs are task-local: always reclaim
-
     spo_path, n = _merge_runs(
         runs, workdir, io_block, f"{tag}.spo",
         fanin=fanin, stats=mstats, keep_inputs=keep_inputs,
@@ -951,7 +940,7 @@ def _shard_task(payload: dict) -> dict:
     shutil.copyfile(manifest_path(upath), manifest_path(udst))
 
     part = _partition_streams(
-        payload["runs"], payload["keyed"], N, Pn,
+        payload["runs"], N, Pn,
         payload["run_values"], payload["io_block"], payload["fanin"],
         workdir, tag, keep_inputs=payload["keep_inputs"],
     )
@@ -1036,7 +1025,6 @@ class _Scan(NamedTuple):
 
     workdir: str
     runs: list  # per partition, its sorted scan runs
-    keyed: bool
     dictionary: Optional[Dictionary]
     n_nodes: int
     n_predicates: int
@@ -1049,19 +1037,18 @@ class _Scan(NamedTuple):
 def _scanned(
     source, out_path: str, stats: dict, *, what: str, n_partitions: int,
     chunk_triples: int, n_nodes: Optional[int], n_predicates: Optional[int],
-    spill_dir: Optional[str], workers: int, merge_fanin: int,
+    spill_dir: Optional[str], workers: int,
 ):
     """The builders' shared preamble: check the arguments, open a
-    private workdir, scan the source into ``n_partitions`` sets of runs
-    and resolve the universes.  Any failure inside the ``with`` body
-    surfaces as :class:`BulkBuildError` naming ``stats["phase"]``, and
-    the workdir is removed either way."""
+    private workdir, fix the universes (staging the source first unless
+    they are known up front) and scan it into ``n_partitions`` sets of
+    key runs.  Any failure inside the ``with`` body surfaces as
+    :class:`BulkBuildError` naming ``stats["phase"]``, and the workdir
+    is removed either way."""
     if chunk_triples < 1:
         raise ValueError("chunk_triples must be positive")
     if workers < 0:
         raise ValueError("workers must be non-negative")
-    if merge_fanin < 2:
-        raise ValueError("merge_fanin must be at least 2")
     chunk = int(chunk_triples)
     parent = spill_dir or (os.path.dirname(os.path.abspath(out_path)) or ".")
     os.makedirs(parent, exist_ok=True)
@@ -1070,21 +1057,36 @@ def _scanned(
         input_triples=0, runs_spilled=0, phase="scan", workers=int(workers)
     )
     try:
-        keyed = n_nodes is not None and n_predicates is not None
-        if keyed:
-            _check_universe(int(n_nodes), int(n_predicates))
-        runs, dictionary, max_node, max_pred = _scan_source(
-            source, chunk, n_partitions, keyed, n_nodes, n_predicates,
-            workdir, stats,
-        )
+        dictionary: Optional[Dictionary] = None
+        max_node = max_pred = -1
+        staged = None
+        if isinstance(source, Graph):
+            dictionary = source.dictionary
+            if n_nodes is None:
+                n_nodes = source.n_nodes
+            if n_predicates is None:
+                n_predicates = source.n_predicates
+        elif (
+            n_nodes is None or n_predicates is None
+            # A .nt file's dictionary decides its universes.
+            or isinstance(source, (str, os.PathLike))
+            and str(source).endswith(".nt")
+        ):
+            staged, dictionary, max_node, max_pred = _stage_source(
+                source, chunk, workdir
+            )
+            source = staged
         N, Pn = _resolve_universe(
-            dictionary, keyed, n_nodes, n_predicates, max_node, max_pred
+            dictionary, n_nodes, n_predicates, max_node, max_pred
         )
+        runs = _scan_source(source, chunk, n_partitions, N, Pn, workdir, stats)
+        if staged is not None:
+            os.unlink(staged)
         # Everything after the scan streams sorted files: read buffers
         # shrink to _STREAM_BLOCK regardless of the scan chunk.
         yield _Scan(
-            workdir, runs, keyed, dictionary, N, Pn, chunk,
-            max(64, min(chunk, _STREAM_BLOCK)), int(merge_fanin),
+            workdir, runs, dictionary, N, Pn, chunk,
+            max(64, min(chunk, _STREAM_BLOCK)), MERGE_FANIN,
         )
     except BulkBuildError:
         raise
@@ -1108,7 +1110,6 @@ def bulk_build(
     progress=None,
     stats: Optional[dict] = None,
     workers: int = 0,
-    merge_fanin: int = DEFAULT_MERGE_FANIN,
 ) -> dict:
     """Stream-build a frozen ring pack at ``out_path``; returns the manifest.
 
@@ -1117,12 +1118,15 @@ def bulk_build(
     ``.npy`` array, an id-text file (``s p o`` per line), a
     :class:`Graph`, or any iterable of rows/blocks.  ``chunk_triples``
     bounds the scan/sort working set; ``n_nodes``/``n_predicates`` pin
-    the universes (inferred from the data when omitted, exactly like
-    :class:`Graph`).  ``workers > 0`` runs the three zone wavelet passes
-    and the three count passes on a pool of that many worker processes
-    — the output is byte-identical to the serial build.
-    ``merge_fanin`` bounds how many spill runs one k-way merge pass
-    opens.  All spill files live in a private directory under
+    the universes.  A :class:`Graph` fills in an omitted pin from its
+    own ``n_nodes``/``n_predicates``; a ``.nt`` file's dictionary
+    decides them; any other source without both pins is first staged
+    to one scratch ``.bin`` and its universes inferred exactly like
+    :class:`Graph` (maximum id + 1).  ``workers > 0`` runs the three
+    zone wavelet passes and the three count passes on a pool of that
+    many worker processes — the output is byte-identical to the serial
+    build.  At most :data:`MERGE_FANIN` spill runs are merged in one
+    k-way pass.  All spill files live in a private directory under
     ``spill_dir`` (default: next to ``out_path``) and are removed on
     exit; the pack itself appears atomically.  ``stats`` (a dict, if
     given) receives build counters, including the merge accounting
@@ -1136,11 +1140,10 @@ def bulk_build(
         source, out_path, stats, what="bulk build", n_partitions=1,
         chunk_triples=chunk_triples, n_nodes=n_nodes,
         n_predicates=n_predicates, spill_dir=spill_dir, workers=workers,
-        merge_fanin=merge_fanin,
     ) as scan:
         stats["phase"] = "merge"
         streams = _partition_streams(
-            scan.runs[0], scan.keyed, scan.n_nodes, scan.n_predicates,
+            scan.runs[0], scan.n_nodes, scan.n_predicates,
             scan.chunk, scan.io_block, scan.fanin, scan.workdir, "pack",
         )
         n = streams["n"]
@@ -1172,7 +1175,6 @@ def bulk_build_sharded(
     progress=None,
     stats: Optional[dict] = None,
     workers: int = 0,
-    merge_fanin: int = DEFAULT_MERGE_FANIN,
 ) -> dict:
     """Partition-build a ready-to-serve sharded durable layout.
 
@@ -1201,7 +1203,6 @@ def bulk_build_sharded(
         source, out_dir, stats, what="sharded bulk build",
         n_partitions=n_shards, chunk_triples=chunk_triples, n_nodes=n_nodes,
         n_predicates=n_predicates, spill_dir=spill_dir, workers=workers,
-        merge_fanin=merge_fanin,
     ) as scan:
         try:
             # The universe payload every shard's durable store embeds
@@ -1219,7 +1220,6 @@ def bulk_build_sharded(
                     "kind": "shard",
                     "pid": sid,
                     "runs": runs,
-                    "keyed": scan.keyed,
                     "n_nodes": scan.n_nodes,
                     "n_predicates": scan.n_predicates,
                     "run_values": scan.chunk,

@@ -19,9 +19,11 @@ from repro.core.interface import QueryExecutionError
 from repro.core.iterators import RingIterator
 from repro.graph import BasicGraphPattern, TriplePattern, Var
 from repro.graph.generators import random_graph
+from repro.graph.model import S
 from repro.perf import KERNEL_COUNTERS, measuring
 from repro.reliability.budget import ResourceBudget
 from repro.reliability.faults import Fault, InjectedFault, inject_faults
+from repro.sequences.wavelet_matrix import WaveletMatrix
 from tests.util import as_solution_set, naive_evaluate
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -127,6 +129,19 @@ def test_leap_memo_hits_on_repetition(graph):
     ring.clear_leap_memo()
     cleared = ring.leap_memo_stats()
     assert (cleared["hits"], cleared["misses"], cleared["entries"]) == (0, 0, 0)
+
+
+def test_memo_hit_skips_the_wavelet_matrix(monkeypatch):
+    ring = RingIndex(random_graph(300, n_nodes=40, n_predicates=3, seed=13)).ring
+    original = ring.backward_leap(S, 0, ring.n, 0)
+    assert original is not None
+    monkeypatch.setattr(
+        WaveletMatrix, "next_in_range", lambda self, lo, hi, c: 31337
+    )
+    assert ring.backward_leap(S, 0, ring.n, 0) == original, (
+        "repeated leap must be served from the memo, not the matrix"
+    )
+    assert ring.leap_memo_stats()["hits"] >= 1
 
 
 def test_leap_memo_bounded(graph, monkeypatch):

@@ -161,11 +161,81 @@ class TestEdges:
 
     def test_inferred_universe_matches_graph(self, graph, tmp_path):
         # No pinned universes: inference must mirror Graph (max id + 1).
-        reference = _reference_pack(graph, tmp_path)
+        inferred = Graph(graph.triples)
+        reference = _reference_pack(inferred, tmp_path)
         out = str(tmp_path / "inferred.ring")
-        bulk_build(iter(graph.triples), out, chunk_triples=300)
-        if graph.n_nodes == int(graph.triples[:, [0, 2]].max()) + 1:
-            assert _read(out) == _read(reference)
+        manifest = bulk_build(iter(graph.triples), out, chunk_triples=300)
+        assert manifest["n_nodes"] == int(graph.triples[:, [0, 2]].max()) + 1
+        assert manifest["n_predicates"] == int(graph.triples[:, 1].max()) + 1
+        assert _read(out) == _read(reference)
+        assert _read(out + ".config.json") == _read(
+            reference + ".config.json"
+        )
+
+    def test_graph_keeps_its_declared_universes(self, tmp_path):
+        # Declared universes wider than the ids in use survive the build,
+        # in a single pack and in every shard of a sharded layout.
+        rows = np.array([[0, 0, 1], [1, 1, 3], [3, 0, 2]], dtype=np.int64)
+        graph = Graph(rows, n_nodes=100, n_predicates=8)
+        reference = _reference_pack(graph, tmp_path)
+        out = str(tmp_path / "declared.ring")
+        manifest = bulk_build(graph, out, chunk_triples=2)
+        assert (manifest["n_nodes"], manifest["n_predicates"]) == (100, 8)
+        assert _read(out) == _read(reference)
+        assert _read(out + ".config.json") == _read(
+            reference + ".config.json"
+        )
+        out_dir = str(tmp_path / "declared-shards")
+        sharded = bulk_build_sharded(graph, out_dir, n_shards=2)
+        assert (sharded["n_nodes"], sharded["n_predicates"]) == (100, 8)
+        for sid in range(2):
+            pack = os.path.join(
+                out_dir, f"shard-{sid:02d}", "checkpoint-0000000001",
+                "ring-000.ring.config.json",
+            )
+            meta = json.loads(_read(pack))
+            assert (meta["n_nodes"], meta["n_predicates"]) == (100, 8)
+
+    def test_float_npy_is_refused(self, tmp_path):
+        src = str(tmp_path / "floats.npy")
+        np.save(src, np.array([[0.5, 0, 1.7], [2.9, 1, 0.2]]))
+        out = str(tmp_path / "floats.ring")
+        with pytest.raises(BulkBuildError, match="integer"):
+            bulk_build(src, out)
+        assert not os.path.exists(out)
+
+    def test_every_unpinned_source_spills_int64_keys(
+        self, graph, tmp_path, monkeypatch
+    ):
+        # One scan mode: whatever the source, every spilled run is a
+        # flat int64 key array, never (k, 3) rows.
+        rows = graph.triples
+        bin_src = str(tmp_path / "rows.bin")
+        rows.astype(np.int64).tofile(bin_src)
+        txt_src = str(tmp_path / "rows.txt")
+        nt_src = str(tmp_path / "rows.nt")
+        with open(txt_src, "w") as txt, open(nt_src, "w") as nt:
+            for s, p, o in rows:
+                txt.write(f"{s} {p} {o}\n")
+                nt.write(f"<http://ex/n{s}> <http://ex/p{p}> <http://ex/n{o}> .\n")
+        spilled = []
+        real_spill = bulkload._spill_run
+
+        def capture(path, arr):
+            spilled.append((arr.ndim, arr.dtype))
+            real_spill(path, arr)
+
+        monkeypatch.setattr(bulkload, "_spill_run", capture)
+        for i, source in enumerate((bin_src, txt_src, nt_src, iter(rows))):
+            spilled.clear()
+            stats: dict = {}
+            bulk_build(
+                source, str(tmp_path / f"k{i}.ring"), chunk_triples=300,
+                stats=stats,
+            )
+            assert stats["runs_spilled"] > 1
+            assert spilled
+            assert set(spilled) == {(1, np.dtype(np.int64))}
 
     def test_id_outside_pinned_universe(self, tmp_path):
         rows = np.array([[0, 0, 9]], dtype=np.int64)
@@ -246,16 +316,17 @@ class TestKwayMerge:
         assert stats["merge_extra_pass_bytes"] == 0
         assert stats["merge_bytes_read"] == stats["merge_bytes_in"]
         assert stats["merge_rounds"] == 0
-        assert stats["merge_fanin"] == bulkload.DEFAULT_MERGE_FANIN
+        assert stats["merge_fanin"] == bulkload.MERGE_FANIN == 64
 
     @pytest.mark.parametrize("fanin", [2, 3])
-    def test_tiny_fanin_recurses_byte_identically(self, graph, tmp_path, fanin):
+    def test_tiny_fanin_recurses_byte_identically(
+        self, graph, tmp_path, monkeypatch, fanin
+    ):
         reference = _reference_pack(graph, tmp_path)
         out = str(tmp_path / f"kway{fanin}.ring")
         stats: dict = {}
-        bulk_build(
-            graph, out, chunk_triples=150, merge_fanin=fanin, stats=stats
-        )
+        monkeypatch.setattr(bulkload, "MERGE_FANIN", fanin)
+        bulk_build(graph, out, chunk_triples=150, stats=stats)
         assert _read(out) == _read(reference)
         assert _read(out + ".config.json") == _read(
             reference + ".config.json"
@@ -268,10 +339,6 @@ class TestKwayMerge:
             stats["merge_bytes_read"]
             == stats["merge_bytes_in"] + stats["merge_extra_pass_bytes"]
         )
-
-    def test_bad_fanin_rejected(self, graph, tmp_path):
-        with pytest.raises(ValueError):
-            bulk_build(graph, str(tmp_path / "x.ring"), merge_fanin=1)
 
 
 class TestParallelBuild:

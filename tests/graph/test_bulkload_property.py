@@ -19,11 +19,14 @@ graph, same bytes, same sha256 — regardless of how or where they were
 built).
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RingIndex
+from repro.graph import bulkload
 from repro.graph.bulkload import bulk_build
 from repro.graph.dataset import Graph
 from repro.graph.model import BasicGraphPattern, TriplePattern, Var
@@ -136,15 +139,16 @@ def test_parallel_equals_serial_equals_in_memory(tmp_path_factory, case):
         else np.empty((0, 3), dtype=np.int64)
     )
     out = str(tmp / "parallel.ring")
-    bulk_build(
-        iter(presented_arr),
-        out,
-        chunk_triples=chunk,
-        n_nodes=N_NODES,
-        n_predicates=N_PREDICATES,
-        workers=workers,
-        merge_fanin=fanin,
-    )
+    # The function-scoped monkeypatch fixture cannot serve @given.
+    with mock.patch.object(bulkload, "MERGE_FANIN", fanin):
+        bulk_build(
+            iter(presented_arr),
+            out,
+            chunk_triples=chunk,
+            n_nodes=N_NODES,
+            n_predicates=N_PREDICATES,
+            workers=workers,
+        )
 
     with open(out, "rb") as a, open(reference, "rb") as b:
         assert a.read() == b.read()

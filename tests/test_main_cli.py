@@ -1,8 +1,10 @@
 """End-to-end tests for the ``python -m repro`` command line."""
 
 import io
+import json
 import sys
 
+import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -48,6 +50,45 @@ class TestBuild:
         data.write_text("a p b\nb p c\n")
         main(["build", str(data), "-o", str(tmp_path / "i.npz")])
         assert "indexed 2 triples" in capsys.readouterr().out
+
+
+    def test_unpinned_builds_write_one_pack(self, tmp_path, capsys):
+        # The same id rows, universes never pinned: the in-memory
+        # --frozen build of id text and the streamed builds of id text
+        # and raw .bin (several spill runs each) write one pack.
+        rng = np.random.default_rng(3)
+        drawn = rng.integers(0, [60, 4, 60], size=(500, 3))
+        # The in-memory build labels id text in order of first
+        # appearance, so renumber the rows to make that the id order.
+        nodes: dict = {}
+        preds: dict = {}
+        rows = np.array([
+            (nodes.setdefault(s, len(nodes)), preds.setdefault(p, len(preds)),
+             nodes.setdefault(o, len(nodes)))
+            for s, p, o in drawn.tolist()
+        ], dtype=np.int64)
+        txt, binary = tmp_path / "x.txt", tmp_path / "x.bin"
+        txt.write_text("".join(f"{s} {p} {o}\n" for s, p, o in rows))
+        rows.tofile(binary)
+        builds = {
+            "frozen": [str(txt), "--frozen"],
+            "txt": [str(txt), "--stream", "--chunk-triples", "64"],
+            "bin": [str(binary), "--stream", "--chunk-triples", "64"],
+        }
+        for name, args in builds.items():
+            main(["build", *args, "-o", str(tmp_path / f"{name}.ring")])
+        capsys.readouterr()
+
+        def read(name, suffix=""):
+            return (tmp_path / f"{name}.ring{suffix}").read_bytes()
+
+        assert read("frozen") == read("txt") == read("bin")
+        assert read("txt", ".config.json") == read("bin", ".config.json")
+        # Only the in-memory build of text carries its labels, "0", "1", ...
+        frozen = json.loads(read("frozen", ".config.json"))
+        labels = frozen.pop("dictionary")
+        assert labels["nodes"] == [str(i) for i in range(len(nodes))]
+        assert frozen == json.loads(read("txt", ".config.json"))
 
 
 class TestQuery:
