@@ -35,6 +35,8 @@ from repro.graph.model import O, S, TriplePattern, Var
 
 #: Rows decoded per chunk by :meth:`RingIterator.solutions_bulk` — bounds
 #: peak memory and keeps budget/timeout checks responsive on huge ranges.
+#: A first chunk may be shorter: under a solution cap LTJ asks for only
+#: the rows the cap has left, so a ``limit`` does not decode 8192 rows.
 BULK_CHUNK_ROWS = 8192
 
 
@@ -283,7 +285,7 @@ class RingIterator:
             c = value + 1
 
     def solutions_bulk(
-        self, vars_: Iterable[Var], chunk: int = BULK_CHUNK_ROWS
+        self, vars_: Iterable[Var], first: int = BULK_CHUNK_ROWS
     ) -> Optional[Iterator[tuple[dict[Var, np.ndarray], int]]]:
         """Batch enumeration of this pattern's remaining lonely bindings.
 
@@ -297,8 +299,9 @@ class RingIterator:
         Returns ``None`` when the fast path does not apply (a repeated
         variable, or ``vars_`` not matching the unbound positions) —
         callers then fall back to the scalar enumeration.  Otherwise
-        yields ``({var: column}, n_rows)`` chunks of at most ``chunk``
-        rows, columns row-aligned.
+        yields ``({var: column}, n_rows)`` chunks, columns row-aligned:
+        the first of at most ``first`` rows, every later one of
+        :data:`BULK_CHUNK_ROWS`.
         """
         vars_ = list(vars_)
         positions: dict[Var, int] = {}
@@ -322,13 +325,14 @@ class RingIterator:
             lo = hi  # no rows; still answer through the fast path
 
         def chunks() -> Iterator[tuple[dict[Var, np.ndarray], int]]:
-            for start in range(lo, hi, chunk):
-                stop = min(start + chunk, hi)
+            start, stop = lo, min(lo + min(first, BULK_CHUNK_ROWS), hi)
+            while start < stop:
                 decoded = self._ring.decode_range(zone, start, stop, len(vars_))
                 yield (
                     {var: decoded[positions[var]] for var in vars_},
                     stop - start,
                 )
+                start, stop = stop, min(stop + BULK_CHUNK_ROWS, hi)
 
         return chunks()
 

@@ -42,8 +42,10 @@ iterator offers them:
   most one chunk is decoded once per leaf, on first use, and replayed
   for every row of the patterns before it; a longer one is decoded
   again for each of those rows, so memory stays one chunk per pattern.
-  The innermost pattern's rows leave in a flat loop.  Iterators without
-  it (every baseline, the dynamic ring's union) take the scalar walk;
+  The innermost pattern's rows leave in a flat loop; each is a solution,
+  so under a cap its first chunk holds only the rows the cap has left.
+  Iterators without it (every baseline, the dynamic ring's union) take
+  the scalar walk;
 - the leapfrog seeks that remain (iterators with no zone state, such as
   the dynamic ring's union) hit the ring's LRU leap memo (see
   :meth:`repro.core.ring.Ring.backward_leap`).  A query with such an
@@ -881,7 +883,14 @@ class LeapfrogTrieJoin:
             yield from self._emit_lonely(q, idx + 1, binding, memo)
             return
         bulk = getattr(it, "solutions_bulk", None)
-        chunks = bulk(remaining) if bulk is not None else None
+        budget = q.deadline
+        if bulk is None:
+            chunks = None
+        elif idx + 1 < len(q.lonely) or budget.max_solutions is None:
+            chunks = bulk(remaining)
+        else:  # each row is a solution: the first chunk ends at the cap
+            left = budget.max_solutions - budget.solutions
+            chunks = bulk(remaining, max(left, 1))
         if chunks is not None:
             yield from self._emit_chunks(
                 q, idx, remaining, self._decoded(chunks, remaining, keep, idx),
@@ -903,10 +912,10 @@ class LeapfrogTrieJoin:
     ) -> Iterator[tuple[list, int]]:
         """``solutions_bulk``'s chunks as ``(columns, n_rows)``, columns
         as lists aligned with ``vars_``, decoded on demand and counted
-        as ``bulk_decodes``.  A range of at most one chunk is kept in
-        ``keep[idx]`` once it is exhausted; a longer one is decoded
-        again for each outer row, so memory stays one chunk per
-        pattern."""
+        as ``bulk_decodes``.  A range decoded in one chunk is kept in
+        ``keep[idx]`` once it is exhausted; a longer one (or one whose
+        first chunk a cap cut short) is decoded again for each outer
+        row, so memory stays one chunk per pattern."""
         n_chunks, chunk = 0, None
         for columns, n_rows in chunks:
             n_chunks += 1

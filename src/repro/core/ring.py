@@ -44,6 +44,11 @@ _MEMO_MISS = object()  # sentinel: None is a cacheable leap answer
 #: Capacity (entries) of each ring's LRU backward-leap memo.
 LEAP_MEMO_SIZE = 1 << 16
 
+#: Longest range :meth:`Ring.decode_range` decodes row by row; a longer
+#: one takes the batched numpy steps.  Break-even is near 24–32 rows
+#: (table in ``decode_range``); 16 keeps a margin.
+SHORT_DECODE_ROWS = 16
+
 
 def prev_attr(attr: int) -> int:
     """Attribute cyclically preceding ``attr`` (o before s, s before p…)."""
@@ -375,11 +380,9 @@ class Ring:
         """
         if not 0 <= i < self._n:
             raise IndexError(f"triple index {i} out of range [0, {self._n})")
-        o = self._seq[S][i]
-        j = self._c[O].access(o) + self._seq[S].rank(o, i)
-        p = self._seq[O][j]
-        k = self._c[P].access(p) + self._seq[O].rank(p, j)
-        s = self._seq[P][k]
+        o, rank = self._seq[S].access_rank(i)
+        p, rank = self._seq[O].access_rank(self._c[O].access(o) + rank)
+        s = self._seq[P][self._c[P].access(p) + rank]
         return (s, p, o)
 
     def triples(self) -> np.ndarray:
@@ -426,31 +429,74 @@ class Ring:
         ``prev_attr(zone)`` first), so with the range of Lemma 3.6 in
         hand the result holds exactly the *unbound* attributes of every
         matching triple, aligned by row — the bulk engine behind the
-        lonely-variables batch path.  O(levels) Python calls per
-        attribute instead of O(rows · levels).
+        lonely-variables batch path.  A range of more than
+        :data:`SHORT_DECODE_ROWS` rows takes O(levels) batched numpy
+        steps per attribute, whatever its length; one of at most that
+        many rows is decoded row by row, one scalar
+        :meth:`~repro.sequences.wavelet_matrix.WaveletMatrix.access_rank`
+        descent and one ``C`` access per LF step.  Both give the same
+        int64 columns.  Microseconds per call, batched / row by row, on
+        uniform rings whose first matrix has 12 or 19 levels (2-vCPU
+        Xeon host, CPython 3.11, numpy 2):
+
+        ==================  =======  =======  ========  ========
+        levels x attrs      1 row    16 rows  24 rows   32 rows
+        ==================  =======  =======  ========  ========
+        12 x 1              142/10   146/97   159/142   155/220
+        12 x 2              440/19   459/251  472/376   471/504
+        19 x 2              706/29   699/399  729/586   753/805
+        19 x 3              991/36   1006/522 1012/786  1035/1027
+        ==================  =======  =======  ========  ========
         """
         started = time.perf_counter() if _perf.enabled else 0.0
         if not 1 <= n_attrs <= 3:
             raise ValueError("n_attrs must be in [1, 3]")
-        positions = np.arange(max(lo, 0), min(hi, self._n), dtype=np.int64)
-        out: dict[int, np.ndarray] = {}
-        current = zone
-        for step in range(n_attrs):
-            if step == n_attrs - 1:  # last attribute: no LF map needed
-                out[prev_attr(current)] = self._seq[current].extract_at(
-                    positions
-                )
-            else:
-                values, positions = self.lf_many(current, positions)
-                out[prev_attr(current)] = values
-                current = prev_attr(current)
+        lo, hi = max(lo, 0), min(hi, self._n)
+        if hi - lo <= SHORT_DECODE_ROWS:
+            out = self._decode_short(zone, lo, hi, n_attrs)
+        else:
+            out = {}
+            positions = np.arange(lo, hi, dtype=np.int64)
+            current = zone
+            for step in range(n_attrs):
+                if step == n_attrs - 1:  # last attribute: no LF map needed
+                    out[prev_attr(current)] = self._seq[current].extract_at(
+                        positions
+                    )
+                else:
+                    values, positions = self.lf_many(current, positions)
+                    out[prev_attr(current)] = values
+                    current = prev_attr(current)
         if _perf.enabled:
             _perf.record(
                 "ring.decode_range",
-                (min(hi, self._n) - max(lo, 0)) * n_attrs,
+                max(hi - lo, 0) * n_attrs,
                 time.perf_counter() - started,
             )
         return out
+
+    def _decode_short(
+        self, zone: int, lo: int, hi: int, n_attrs: int
+    ) -> dict[int, np.ndarray]:
+        """:meth:`decode_range` of a short range, one row at a time."""
+        steps = []
+        for _ in range(n_attrs):
+            target = prev_attr(zone)
+            steps.append((self._seq[zone], self._c[target].access, target))
+            zone = target
+        *mapped, (last, _, _) = steps
+        columns = [[] for _ in steps]
+        for row in range(lo, hi):
+            pos = row
+            for (wm, access, _), column in zip(mapped, columns):
+                value, rank = wm.access_rank(pos)
+                column.append(value)
+                pos = access(value) + rank
+            columns[-1].append(last[pos])
+        return {
+            target: np.array(column, dtype=np.int64)
+            for (_, _, target), column in zip(steps, columns)
+        }
 
     def count_pattern(self, constants: dict[int, int]) -> int:
         """Number of triples matching the bound positions (on-the-fly

@@ -441,7 +441,12 @@ def _source_blocks(source, chunk: int):
         pending: list[np.ndarray] = []
         count = 0
         for item in source:
-            arr = np.asarray(item, dtype=np.int64)
+            arr = np.asarray(item)
+            if arr.size and not np.issubdtype(arr.dtype, np.integer):
+                raise BulkBuildError(
+                    f"iterable items must hold integer ids, not dtype {arr.dtype}"
+                )
+            arr = arr.astype(np.int64, copy=False)
             if arr.ndim == 1:
                 arr = arr.reshape(1, 3)
             if arr.ndim != 2 or arr.shape[1] != 3:

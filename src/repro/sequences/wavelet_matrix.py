@@ -202,6 +202,41 @@ class WaveletMatrix:
         for i in range(self._n):
             yield self[i]
 
+    def access_rank(self, i: int) -> tuple[int, int]:
+        """``(symbol, rank(symbol, i))`` of position ``i`` in one descent.
+
+        The access descent ends at ``bucket_start(symbol) + rank(symbol,
+        i)``; carrying the start of the current node beside ``i`` (it
+        ends at the bucket start) turns that into the rank — one LF step
+        of :meth:`~repro.core.ring.Ring.triple`, scalar.
+        """
+        if not 0 <= i < self._n:
+            raise IndexError(f"index {i} out of range [0, {self._n})")
+        value = start = 0
+        for words, sup, rel, z, _ones, _shift, bv in self._loop:
+            if bv is None:
+                word = words[i >> 6]
+                off = i & 63
+                bit = (word >> off) & 1
+                before = (
+                    sup[i >> 9] + rel[i >> 6]
+                    + (word & ((1 << off) - 1)).bit_count()
+                )
+                at = (
+                    sup[start >> 9] + rel[start >> 6]
+                    + (words[start >> 6] & ((1 << (start & 63)) - 1)).bit_count()
+                )
+            else:
+                bit, before, at = bv[i], bv.rank1(i), bv.rank1(start)
+            value = (value << 1) | bit
+            if bit:
+                i = z + before
+                start = z + at
+            else:
+                i -= before
+                start -= at
+        return value, i - start
+
     # -- rank / select -------------------------------------------------------
 
     def _descend(self, symbol: int, a: int, b: int, c: int):

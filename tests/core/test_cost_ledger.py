@@ -38,7 +38,7 @@ COLUMNS = (*COUNTS, "rows")
 #: shape -> (leaps, binds, bulk_rows, bulk_decodes, rows), two
 #: instances each.
 LEDGER: dict[str, tuple[int, int, int, int, int]] = {
-    'P2': (244, 55, 1782, 110, 1587),
+    'P2': (244, 55, 1760, 110, 1587),
     'P3': (7, 5, 2194, 6, 2000),
     'P4': (319, 146, 2413, 132, 2000),
     'T2': (2, 2, 2162, 4, 2000),
@@ -100,6 +100,7 @@ BITVECTOR_CALLABLES = (
 
 FUSED_SCALAR_OPS = {
     "__getitem__": lambda wm: wm[17],
+    "access_rank": lambda wm: wm.access_rank(90),
     "rank": lambda wm: wm.rank(3, 90),
     "rank_pair": lambda wm: wm.rank_pair(3, 5, 128),
     "select": lambda wm: wm.select(wm[17], 1),

@@ -7,7 +7,10 @@ range that fits in one chunk (``BULK_CHUNK_ROWS`` rows) once per leaf
 and replays it for every row of the patterns before it; a longer range
 is decoded chunk by chunk again for each of those rows.  Either way the
 rows, their order and every op charged are those of decoding per row:
-the op-cap sweep below was recorded on the engine that did.
+the op-cap sweep below was recorded on the engine that did.  Under a
+solution cap the innermost pattern's first chunk holds no more rows
+than the cap has left, and later chunks are full again, so a consumer
+that reads past the cap sees the uncapped stream.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 
 from repro.bench.wgpb import generate_wgpb_queries
 from repro.core.iterators import BULK_CHUNK_ROWS
+from repro.core.ltj import LeapfrogTrieJoin
 from repro.core.system import RingIndex
 from repro.graph import BasicGraphPattern, TriplePattern, Var
 from repro.graph.dataset import Graph
@@ -52,6 +56,51 @@ def test_a_range_longer_than_a_chunk_is_not_kept():
     rows = RingIndex(_star(spokes, 3)).evaluate(TWO_LONELY, stats=stats)
     assert len(rows) == 3 * spokes
     assert stats["bulk_decodes"] == 7
+
+
+@pytest.fixture(scope="module")
+def long_star():
+    """Three outer rows over an inner range a chunk and 808 rows long,
+    and the unlimited rows in order."""
+    index = RingIndex(_star(BULK_CHUNK_ROWS + 808, 3))
+    return index, [dict(row) for row in index.evaluate(TWO_LONELY)]
+
+
+@pytest.mark.parametrize("k", [1, 7, 1000, BULK_CHUNK_ROWS])
+def test_a_limit_decodes_the_rows_it_admits(long_star, k):
+    """The inner range's first chunk holds the ``k`` rows the limit
+    admits, not a full chunk: 3 outer rows plus ``k`` inner ones."""
+    index, full = long_star
+    stats: dict = {}
+    rows = index.evaluate(TWO_LONELY, limit=k, stats=stats)
+    assert [dict(row) for row in rows] == full[:k]
+    assert stats["bulk_rows"] == 3 + k
+    assert stats["bulk_decodes"] == 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_projection_reads_past_the_first_chunk(long_star, k):
+    """``?y`` changes once per inner range: its dedup needs up to every
+    row, far more than ``k``, and finds the first ``k`` projections."""
+    index, full = long_star
+    distinct = []
+    for row in full:
+        if {Y: row[Y]} not in distinct:
+            distinct.append({Y: row[Y]})
+    rows = index.evaluate(TWO_LONELY, limit=k, project=[Y])
+    assert [dict(row) for row in rows] == distinct[:k]
+
+
+def test_the_engine_read_past_its_cap_yields_the_uncapped_stream(long_star):
+    index, full = long_star
+    engine = LeapfrogTrieJoin(index.iterator, index.graph.n_triples)
+    budget = ResourceBudget(max_solutions=5)
+    rows = []
+    for row in engine.evaluate(TWO_LONELY, timeout=budget):
+        rows.append(dict(row))
+        budget.admit_solution()
+    assert budget.solutions == len(full) > 5
+    assert rows == full
 
 
 def test_a_range_narrowed_by_a_bound_variable_is_not_kept():

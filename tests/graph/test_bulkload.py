@@ -204,6 +204,13 @@ class TestEdges:
             bulk_build(src, out)
         assert not os.path.exists(out)
 
+    def test_float_iterable_is_refused(self, tmp_path):
+        out = str(tmp_path / "floats.ring")
+        rows = np.array([[0.5, 0, 1.7], [2.9, 1, 0.2]])
+        with pytest.raises(BulkBuildError, match="integer"):
+            bulk_build(iter([rows]), out)
+        assert not os.path.exists(out)
+
     def test_every_unpinned_source_spills_int64_keys(
         self, graph, tmp_path, monkeypatch
     ):
